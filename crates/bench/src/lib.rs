@@ -442,25 +442,6 @@ impl Cli {
         spec
     }
 
-    /// Rejects leftover arguments (binaries without their own positionals).
-    ///
-    /// # Panics
-    /// Exits the process with a usage error when [`Cli::rest`] is non-empty.
-    #[deprecated(note = "use `Cli::enforce` with the binary's `FLAG_SPECS` row")]
-    pub fn expect_no_extra_args(&self) {
-        self.fail_extra_args();
-    }
-
-    /// Rejects `--explain-out` in binaries that have no attribution to
-    /// export (everything except `lpstudy`, `fig4`, and `fig5`).
-    ///
-    /// # Panics
-    /// Exits the process with a usage error when the flag was given.
-    #[deprecated(note = "use `Cli::enforce` with the binary's `FLAG_SPECS` row")]
-    pub fn reject_explain_out(&self, binary: &str) {
-        self.fail_explain_out(binary);
-    }
-
     /// End-of-run hook: dumps the observability summary at debug level
     /// and writes the Chrome trace (`--trace-out`), the Prometheus text
     /// exposition (`--metrics-out`), and the flight-recorder journal

@@ -56,8 +56,6 @@ pub mod prelude {
     pub use crate::{Error, Study};
     pub use lp_ir::builder::FunctionBuilder;
     pub use lp_ir::{Module, Type};
-    #[allow(deprecated)]
-    pub use lp_runtime::paper_rows;
     pub use lp_runtime::{
         best_helix, best_pdoall, table2_rows, Attribution, Config, DepMode, ExecModel, FnMode,
         Jobs, LimiterKind, ProfileStore, ReducMode, StoreMode, SweepUnit,
@@ -197,13 +195,6 @@ impl Study {
             .into_iter()
             .map(|(model, config)| self.evaluate(model, config))
             .collect()
-    }
-
-    /// Renamed: the rows are Table II's, not "the paper's" generically.
-    #[deprecated(note = "renamed to `table2_rows`")]
-    #[must_use]
-    pub fn paper_rows(&self) -> Vec<EvalReport> {
-        self.table2_rows()
     }
 
     /// The recorded profile.

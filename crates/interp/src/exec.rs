@@ -3,8 +3,7 @@
 //! [`ExecUnit`] binds a module to an [`Engine`] and performs any
 //! per-module compilation exactly once (bytecode translation for
 //! [`Engine::Bc`], nothing for [`Engine::Tree`]). [`Exec`] is the
-//! builder-style run entry that replaces the old
-//! `Machine::run`/`run_keep_memory`/`run_function` trio:
+//! builder-style run entry, and the only way to run a program:
 //!
 //! ```
 //! use lp_interp::{Engine, Exec, ExecUnit, Value};

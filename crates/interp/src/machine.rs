@@ -117,8 +117,9 @@ pub struct RunResult {
 
 /// An interpreter instance bound to a module and an event sink.
 ///
-/// The machine is single-use per program run: construct, [`Machine::run`],
-/// inspect. Globals are laid out and initialized at construction.
+/// The machine is single-use per program run: [`crate::Exec`] constructs
+/// it, runs it once, and hands back the result. Globals are laid out and
+/// initialized at construction.
 #[derive(Debug)]
 pub struct Machine<'a, S> {
     pub(crate) module: &'a Module,
@@ -327,42 +328,14 @@ impl<'a, S: EventSink> Machine<'a, S> {
         self
     }
 
-    /// Runs `main` with the given arguments.
+    /// Shared run entry for both engines, reached through the
+    /// [`crate::Exec`] builder: resolves the entry function, dispatches to
+    /// the tree walk or — when `code` is present — the bytecode loop, and
+    /// finalizes heat/batch/memory bookkeeping identically on both paths.
     ///
     /// # Errors
     /// Propagates traps and resource-limit failures, or an
-    /// [`InterpError::TypeConfusion`] if the module has no `main`.
-    #[deprecated(note = "compile once with `ExecUnit` and run through the `Exec` builder")]
-    pub fn run(self, args: &[Value]) -> Result<RunResult> {
-        self.run_entry(None, args, None).map(|(result, _)| result)
-    }
-
-    /// As [`Machine::run`], additionally returning the final memory
-    /// image. The replay engine byte-compares the images of a serial and
-    /// a replayed run to detect divergence.
-    ///
-    /// # Errors
-    /// As [`Machine::run`].
-    #[deprecated(note = "use `Exec::new(&unit).keep_memory(true).run(args)`")]
-    pub fn run_keep_memory(self, args: &[Value]) -> Result<(RunResult, Memory)> {
-        self.run_entry(None, args, None)
-    }
-
-    /// Runs an arbitrary function by name (for tests and examples).
-    ///
-    /// # Errors
-    /// As [`Machine::run`].
-    #[deprecated(note = "use `Exec::new(&unit).function(name).run(args)`")]
-    pub fn run_function(self, name: &str, args: &[Value]) -> Result<RunResult> {
-        self.run_entry(Some(name), args, None)
-            .map(|(result, _)| result)
-    }
-
-    /// Shared run entry for both engines and every public surface (the
-    /// [`crate::Exec`] builder and the deprecated `run*` trio): resolves
-    /// the entry function, dispatches to the tree walk or — when `code`
-    /// is present — the bytecode loop, and finalizes heat/batch/memory
-    /// bookkeeping identically on both paths.
+    /// [`InterpError::TypeConfusion`] if the entry function is missing.
     pub(crate) fn run_entry(
         mut self,
         function: Option<&str>,
@@ -1125,7 +1098,7 @@ pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{CountingSink, NullSink};
+    use crate::events::CountingSink;
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{Global, Type};
 
@@ -1555,25 +1528,26 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_trio_still_works() {
-        // Back-compat: the old entry points must stay observationally
-        // identical to the `Exec` builder they now wrap.
+    fn exec_memory_and_named_entry_match_plain_run() {
+        // Keeping the memory image or naming `main` explicitly must not
+        // change the run's result on either engine.
         let m = sum_module();
         let expect = run_main(&m, &[Value::I(10)]);
-        let mut sink = NullSink;
-        let r = Machine::new(&m, &mut sink).run(&[Value::I(10)]).unwrap();
-        assert_eq!(r, expect);
-        let mut sink = NullSink;
-        let (r, _mem) = Machine::new(&m, &mut sink)
-            .run_keep_memory(&[Value::I(10)])
-            .unwrap();
-        assert_eq!(r, expect);
-        let mut sink = NullSink;
-        let r = Machine::new(&m, &mut sink)
-            .run_function("main", &[Value::I(10)])
-            .unwrap();
-        assert_eq!(r, expect);
+        for engine in [Engine::Tree, Engine::Bc] {
+            let unit = ExecUnit::with_engine(&m, engine);
+            let out = Exec::new(&unit)
+                .keep_memory(true)
+                .run(&[Value::I(10)])
+                .unwrap();
+            assert_eq!(out.result, expect, "{engine:?}");
+            assert!(out.memory.is_some(), "{engine:?}");
+            let out = Exec::new(&unit)
+                .function("main")
+                .run(&[Value::I(10)])
+                .unwrap();
+            assert_eq!(out.result, expect, "{engine:?}");
+            assert!(out.memory.is_none(), "{engine:?}");
+        }
     }
 
     #[test]

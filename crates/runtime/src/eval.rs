@@ -17,6 +17,12 @@
 //! Coverage is the fraction of dynamic IR instructions executing inside
 //! loops judged parallel (Fig. 5); Amdahl makes it the other half of the
 //! speedup story.
+//!
+//! What the points of a lattice share is computed once per profile in an
+//! [`EvalPlan`] (DESIGN.md §16): which regions hold a loop at all, and a
+//! summary of every leaf loop instance. A walk then skips loop-free
+//! subtrees, costs leaves from their summaries, and rebuilds only the
+//! non-leaf instances' lengths, on a reusable stack.
 
 use crate::config::{Config, DepMode, ExecModel, FnMode, ReducMode};
 use crate::explain::{AttrCollector, Attribution, LimiterKind};
@@ -24,6 +30,7 @@ use crate::model::{doall_cost_bounded, helix_cost_bounded, pdoall_cost_bounded};
 use crate::profile::{CallClass, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind};
 use lp_analysis::LcdClass;
 use lp_ir::BlockId;
+use std::cell::Cell;
 
 /// Per-static-loop aggregation across all its dynamic instances.
 #[derive(Debug, Clone, Default)]
@@ -170,12 +177,236 @@ impl Causes {
     }
 }
 
-struct Evaluator<'p> {
-    profile: &'p Profile,
+/// Which iterations break a Partial-DOALL instance into phases: its
+/// memory RAW conflicts and the mispredicts of the register LCDs the
+/// configuration leaves to value prediction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ConflictSet {
+    /// Memory RAW conflicts.
+    mem: bool,
+    /// Mispredicts of reduction LCDs.
+    reductions: bool,
+    /// Mispredicts of the other traced LCDs.
+    others: bool,
+}
+
+impl ConflictSet {
+    /// The sets an un-lifted evaluation can ask for, in
+    /// [`LeafPlan::pdoall`] order: memory only (`dep0`, `dep1`, `dep3`);
+    /// memory ∪ all mispredicts (`reduc0-dep2`); memory ∪ non-reduction
+    /// mispredicts (`reduc1-dep2`).
+    const PLANNED: [ConflictSet; 3] = [
+        ConflictSet {
+            mem: true,
+            reductions: false,
+            others: false,
+        },
+        ConflictSet {
+            mem: true,
+            reductions: true,
+            others: true,
+        },
+        ConflictSet {
+            mem: true,
+            reductions: false,
+            others: true,
+        },
+    ];
+
+    /// The sorted, deduplicated conflicting iterations of `inst` in this
+    /// set. A merged set is built in `buf`; a memory-only one is borrowed
+    /// from the profile.
+    fn iters<'a>(
+        self,
+        meta: &LoopMeta,
+        inst: &'a LoopInstance,
+        buf: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        if !self.reductions && !self.others {
+            return if self.mem {
+                &inst.mem_conflict_iters
+            } else {
+                &[]
+            };
+        }
+        buf.clear();
+        if self.mem {
+            buf.extend_from_slice(&inst.mem_conflict_iters);
+        }
+        for ((_, class), lcd) in meta.traced_phis.iter().zip(&inst.lcds) {
+            let wanted = if matches!(class, LcdClass::Reduction(_)) {
+                self.reductions
+            } else {
+                self.others
+            };
+            if wanted {
+                buf.extend_from_slice(&lcd.mispredict_iters);
+            }
+        }
+        buf.sort_unstable();
+        buf.dedup();
+        buf
+    }
+}
+
+/// What one evaluation point makes of a loop instance before any
+/// iteration length is read: O(traced phis).
+struct Verdict {
+    /// The model marks the loop sequential outright.
+    forced: bool,
+    /// HELIX synchronization skew per iteration.
+    delta: u64,
+    /// Partial-DOALL phase breakers.
+    conflicts: ConflictSet,
+}
+
+/// A leaf loop instance (no loop instance below it), summarized once.
+/// Its iteration lengths are the raw ones under every configuration,
+/// since nothing inside it can save anything.
+#[derive(Debug, Clone, Copy)]
+struct LeafPlan {
+    /// The instance's region.
+    region: u32,
+    /// Longest iteration.
+    max_len: u64,
+    /// Sum of the iteration lengths.
+    sum_len: u64,
+    /// Unbounded Partial-DOALL cost under each of
+    /// [`ConflictSet::PLANNED`].
+    pdoall: [Option<u64>; 3],
+}
+
+/// Everything about a profile that the `(model, config)` points share,
+/// computed once per profile by [`Profile::eval_plan`].
+///
+/// It holds no per-iteration data: a non-leaf instance's lengths depend
+/// on the configuration and are rebuilt from `iter_starts` on each walk.
+#[derive(Debug, Clone)]
+pub struct EvalPlan {
+    /// Bit `r` is set when region `r`'s subtree, itself included, holds a
+    /// loop instance. A loop-free subtree saves nothing and covers
+    /// nothing, so the walk skips it.
+    has_loop: Vec<u64>,
+    /// The leaf loop instances in the order the walk reaches them:
+    /// depth-first, children in creation order.
+    leaves: Vec<LeafPlan>,
+}
+
+impl EvalPlan {
+    fn build(profile: &Profile) -> EvalPlan {
+        let n = profile.regions.len();
+        // Depth-first pre-order: every region comes after its parent.
+        let mut order = Vec::with_capacity(n);
+        let mut stack: Vec<RegionId> = if n > 0 {
+            vec![profile.root()]
+        } else {
+            Vec::new()
+        };
+        while let Some(r) = stack.pop() {
+            order.push(r);
+            stack.extend(profile.region(r).children.iter().rev());
+        }
+        let mut plan = EvalPlan {
+            has_loop: vec![0; n.div_ceil(64)],
+            leaves: Vec::new(),
+        };
+        let loop_below =
+            |plan: &EvalPlan, region: &Region| region.children.iter().any(|&c| plan.has_loop(c));
+        for &r in order.iter().rev() {
+            let region = profile.region(r);
+            if matches!(region.kind, RegionKind::Loop(_)) || loop_below(&plan, region) {
+                plan.has_loop[r.index() / 64] |= 1 << (r.index() % 64);
+            }
+        }
+        let mut lens = Vec::new();
+        let mut buf = Vec::new();
+        for &r in &order {
+            let region = profile.region(r);
+            let RegionKind::Loop(inst) = &region.kind else {
+                continue;
+            };
+            if loop_below(&plan, region) {
+                continue;
+            }
+            lens.clear();
+            lens.extend((0..inst.iterations()).map(|k| inst.iter_len(k, region.end)));
+            let meta = &profile.loop_meta[inst.meta];
+            let pdoall = ConflictSet::PLANNED.map(|set| {
+                pdoall_cost_bounded(&lens, set.iters(meta, inst, &mut buf), false, None)
+            });
+            plan.leaves.push(LeafPlan {
+                region: r.0,
+                max_len: lens.iter().copied().max().unwrap_or(0),
+                sum_len: lens.iter().sum(),
+                pdoall,
+            });
+        }
+        plan
+    }
+
+    fn has_loop(&self, r: RegionId) -> bool {
+        self.has_loop[r.index() / 64] & (1 << (r.index() % 64)) != 0
+    }
+}
+
+impl Profile {
+    /// The profile's evaluation plan: built by the first evaluation,
+    /// inside its `evaluate` span under an `eval-plan` span of its own,
+    /// and shared by every later one.
+    pub fn eval_plan(&self) -> &EvalPlan {
+        self.plan.get_or_init(|| {
+            let _span = lp_obs::span!("eval-plan");
+            EvalPlan::build(self)
+        })
+    }
+}
+
+/// One static loop's running totals during a walk.
+#[derive(Debug, Clone, Copy, Default)]
+struct LoopTotals {
+    instances: u64,
+    parallel_instances: u64,
+    iterations: u64,
+    serial_cost: u64,
+    best_cost: u64,
+}
+
+/// Buffers a walk reuses. They are kept per thread between evaluations,
+/// so a lattice point allocates little more than its report.
+#[derive(Default)]
+struct Scratch {
+    /// A stack of per-iteration slots, one frame per open non-leaf loop
+    /// instance: first its children's savings, then its adjusted lengths.
+    lens: Vec<u64>,
+    /// A merged Partial-DOALL conflict set.
+    conflicts: Vec<u32>,
+    /// Per-static-loop totals, parallel to [`Profile::loop_meta`].
+    totals: Vec<LoopTotals>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// The evaluation point: what every loop instance is costed under.
+#[derive(Clone, Copy)]
+struct Point {
     model: ExecModel,
     config: Config,
     options: EvalOptions,
-    loop_agg: Vec<LoopSummary>,
+}
+
+struct Evaluator<'p> {
+    profile: &'p Profile,
+    plan: &'p EvalPlan,
+    point: Point,
+    /// Whether leaf instances are costed from their plan summaries. Only
+    /// unbounded cores without attribution: wave schedules and lifted
+    /// conflict sets need the lengths themselves.
+    summarize_leaves: bool,
+    /// The next entry of `plan.leaves` the walk will reach.
+    next_leaf: usize,
+    scratch: Scratch,
     /// Present only in explain mode; `None` keeps the normal path free of
     /// any attribution work.
     attr: Option<AttrCollector>,
@@ -253,21 +484,22 @@ fn run(
     let _span = lp_obs::span!("evaluate");
     let reg = lp_obs::registry();
     let t0 = reg.now_ns();
+    let mut scratch = SCRATCH.with(Cell::take);
+    scratch.totals.clear();
+    scratch
+        .totals
+        .resize(profile.loop_meta.len(), LoopTotals::default());
     let mut ev = Evaluator {
         profile,
-        model,
-        config,
-        options,
-        loop_agg: profile
-            .loop_meta
-            .iter()
-            .map(|m| LoopSummary {
-                func_name: m.func_name.clone(),
-                header: m.header,
-                depth: m.depth,
-                ..LoopSummary::default()
-            })
-            .collect(),
+        plan: profile.eval_plan(),
+        point: Point {
+            model,
+            config,
+            options,
+        },
+        summarize_leaves: !explain && options.cores.is_none(),
+        next_leaf: 0,
+        scratch,
         attr: explain.then(|| AttrCollector::new(profile.loop_meta.len(), profile.regions.len())),
     };
     let root = ev.eval_region(profile.root());
@@ -293,16 +525,28 @@ fn run(
         best_cost: root.best,
         speedup: total as f64 / best as f64,
         coverage: 100.0 * root.covered as f64 / total as f64,
-        loops: ev
-            .loop_agg
-            .into_iter()
-            .filter(|l| l.instances > 0)
+        loops: profile
+            .loop_meta
+            .iter()
+            .zip(&ev.scratch.totals)
+            .filter(|(_, t)| t.instances > 0)
+            .map(|(m, t)| LoopSummary {
+                func_name: m.func_name.clone(),
+                header: m.header,
+                depth: m.depth,
+                instances: t.instances,
+                parallel_instances: t.parallel_instances,
+                iterations: t.iterations,
+                serial_cost: t.serial_cost,
+                best_cost: t.best_cost,
+            })
             .collect(),
     };
+    SCRATCH.with(|s| s.set(ev.scratch));
     (report, attribution)
 }
 
-impl Evaluator<'_> {
+impl<'p> Evaluator<'p> {
     fn eval_region(&mut self, rid: RegionId) -> RegionEval {
         let region = self.profile.region(rid);
         match &region.kind {
@@ -310,9 +554,11 @@ impl Evaluator<'_> {
                 let mut saving = 0u64;
                 let mut covered = 0u64;
                 for &c in &region.children {
-                    let ce = self.eval_region(c);
-                    saving += ce.serial - ce.best;
-                    covered += ce.covered;
+                    if self.plan.has_loop(c) {
+                        let ce = self.eval_region(c);
+                        saving += ce.serial - ce.best;
+                        covered += ce.covered;
+                    }
                 }
                 let serial = region.serial_cost();
                 RegionEval {
@@ -325,52 +571,88 @@ impl Evaluator<'_> {
         }
     }
 
-    fn eval_loop(&mut self, rid: RegionId, region: &Region, inst: &LoopInstance) -> RegionEval {
+    fn eval_loop(
+        &mut self,
+        rid: RegionId,
+        region: &'p Region,
+        inst: &'p LoopInstance,
+    ) -> RegionEval {
         let meta = &self.profile.loop_meta[inst.meta];
         let n = inst.iterations();
-        let raw_lens = self.profile.iter_lengths(region, inst);
+        let serial_raw = region.serial_cost();
+        if self.summarize_leaves {
+            let plan = self.plan;
+            if let Some(leaf) = plan
+                .leaves
+                .get(self.next_leaf)
+                .filter(|l| l.region == rid.0)
+            {
+                self.next_leaf += 1;
+                let parallel_cost = self.point.leaf_cost(meta, inst, leaf);
+                let (best, covered, parallel) = settle(parallel_cost, leaf.sum_len, serial_raw, 0);
+                self.tally(inst, serial_raw, best, parallel);
+                return RegionEval {
+                    serial: serial_raw,
+                    best,
+                    covered,
+                };
+            }
+        }
 
         // Fold children: inner savings shrink the iteration that contained
-        // them (multi-level nested parallelism).
-        let mut save = vec![0u64; n.max(1)];
+        // them (multi-level nested parallelism). The frame's slots collect
+        // the savings, then become the adjusted lengths.
+        let base = self.scratch.lens.len();
+        self.scratch.lens.resize(base + n, 0);
         let mut child_covered = 0u64;
-        for &c in &region.children.clone() {
+        for &c in &region.children {
+            if !self.plan.has_loop(c) {
+                continue;
+            }
             let ce = self.eval_region(c);
-            let k = (self.profile.region(c).parent_iter as usize).min(n.saturating_sub(1));
-            save[k] += ce.serial - ce.best;
+            if n > 0 {
+                let k = (self.profile.region(c).parent_iter as usize).min(n - 1);
+                self.scratch.lens[base + k] += ce.serial - ce.best;
+            }
             child_covered += ce.covered;
         }
-        let adj: Vec<u64> = raw_lens
-            .iter()
-            .zip(&save)
-            .map(|(&len, &s)| len.saturating_sub(s))
-            .collect();
-        let serial_adj: u64 = adj.iter().sum();
+        let mut serial_adj = 0u64;
+        for (k, slot) in self.scratch.lens[base..].iter_mut().enumerate() {
+            *slot = inst.iter_len(k, region.end).saturating_sub(*slot);
+            serial_adj += *slot;
+        }
+        let adj = &self.scratch.lens[base..];
+        let buf = &mut self.scratch.conflicts;
 
         let mut causes = Causes::default();
         let collect = self.attr.is_some();
-        let parallel_cost =
-            self.loop_cost(meta, inst, &adj, Lift::NONE, collect.then_some(&mut causes));
+        let parallel_cost = self.point.loop_cost(
+            meta,
+            inst,
+            adj,
+            Lift::NONE,
+            collect.then_some(&mut causes),
+            buf,
+        );
+        let (best, covered, parallel) =
+            settle(parallel_cost, serial_adj, serial_raw, child_covered);
 
-        let serial_raw = region.serial_cost();
-        let (best, covered, parallel) = match parallel_cost {
-            Some(p) if p < serial_adj => (p, serial_raw, true),
-            _ => (serial_adj, child_covered, false),
-        };
-
-        if collect {
+        if let Some(attr) = self.attr.as_mut() {
             // Ideal: the same model with every liftable limiter removed —
             // pure wave/pipeline scheduling of the adjusted lengths. Each
             // manifested cause is then re-costed with that cause alone
             // lifted; the savings feed the conserved gap allocation.
             let ideal = self
-                .loop_cost(meta, inst, &adj, Lift::ALL, None)
+                .point
+                .loop_cost(meta, inst, adj, Lift::ALL, None, buf)
                 .map_or(serial_adj, |c| c.min(serial_adj));
             let gap = best.saturating_sub(ideal);
             let mut contribs: Vec<(LimiterKind, u64)> = Vec::new();
             if gap > 0 {
                 for kind in causes.kinds(inst.call_class) {
-                    let cf = self.loop_cost(meta, inst, &adj, Lift::for_kind(kind), None);
+                    let cf = self
+                        .point
+                        .loop_cost(meta, inst, adj, Lift::for_kind(kind), None, buf);
                     let cf_best = match cf {
                         Some(p) if p < serial_adj => p,
                         _ => serial_adj,
@@ -378,7 +660,6 @@ impl Evaluator<'_> {
                     contribs.push((kind, best.saturating_sub(cf_best)));
                 }
             }
-            let attr = self.attr.as_mut().expect("collect implies a collector");
             attr.record_instance(
                 inst.meta,
                 rid.index(),
@@ -390,14 +671,8 @@ impl Evaluator<'_> {
                 &contribs,
             );
         }
-
-        let agg = &mut self.loop_agg[inst.meta];
-        agg.instances += 1;
-        agg.parallel_instances += u64::from(parallel);
-        agg.iterations += n as u64;
-        agg.serial_cost += serial_raw;
-        agg.best_cost += best;
-
+        self.scratch.lens.truncate(base);
+        self.tally(inst, serial_raw, best, parallel);
         RegionEval {
             serial: serial_raw,
             best,
@@ -405,19 +680,92 @@ impl Evaluator<'_> {
         }
     }
 
+    /// Adds one costed instance to its static loop's totals.
+    fn tally(&mut self, inst: &LoopInstance, serial_raw: u64, best: u64, parallel: bool) {
+        let t = &mut self.scratch.totals[inst.meta];
+        t.instances += 1;
+        t.parallel_instances += u64::from(parallel);
+        t.iterations += inst.iterations() as u64;
+        t.serial_cost += serial_raw;
+        t.best_cost += best;
+    }
+}
+
+/// A loop instance's `(best, covered, parallel)`: the modelled parallel
+/// cost wins only when it beats the adjusted serial cost; otherwise the
+/// loop is marked serial and covers only what its children covered.
+fn settle(
+    parallel_cost: Option<u64>,
+    serial_adj: u64,
+    serial_raw: u64,
+    child_covered: u64,
+) -> (u64, u64, bool) {
+    match parallel_cost {
+        Some(p) if p < serial_adj => (p, serial_raw, true),
+        _ => (serial_adj, child_covered, false),
+    }
+}
+
+impl Point {
     /// Models the parallel cost of one loop instance over its adjusted
     /// iteration lengths, with the causes named in `lift` removed.
-    /// [`Lift::NONE`] reproduces the normal evaluation bit-for-bit;
-    /// `causes` (explain mode, passed only on the un-lifted run) records
-    /// which limiter causes manifested.
+    /// [`Lift::NONE`] is the normal evaluation; `causes` (explain mode,
+    /// passed only on the un-lifted run) records which limiter causes
+    /// manifested. `buf` is scratch for a merged conflict set.
     fn loop_cost(
         &self,
         meta: &LoopMeta,
         inst: &LoopInstance,
         adj: &[u64],
         lift: Lift,
-        mut causes: Option<&mut Causes>,
+        causes: Option<&mut Causes>,
+        buf: &mut Vec<u32>,
     ) -> Option<u64> {
+        let v = self.verdict(meta, inst, lift, causes);
+        let cores = self.options.cores;
+        match self.model {
+            ExecModel::Doall => {
+                let has_conflicts = !lift.mem && !inst.mem_conflict_iters.is_empty();
+                doall_cost_bounded(adj, has_conflicts, v.forced, cores)
+            }
+            ExecModel::PartialDoall if v.forced => None,
+            ExecModel::PartialDoall => {
+                pdoall_cost_bounded(adj, v.conflicts.iters(meta, inst, buf), false, cores)
+            }
+            ExecModel::Helix => helix_cost_bounded(adj, v.delta, v.forced, cores),
+        }
+    }
+
+    /// [`Point::loop_cost`] of a leaf instance under unbounded cores with
+    /// nothing lifted, from its plan summary instead of its lengths.
+    fn leaf_cost(&self, meta: &LoopMeta, inst: &LoopInstance, leaf: &LeafPlan) -> Option<u64> {
+        let v = self.verdict(meta, inst, Lift::NONE, None);
+        let n = inst.iterations() as u64;
+        match self.model {
+            ExecModel::Doall => {
+                (!v.forced && inst.mem_conflict_iters.is_empty() && n > 0).then_some(leaf.max_len)
+            }
+            ExecModel::PartialDoall if v.forced => None,
+            ExecModel::PartialDoall => {
+                let set = ConflictSet::PLANNED
+                    .iter()
+                    .position(|&s| s == v.conflicts)
+                    .expect("an un-lifted verdict asks for a planned conflict set");
+                leaf.pdoall[set]
+            }
+            ExecModel::Helix => (!v.forced && n > 0).then(|| leaf.max_len + v.delta * n),
+        }
+    }
+
+    /// The length-independent part of costing one loop instance: the
+    /// `fn` gate, the register-LCD handling, and the HELIX skew.
+    fn verdict(
+        &self,
+        meta: &LoopMeta,
+        inst: &LoopInstance,
+        lift: Lift,
+        mut causes: Option<&mut Causes>,
+    ) -> Verdict {
         // fn-flag gate.
         let gated = match self.config.fnm {
             FnMode::Fn0 => inst.call_class > CallClass::NoCalls,
@@ -444,7 +792,6 @@ impl Evaluator<'_> {
         let mut delta = if lift.mem { 0 } else { inst.mem_max_skew };
         let mut max_producer = if mem { inst.mem_max_producer_rel } else { 0 };
         let mut reg_lcd_synced = false;
-        let mut extra_conflicts: Vec<u32> = Vec::new();
         for (idx, (_, class)) in meta.traced_phis.iter().enumerate() {
             let is_reduction = matches!(class, LcdClass::Reduction(_));
             if is_reduction && self.config.reduc == ReducMode::Reduc1 {
@@ -485,12 +832,11 @@ impl Evaluator<'_> {
                     forced = true;
                     blame(&mut causes, false);
                 }
+                // Mispredicted iterations break the phase; the conflict
+                // set below takes them in.
                 (ExecModel::PartialDoall, DepMode::Dep2) => {
                     if !lcd.mispredict_iters.is_empty() {
                         blame(&mut causes, true);
-                        if !predicted_perfect {
-                            extra_conflicts.extend_from_slice(&lcd.mispredict_iters);
-                        }
                     }
                 }
                 (ExecModel::Helix, DepMode::Dep0) => {
@@ -528,24 +874,17 @@ impl Evaluator<'_> {
             };
             delta = delta.max(max_producer.saturating_sub(min_consumer));
         }
-        let cores = self.options.cores;
-        match self.model {
-            ExecModel::Doall => {
-                let has_conflicts = !lift.mem && !inst.mem_conflict_iters.is_empty();
-                doall_cost_bounded(adj, has_conflicts, forced, cores)
-            }
-            ExecModel::PartialDoall => {
-                let mut conflicts = if lift.mem {
-                    Vec::new()
-                } else {
-                    inst.mem_conflict_iters.clone()
-                };
-                conflicts.extend_from_slice(&extra_conflicts);
-                conflicts.sort_unstable();
-                conflicts.dedup();
-                pdoall_cost_bounded(adj, &conflicts, forced, cores)
-            }
-            ExecModel::Helix => helix_cost_bounded(adj, delta, forced, cores),
+        // Under PDOALL dep2 every mispredict of an LCD that is neither
+        // decoupled nor lifted breaks a phase.
+        let dep2 = self.model == ExecModel::PartialDoall && self.config.dep == DepMode::Dep2;
+        Verdict {
+            forced,
+            delta,
+            conflicts: ConflictSet {
+                mem: !lift.mem,
+                reductions: dep2 && self.config.reduc == ReducMode::Reduc0 && !lift.reduction,
+                others: dep2 && !lift.reg_lcd && !lift.value_pred,
+            },
         }
     }
 }

@@ -340,14 +340,21 @@ pub(crate) struct LoopAttrAgg {
 }
 
 /// Collects per-instance evidence during an explained evaluation.
+///
+/// Public only so the reference evaluator in the differential tests can
+/// fold its evidence through the same bookkeeping; not a stable API.
+#[doc(hidden)]
 #[derive(Debug)]
-pub(crate) struct AttrCollector {
-    pub loops: Vec<LoopAttrAgg>,
-    pub region_parallel: Vec<bool>,
+pub struct AttrCollector {
+    loops: Vec<LoopAttrAgg>,
+    region_parallel: Vec<bool>,
 }
 
 impl AttrCollector {
-    pub(crate) fn new(n_loops: usize, n_regions: usize) -> AttrCollector {
+    /// An empty collector for `n_loops` static loops and `n_regions`
+    /// regions.
+    #[must_use]
+    pub fn new(n_loops: usize, n_regions: usize) -> AttrCollector {
         AttrCollector {
             loops: vec![LoopAttrAgg::default(); n_loops],
             region_parallel: vec![false; n_regions],
@@ -356,7 +363,7 @@ impl AttrCollector {
 
     /// Folds one evaluated loop instance in.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_instance(
+    pub fn record_instance(
         &mut self,
         meta: usize,
         region: usize,
@@ -390,7 +397,8 @@ impl AttrCollector {
     }
 
     /// Finalizes into the public [`Attribution`] (ranked, rolled up).
-    pub(crate) fn finish(
+    #[must_use]
+    pub fn finish(
         self,
         program: &str,
         model: ExecModel,

@@ -39,8 +39,6 @@ pub mod witness;
 
 pub use audit::{audit_snapshot, render_audit, Check, Verdict};
 pub use census::Census;
-#[allow(deprecated)]
-pub use config::paper_rows;
 pub use config::{
     best_helix, best_pdoall, table2_rows, Config, DepMode, ExecModel, FnMode, ReducMode,
 };

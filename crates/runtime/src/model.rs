@@ -101,18 +101,17 @@ pub fn pdoall_cost_bounded(
     if conflicts.len() as f64 > PDOALL_CONFLICT_LIMIT * n as f64 {
         return None;
     }
+    // Each phase is the run of iterations from one conflict up to the next.
     let mut cost = 0u64;
-    let mut phase: Vec<u64> = Vec::new();
-    let mut ci = 0usize;
-    for (k, &len) in iter_lens.iter().enumerate() {
-        if ci < conflicts.len() && conflicts[ci] as usize == k {
-            ci += 1;
-            cost += wave_cost(&phase, cores);
-            phase.clear();
+    let mut phase_start = 0usize;
+    for &k in conflicts {
+        let k = k as usize;
+        if k > phase_start && k < n {
+            cost += wave_cost(&iter_lens[phase_start..k], cores);
+            phase_start = k;
         }
-        phase.push(len);
     }
-    Some(cost + wave_cost(&phase, cores))
+    Some(cost + wave_cost(&iter_lens[phase_start..], cores))
 }
 
 /// Bounded-core HELIX: iteration `i` starts no earlier than `i × delta`

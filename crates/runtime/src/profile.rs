@@ -9,8 +9,11 @@
 //! inside the loop. Every configuration and execution model is evaluated
 //! *offline* from this single profile — one run serves all 14 paper rows.
 
+use crate::eval::EvalPlan;
 use lp_analysis::{LcdClass, LoopId};
 use lp_ir::{BlockId, FuncId, ValueId};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Dense index of a region node in [`Profile::regions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,6 +129,17 @@ impl LoopInstance {
     pub fn iterations(&self) -> usize {
         self.iter_starts.len()
     }
+
+    /// Length of iteration `k` on the cost axis: up to the next
+    /// iteration's start, or to `end` (the region end) for the last one.
+    ///
+    /// # Panics
+    /// Panics if `k` is not an iteration of this instance.
+    #[must_use]
+    pub(crate) fn iter_len(&self, k: usize, end: u64) -> u64 {
+        let stop = self.iter_starts.get(k + 1).copied().unwrap_or(end);
+        stop.saturating_sub(self.iter_starts[k])
+    }
 }
 
 /// Dense lookup from `(func, loop)` to a [`Profile::loop_meta`] index.
@@ -224,7 +238,11 @@ impl Region {
 }
 
 /// The complete record of one instrumented run.
-#[derive(Debug, Clone)]
+///
+/// A profile is immutable once built: the evaluator caches derived data
+/// on it ([`Profile::eval_plan`]), so mutate the public fields only
+/// before the first evaluation.
+#[derive(Clone)]
 pub struct Profile {
     /// Program name (module name).
     pub program: String,
@@ -239,9 +257,46 @@ pub struct Profile {
     /// Function names indexed by [`FuncId`] — names the call frames in
     /// the collapsed-stack export.
     pub func_names: Vec<String>,
+    /// The evaluation plan, built on first use. Like `meta_index` it is a
+    /// pure function of the rest of the profile, so it is never
+    /// serialized; it is also left out of `Debug`.
+    pub(crate) plan: OnceLock<EvalPlan>,
+}
+
+impl fmt::Debug for Profile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Profile")
+            .field("program", &self.program)
+            .field("total_cost", &self.total_cost)
+            .field("regions", &self.regions)
+            .field("loop_meta", &self.loop_meta)
+            .field("meta_index", &self.meta_index)
+            .field("func_names", &self.func_names)
+            .finish()
+    }
 }
 
 impl Profile {
+    /// Assembles a profile, deriving its [`MetaIndex`] from `loop_meta`.
+    #[must_use]
+    pub fn new(
+        program: String,
+        total_cost: u64,
+        regions: Vec<Region>,
+        loop_meta: Vec<LoopMeta>,
+        func_names: Vec<String>,
+    ) -> Profile {
+        Profile {
+            program,
+            total_cost,
+            regions,
+            meta_index: MetaIndex::from_meta(&loop_meta),
+            loop_meta,
+            func_names,
+            plan: OnceLock::new(),
+        }
+    }
+
     /// The root region (the `main` activation).
     ///
     /// # Panics
@@ -283,24 +338,6 @@ impl Profile {
                 RegionKind::Call { .. } => None,
             })
     }
-
-    /// Iteration lengths of a loop instance (derived from start stamps and
-    /// the region end).
-    #[must_use]
-    pub fn iter_lengths(&self, region: &Region, inst: &LoopInstance) -> Vec<u64> {
-        let n = inst.iter_starts.len();
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n {
-            let start = inst.iter_starts[k];
-            let end = if k + 1 < n {
-                inst.iter_starts[k + 1]
-            } else {
-                region.end
-            };
-            out.push(end.saturating_sub(start));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -320,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_lengths_cover_the_instance() {
+    fn iteration_lengths_cover_the_instance() {
         let inst = LoopInstance {
             meta: 0,
             iter_starts: vec![10, 20, 35],
@@ -340,19 +377,20 @@ mod tests {
             kind: RegionKind::Loop(inst),
             children: Vec::new(),
         };
-        let profile = Profile {
-            program: "p".into(),
-            total_cost: 50,
-            regions: vec![region],
-            loop_meta: vec![dummy_meta()],
-            meta_index: MetaIndex::default(),
-            func_names: vec!["f".to_string()],
-        };
+        let profile = Profile::new(
+            "p".into(),
+            50,
+            vec![region],
+            vec![dummy_meta()],
+            vec!["f".to_string()],
+        );
         let r = profile.region(RegionId(0));
         let RegionKind::Loop(inst) = &r.kind else {
             unreachable!()
         };
-        let lens = profile.iter_lengths(r, inst);
+        let lens: Vec<u64> = (0..inst.iterations())
+            .map(|k| inst.iter_len(k, r.end))
+            .collect();
         assert_eq!(lens, vec![10, 15, 15]);
         assert_eq!(lens.iter().sum::<u64>(), r.serial_cost());
     }

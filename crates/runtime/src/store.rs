@@ -44,8 +44,7 @@
 //! the `store-io` span make cache effectiveness visible in traces.
 
 use crate::profile::{
-    CallClass, LcdInstance, LoopInstance, LoopMeta, MetaIndex, Profile, Region, RegionId,
-    RegionKind,
+    CallClass, LcdInstance, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind,
 };
 use crate::tracker::{profile_module_with, ProfilerOptions};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, ScevClass};
@@ -690,15 +689,9 @@ fn dec_profile(d: &mut Dec<'_>) -> DecodeResult<Profile> {
     for _ in 0..n_regions {
         regions.push(dec_region(d, n_regions, n_meta)?);
     }
-    let meta_index = MetaIndex::from_meta(&loop_meta);
-    Ok(Profile {
-        program,
-        total_cost,
-        regions,
-        loop_meta,
-        meta_index,
-        func_names,
-    })
+    Ok(Profile::new(
+        program, total_cost, regions, loop_meta, func_names,
+    ))
 }
 
 fn enc_run_result(e: &mut Enc, r: &RunResult) {
@@ -1074,16 +1067,13 @@ mod tests {
             kind: RegionKind::Loop(inst),
             children: Vec::new(),
         };
-        let meta = sample_meta();
-        let meta_index = MetaIndex::from_meta(std::slice::from_ref(&meta));
-        Profile {
-            program: "demo".to_string(),
-            total_cost: 60,
-            regions: vec![root, body],
-            loop_meta: vec![meta],
-            meta_index,
-            func_names: vec!["main".to_string(), "aux".to_string(), "kernel".to_string()],
-        }
+        Profile::new(
+            "demo".to_string(),
+            60,
+            vec![root, body],
+            vec![sample_meta()],
+            vec!["main".to_string(), "aux".to_string(), "kernel".to_string()],
+        )
     }
 
     fn sample_run() -> RunResult {

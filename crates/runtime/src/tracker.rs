@@ -29,8 +29,7 @@
 //! directly by ids, with `u32::MAX` as the "not tracked" sentinel.
 
 use crate::profile::{
-    CallClass, LcdInstance, LoopInstance, LoopMeta, MetaIndex, Profile, Region, RegionId,
-    RegionKind,
+    CallClass, LcdInstance, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind,
 };
 use crate::witness::{WitnessReport, WitnessState};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, Purity};
@@ -703,14 +702,13 @@ impl<'a> Profiler<'a> {
             self.regions[rid.index()].end = stamp;
         }
         self.flush_counters();
-        Profile {
-            program: self.program,
-            total_cost: self.now,
-            regions: self.regions,
-            meta_index: MetaIndex::from_meta(&self.loop_meta),
-            loop_meta: self.loop_meta,
-            func_names: self.func_names,
-        }
+        Profile::new(
+            self.program,
+            self.now,
+            self.regions,
+            self.loop_meta,
+            self.func_names,
+        )
     }
 }
 

@@ -9,11 +9,14 @@ use lp_ir::{Global, Module, Type, ValueId};
 use lp_predict::{HybridPredictor, LastValue, Predictor, Stride};
 use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost};
 use lp_runtime::{
-    evaluate, evaluate_explained, profile_module, sweep, Config, EvalOptions, ExecModel, Jobs,
-    RegionKind, SweepUnit,
+    evaluate, evaluate_explained, evaluate_explained_with, evaluate_with, profile_module, sweep,
+    Config, EvalOptions, ExecModel, Jobs, RegionKind, SweepUnit,
 };
 use lp_suite::kernels::counted_loop;
 use proptest::prelude::*;
+
+#[path = "../crates/runtime/tests/oracle/mod.rs"]
+mod oracle;
 
 /// One randomly chosen loop in a generated program.
 #[derive(Debug, Clone)]
@@ -243,6 +246,47 @@ proptest! {
                 }
                 let total: u64 = attr.limiters.iter().map(|x| x.weight).sum();
                 prop_assert_eq!(total, attr.total_gap());
+            }
+        }
+    }
+
+    #[test]
+    fn evaluation_matches_the_reference_fold_on_truncated_profiles(
+        specs in prop::collection::vec(loop_spec(), 0..4),
+        outer in 2i64..6,
+        inner in 2i64..6,
+        cuts in prop::collection::vec((prop_oneof![Just(0usize), 0usize..64], 0usize..3), 0..4),
+        cores in prop_oneof![Just(None), (1u32..5).prop_map(Some)],
+        doacross_single_sync in any::<bool>()
+    ) {
+        // A nested loop always leads, so there are children to clamp.
+        let mut specs = specs;
+        specs.insert(0, LoopSpec::Nested { outer, inner });
+        let module = build_program(&specs);
+        let analysis = lp_analysis::analyze_module(&module);
+        let (mut profile, _) =
+            profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
+        // Cut some instances short: to zero iterations, or to one or two
+        // so that children of later iterations clamp to the last one.
+        // Pick 0 is the leading nested loop's outer instance.
+        let loops: Vec<usize> = profile
+            .loop_instances()
+            .map(|(rid, _, _)| rid.index())
+            .collect();
+        for (pick, keep) in cuts {
+            let r = loops[pick % loops.len()];
+            if let RegionKind::Loop(inst) = &mut profile.regions[r].kind {
+                inst.iter_starts.truncate(keep);
+            }
+        }
+        let options = EvalOptions { doacross_single_sync, cores };
+        for model in ExecModel::all() {
+            for config in Config::all() {
+                let want = oracle::evaluate_explained(&profile, model, config, options);
+                let plain = evaluate_with(&profile, model, config, options);
+                prop_assert_eq!(format!("{plain:?}"), format!("{:?}", want.0), "{} {}", model, config);
+                let explained = evaluate_explained_with(&profile, model, config, options);
+                prop_assert_eq!(format!("{explained:?}"), format!("{want:?}"), "{} {}", model, config);
             }
         }
     }
