@@ -46,9 +46,8 @@ fn bench_profiler(c: &mut Criterion) {
             Exec::new(&unit).run(&[]).unwrap().result.cost
         };
         group.throughput(Throughput::Elements(cost));
-        // Engine × filter: tree delivers per-instruction callbacks
-        // (statically inlined), bc feeds the profiler's native
-        // block-batch decoder — the two profiled hot paths.
+        // Engine × filter: both engines deliver statically inlined
+        // per-event callbacks from different dispatch loops.
         for engine in [Engine::Tree, Engine::Bc] {
             for cactus in [true, false] {
                 let filter = if cactus { "cactus" } else { "flat-stack" };

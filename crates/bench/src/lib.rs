@@ -167,8 +167,7 @@ pub struct Cli {
     /// Explicit `--sample-hz N` self-profiler sampling rate, if given
     /// (consumed by `lpstudy dispatch-heat`).
     pub sample_hz: Option<u64>,
-    /// Interpreter engine: explicit `--engine tree|bc` wins, else the
-    /// `LP_ENGINE` environment variable, else the default (`bc`).
+    /// Interpreter engine: `--engine tree|bc`, default `bc`.
     /// Output is byte-identical for either engine — `tree` is the
     /// reference oracle, `bc` only trades compile time for dispatch
     /// speed.
@@ -209,7 +208,6 @@ impl Cli {
             engine: lp_interp::Engine::default(),
             rest: Vec::new(),
         };
-        let mut engine_explicit = false;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -277,10 +275,7 @@ impl Cli {
                     }
                 },
                 "--engine" => match args.next().as_deref().map(lp_interp::Engine::parse) {
-                    Some(Ok(engine)) => {
-                        cli.engine = engine;
-                        engine_explicit = true;
-                    }
+                    Some(Ok(engine)) => cli.engine = engine,
                     Some(Err(bad)) => {
                         eprintln!("--engine {bad:?} is not an engine (expected tree|bc)");
                         std::process::exit(2);
@@ -296,31 +291,7 @@ impl Cli {
                 _ => cli.rest.push(arg),
             }
         }
-        // Engine resolution: explicit `--engine` > `LP_ENGINE` > default
-        // (bc). The tree walk stays available as the reference oracle.
-        let mut engine_implicit_env = false;
-        if !engine_explicit {
-            if let Ok(spec) = std::env::var("LP_ENGINE") {
-                match lp_interp::Engine::parse(&spec) {
-                    Ok(engine) => {
-                        cli.engine = engine;
-                        engine_implicit_env = true;
-                    }
-                    Err(bad) => {
-                        eprintln!("LP_ENGINE={bad:?} is not an engine (expected tree|bc)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
         lp_obs::log::init(cli.quiet);
-        if engine_implicit_env && cli.engine == lp_interp::Engine::Tree {
-            // One-release deprecation notice: the default engine is now
-            // bc, so implicit tree selection deserves a heads-up (an
-            // explicit `--engine tree` stays silent — that's the
-            // reference-oracle spelling).
-            lp_warn!("engine tree selected implicitly via LP_ENGINE; the default engine is now bc — pass --engine tree for the reference oracle");
-        }
         if let Some(path) = &cli.flight_out {
             // Arms the panic hook and SIGUSR1 handler in addition to the
             // end-of-run dump in `Cli::finish`.
@@ -781,8 +752,7 @@ mod tests {
         assert_eq!(cli.sample_hz, Some(997));
         assert_eq!(cli.rest, vec!["--bench".to_string(), "x.lp".to_string()]);
 
-        // With no flag (and no LP_ENGINE in the test environment) the
-        // default engine is now the bytecode fast path.
+        // With no flag the default engine is the bytecode fast path.
         let cli = Cli::parse_from(std::iter::empty());
         assert_eq!(cli.scale, Scale::Default);
         assert_eq!(cli.engine, lp_interp::Engine::Bc);

@@ -32,7 +32,6 @@ fn run(binary: &str, args: &[&str]) -> Output {
         .args(args)
         .env("LP_LOG", "off")
         .env_remove("LP_PROFILE_CACHE")
-        .env_remove("LP_ENGINE")
         .output()
         .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"))
 }
@@ -229,7 +228,6 @@ fn quiet_silences_stderr_byte_exactly_across_every_binary() {
             .args(args)
             .env_remove("LP_LOG")
             .env_remove("LP_PROFILE_CACHE")
-            .env_remove("LP_ENGINE")
             .output()
             .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"));
         assert!(
@@ -271,73 +269,6 @@ fn metrics_out_round_trips_every_counter() {
         assert!(found, "counter {family} {label:?} missing from exposition");
     }
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn invalid_lp_engine_exits_2_with_the_pinned_message() {
-    let out = Command::new(exe("fig1"))
-        .args(["test"])
-        .env("LP_LOG", "off")
-        .env("LP_ENGINE", "llvm")
-        .env_remove("LP_PROFILE_CACHE")
-        .output()
-        .expect("spawn fig1");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        stderr_of(&out),
-        "LP_ENGINE=\"llvm\" is not an engine (expected tree|bc)\n"
-    );
-}
-
-#[test]
-fn implicit_tree_via_lp_engine_warns_but_the_explicit_flag_does_not() {
-    // bc became the default engine; tree selected *implicitly* through
-    // the environment gets a one-release deprecation-style warning so
-    // scripts pinned to the old default notice the flip.
-    let implicit = Command::new(exe("fig1"))
-        .args(["test"])
-        .env("LP_LOG", "info")
-        .env("LP_ENGINE", "tree")
-        .env_remove("LP_PROFILE_CACHE")
-        .output()
-        .expect("spawn fig1");
-    assert!(implicit.status.success());
-    assert!(
-        stderr_of(&implicit).contains("engine tree selected implicitly via LP_ENGINE"),
-        "expected the implicit-tree warning, got: {}",
-        stderr_of(&implicit)
-    );
-
-    // An explicit --engine tree is a deliberate oracle run: no warning,
-    // even with the stale environment variable still set.
-    let explicit = Command::new(exe("fig1"))
-        .args(["test", "--engine", "tree"])
-        .env("LP_LOG", "info")
-        .env("LP_ENGINE", "tree")
-        .env_remove("LP_PROFILE_CACHE")
-        .output()
-        .expect("spawn fig1");
-    assert!(explicit.status.success());
-    assert!(
-        !stderr_of(&explicit).contains("selected implicitly"),
-        "explicit --engine tree must not warn, got: {}",
-        stderr_of(&explicit)
-    );
-
-    // LP_ENGINE=bc matches the new default and is equally silent.
-    let env_bc = Command::new(exe("fig1"))
-        .args(["test"])
-        .env("LP_LOG", "info")
-        .env("LP_ENGINE", "bc")
-        .env_remove("LP_PROFILE_CACHE")
-        .output()
-        .expect("spawn fig1");
-    assert!(env_bc.status.success());
-    assert!(
-        !stderr_of(&env_bc).contains("selected implicitly"),
-        "LP_ENGINE=bc must not warn, got: {}",
-        stderr_of(&env_bc)
-    );
 }
 
 #[test]

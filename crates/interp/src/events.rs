@@ -12,344 +12,6 @@ use crate::memory::MemStats;
 use crate::value::Value;
 use lp_ir::{BlockId, Builtin, FuncId, ValueId};
 
-/// How a sink wants to receive per-block execution events.
-///
-/// Declared by [`EventSink::fidelity`] and consulted once per run by the
-/// bytecode engine (the tree-walk reference engine always delivers
-/// per-instruction callbacks). The two modes are observationally
-/// equivalent: a [`Fidelity::Block`] sink receives the same events in
-/// the same order with the same `now` stamps, just grouped into
-/// [`BlockBatch`] callbacks spanning a run of executed blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fidelity {
-    /// Deliver `block_entered`/`phi_resolved`/`load`/`store`/
-    /// `value_defined` individually, as they happen.
-    PerInstruction,
-    /// Deliver [`EventSink::block_batch`] calls covering whole runs of
-    /// executed blocks (split at call boundaries and a size cap so
-    /// global event order is preserved).
-    Block,
-}
-
-/// The `block_entered` portion of a [`BlockBatch`]: the block's static
-/// cost and the cost counter at entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockEntry {
-    /// Static IR cost of the block (non-phi instructions + terminator).
-    pub cost: u64,
-    /// Cost counter at block entry.
-    pub now: u64,
-}
-
-/// One buffered per-instruction event inside a [`BlockBatch`].
-///
-/// Function-level events (`func_entered`, `func_exited`,
-/// `builtin_called`, `mem_stats`) are never batched: the engine flushes
-/// the pending batch before emitting them so the global event order is
-/// identical to the per-instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchEvent {
-    /// A block entry *inside* the batch (the first block's entry rides
-    /// in [`BlockBatch::entry`]). Every event after this marker belongs
-    /// to `block`, until the next marker.
-    Enter {
-        /// The entered block.
-        block: BlockId,
-        /// Static IR cost of the block.
-        cost: u64,
-        /// Cost counter at entry.
-        now: u64,
-    },
-    /// A phi of the current block resolved to `value` on entry.
-    Phi {
-        /// The phi's result value id.
-        phi: ValueId,
-        /// The resolved incoming value.
-        value: Value,
-        /// Cost counter at the edge (block entry).
-        now: u64,
-    },
-    /// A load from `addr` executed.
-    Load {
-        /// The loaded address.
-        addr: u64,
-        /// Cost counter after the load was charged.
-        now: u64,
-    },
-    /// A store to `addr` executed.
-    Store {
-        /// The stored address.
-        addr: u64,
-        /// Cost counter after the store was charged.
-        now: u64,
-    },
-    /// A watched value was defined.
-    Def {
-        /// The defined value id.
-        value: ValueId,
-        /// The defined value.
-        val: Value,
-        /// Cost counter after the defining instruction was charged.
-        now: u64,
-    },
-}
-
-/// Kind tag of one packed batch event (see [`BlockBatch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum BatchKind {
-    /// An in-stream block entry; the payload holds the [`BlockId`] bits
-    /// in the low word and the block's static cost in the high word.
-    Enter = 0,
-    /// A phi resolution; the payload holds the phi's [`ValueId`] bits
-    /// and the resolved [`Value`] rides in the side stream.
-    Phi = 1,
-    /// A load; the payload holds the address.
-    Load = 2,
-    /// A store; the payload holds the address.
-    Store = 3,
-    /// A watched-value definition; the payload holds the defined
-    /// [`ValueId`] bits and the [`Value`] rides in the side stream.
-    Def = 4,
-}
-
-/// Number of [`BatchKind`] variants (the per-kind count array length).
-const KINDS: usize = 5;
-
-#[inline]
-fn kind_of(bits: u64) -> BatchKind {
-    match bits {
-        0 => BatchKind::Enter,
-        1 => BatchKind::Phi,
-        2 => BatchKind::Load,
-        3 => BatchKind::Store,
-        _ => BatchKind::Def,
-    }
-}
-
-/// One packed event: `meta` is `now << 3 | kind`, `payload` is an
-/// address (`Load`/`Store`), [`ValueId`] bits (`Phi`/`Def`), or
-/// `block bits | cost << 32` (`Enter`). Packing the stamp and the tag
-/// into one word makes an event a single 16-byte push on the engine's
-/// hot path instead of three parallel-stream pushes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RawEv {
-    meta: u64,
-    payload: u64,
-}
-
-/// A run of executed blocks' worth of buffered events, delivered
-/// through [`EventSink::block_batch`] by the bytecode engine when the
-/// sink declared [`Fidelity::Block`].
-///
-/// `entry` is `Some` when this batch opens its first block (`block`); a
-/// batch whose events were split by a call boundary delivers its
-/// continuation with `entry: None` so the shim never replays
-/// `block_entered` twice. Later block entries inside the same batch are
-/// in-stream [`BatchKind::Enter`] markers: every event after a marker
-/// belongs to the marked block. The engine flushes at call/builtin and
-/// function-exit boundaries (order preservation) and at a size cap
-/// checked on block entry, so one batch amortizes the per-delivery
-/// bookkeeping over dozens of blocks while blocks stay contiguous.
-///
-/// Events are one packed [`RawEv`] stream plus a side stream of
-/// [`Value`]s that only phi and def events push, consumed in order
-/// during decode. Per-kind event counts and the summed cost of
-/// in-stream entries are maintained on push, so metering decorators
-/// tally a batch in O(1) without walking it. The buffers are
-/// machine-owned and recycled across batches — `clear` keeps their
-/// capacity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockBatch {
-    /// Function owning every block in the batch (calls flush).
-    pub func: FuncId,
-    /// The first executed block of the batch.
-    pub block: BlockId,
-    /// Block-entry event for `block`, if this batch opens it.
-    pub entry: Option<BlockEntry>,
-    /// The packed event stream, in execution order.
-    evs: Vec<RawEv>,
-    /// Side stream of values, pushed only by `Phi`/`Def` events and
-    /// consumed sequentially during decode.
-    vals: Vec<Value>,
-    /// Per-kind event counts, indexed by `BatchKind as usize`.
-    counts: [u64; KINDS],
-    /// Summed static cost of in-stream `Enter` events.
-    enter_cost: u64,
-    /// `now` of the most recent in-stream `Enter` (valid when the
-    /// `Enter` count is non-zero).
-    last_enter_now: u64,
-}
-
-impl Default for BlockBatch {
-    fn default() -> BlockBatch {
-        BlockBatch {
-            func: FuncId(0),
-            block: BlockId(0),
-            entry: None,
-            evs: Vec::new(),
-            vals: Vec::new(),
-            counts: [0; KINDS],
-            enter_cost: 0,
-            last_enter_now: 0,
-        }
-    }
-}
-
-impl BlockBatch {
-    #[inline]
-    fn push_raw(&mut self, kind: BatchKind, payload: u64, now: u64) {
-        debug_assert!(now <= u64::MAX >> 3, "cost counter exceeds 61 bits");
-        self.evs.push(RawEv {
-            meta: now << 3 | kind as u64,
-            payload,
-        });
-        self.counts[kind as usize] += 1;
-    }
-
-    /// Buffers an in-stream block entry.
-    #[inline]
-    pub fn push_enter(&mut self, block: BlockId, cost: u64, now: u64) {
-        debug_assert!(cost <= u64::from(u32::MAX), "block cost exceeds 32 bits");
-        self.enter_cost += cost;
-        self.last_enter_now = now;
-        self.push_raw(BatchKind::Enter, u64::from(block.0) | cost << 32, now);
-    }
-
-    /// Buffers a phi resolution.
-    #[inline]
-    pub fn push_phi(&mut self, phi: ValueId, value: Value, now: u64) {
-        self.vals.push(value);
-        self.push_raw(BatchKind::Phi, u64::from(phi.0), now);
-    }
-
-    /// Buffers a load from `addr`.
-    #[inline]
-    pub fn push_load(&mut self, addr: u64, now: u64) {
-        self.push_raw(BatchKind::Load, addr, now);
-    }
-
-    /// Buffers a store to `addr`.
-    #[inline]
-    pub fn push_store(&mut self, addr: u64, now: u64) {
-        self.push_raw(BatchKind::Store, addr, now);
-    }
-
-    /// Buffers a watched-value definition.
-    #[inline]
-    pub fn push_def(&mut self, value: ValueId, val: Value, now: u64) {
-        self.vals.push(val);
-        self.push_raw(BatchKind::Def, u64::from(value.0), now);
-    }
-
-    /// Drops the buffered events, keeping the allocations.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.evs.clear();
-        self.vals.clear();
-        self.counts = [0; KINDS];
-        self.enter_cost = 0;
-        self.last_enter_now = 0;
-    }
-
-    /// Number of buffered events (in-stream `Enter` markers included).
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.evs.len()
-    }
-
-    /// Whether no events are buffered.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.evs.is_empty()
-    }
-
-    /// Number of buffered events of `kind`.
-    #[inline]
-    #[must_use]
-    pub fn count(&self, kind: BatchKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Summed static cost of the in-stream `Enter` events (the first
-    /// block's cost rides in [`BlockBatch::entry`]).
-    #[inline]
-    #[must_use]
-    pub fn enter_cost(&self) -> u64 {
-        self.enter_cost
-    }
-
-    /// `now` of the latest in-stream block entry, if any.
-    #[inline]
-    #[must_use]
-    pub fn last_enter_now(&self) -> Option<u64> {
-        (self.counts[BatchKind::Enter as usize] > 0).then_some(self.last_enter_now)
-    }
-
-    /// The side value stream (`Phi`/`Def` events only, in order).
-    #[inline]
-    #[must_use]
-    pub fn vals(&self) -> &[Value] {
-        &self.vals
-    }
-
-    /// Heap bytes currently reserved by the event streams — what a
-    /// pooled buffer saves the next run from reallocating.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.evs.capacity() * std::mem::size_of::<RawEv>()
-            + self.vals.capacity() * std::mem::size_of::<Value>()) as u64
-    }
-
-    /// The packed event stream as `(kind, payload, now)` triples, in
-    /// execution order — the dense view batch-native consumers decode
-    /// with a flat match (values ride separately in
-    /// [`BlockBatch::vals`]).
-    #[inline]
-    pub fn raw_events(&self) -> impl Iterator<Item = (BatchKind, u64, u64)> + '_ {
-        self.evs
-            .iter()
-            .map(|e| (kind_of(e.meta & 7), e.payload, e.meta >> 3))
-    }
-
-    /// Reconstructs the tagged-enum view of the event stream, in
-    /// execution order — the compatibility path the per-instruction
-    /// shim and order-sensitive decorators decode through.
-    pub fn events(&self) -> impl Iterator<Item = BatchEvent> + '_ {
-        let mut vi = 0usize;
-        self.raw_events()
-            .map(move |(kind, payload, now)| match kind {
-                BatchKind::Enter => BatchEvent::Enter {
-                    block: BlockId(payload as u32),
-                    cost: payload >> 32,
-                    now,
-                },
-                BatchKind::Phi => {
-                    let value = self.vals[vi];
-                    vi += 1;
-                    BatchEvent::Phi {
-                        phi: ValueId(payload as u32),
-                        value,
-                        now,
-                    }
-                }
-                BatchKind::Load => BatchEvent::Load { addr: payload, now },
-                BatchKind::Store => BatchEvent::Store { addr: payload, now },
-                BatchKind::Def => {
-                    let val = self.vals[vi];
-                    vi += 1;
-                    BatchEvent::Def {
-                        value: ValueId(payload as u32),
-                        val,
-                        now,
-                    }
-                }
-            })
-    }
-}
-
 /// Receiver of instrumentation events.
 pub trait EventSink {
     /// Statically promises that *every* callback on this sink is a
@@ -411,46 +73,6 @@ pub trait EventSink {
     fn mem_stats(&mut self, stats: MemStats) {
         let _ = stats;
     }
-
-    /// Whether this sink wants per-instruction callbacks or one
-    /// aggregated [`BlockBatch`] per executed block. Consulted once per
-    /// run by the bytecode engine; the tree-walk engine ignores it.
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::PerInstruction
-    }
-
-    /// One block's worth of events, delivered when [`EventSink::fidelity`]
-    /// returned [`Fidelity::Block`]. The default implementation is the
-    /// per-instruction compatibility shim: it replays the batch through
-    /// the individual callbacks in original order with original `now`
-    /// stamps, so a sink composed behind a batching decorator observes a
-    /// stream byte-identical to the per-instruction engine's.
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        if let Some(entry) = &batch.entry {
-            self.block_entered(batch.func, batch.block, entry.cost, entry.now);
-        }
-        let mut block = batch.block;
-        for ev in batch.events() {
-            match ev {
-                BatchEvent::Enter {
-                    block: entered,
-                    cost,
-                    now,
-                } => {
-                    block = entered;
-                    self.block_entered(batch.func, entered, cost, now);
-                }
-                BatchEvent::Phi { phi, value, now } => {
-                    self.phi_resolved(batch.func, block, phi, value, now);
-                }
-                BatchEvent::Load { addr, now } => self.load(addr, now),
-                BatchEvent::Store { addr, now } => self.store(addr, now),
-                BatchEvent::Def { value, val, now } => {
-                    self.value_defined(batch.func, value, val, now);
-                }
-            }
-        }
-    }
 }
 
 /// Forwarding impl so decorators like `MeteredSink` can borrow a sink
@@ -492,14 +114,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 
     fn mem_stats(&mut self, stats: MemStats) {
         (**self).mem_stats(stats);
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        (**self).fidelity()
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        (**self).block_batch(batch);
     }
 }
 
@@ -562,23 +176,5 @@ impl EventSink for CountingSink {
 
     fn builtin_called(&mut self, _caller: FuncId, _builtin: Builtin, _now: u64) {
         self.builtins += 1;
-    }
-
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Block
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        if let Some(entry) = &batch.entry {
-            self.cost += entry.cost;
-            self.blocks += 1;
-        }
-        // The batch keeps per-kind tallies current on push, so metering
-        // is O(1) per delivery instead of a walk over the stream.
-        self.cost += batch.enter_cost();
-        self.blocks += batch.count(BatchKind::Enter);
-        self.phis += batch.count(BatchKind::Phi);
-        self.loads += batch.count(BatchKind::Load);
-        self.stores += batch.count(BatchKind::Store);
     }
 }

@@ -51,9 +51,7 @@ pub mod trace;
 pub mod value;
 
 pub use bytecode::CompiledModule;
-pub use events::{
-    BatchEvent, BatchKind, BlockBatch, BlockEntry, CountingSink, EventSink, Fidelity, NullSink,
-};
+pub use events::{CountingSink, EventSink, NullSink};
 pub use exec::{Exec, ExecOut, ExecUnit};
 pub use machine::{Engine, Machine, MachineConfig, RunResult};
 pub use memory::{MemStats, Memory, GLOBAL_BASE, HEAP_BASE, STACK_BASE};

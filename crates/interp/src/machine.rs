@@ -34,7 +34,7 @@ pub(crate) struct Heat {
 /// dynamic cost, same event stream with the same `now` stamps — proven
 /// by the engine differential suite. The bytecode engine is the default
 /// fast path; the tree walk stays available as the reference oracle
-/// (`--engine tree` on every CLI, `LP_ENGINE=tree` in the environment).
+/// (`--engine tree` on every CLI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Walk the `lp_ir` arena directly (reference oracle).
@@ -167,59 +167,6 @@ pub struct Machine<'a, S> {
     /// the executor instead of running them serially. One `Option` check
     /// per block entry when disarmed.
     pub(crate) replay: Option<ReplayCtl<'a>>,
-    /// `true` while the bytecode engine is delivering block batches
-    /// (the sink declared [`crate::Fidelity::Block`]); always `false`
-    /// under the tree-walk engine.
-    pub(crate) batching: bool,
-    /// Reused block-batch buffer for the bytecode engine's batched
-    /// event path. At most one frame has a pending batch at a time
-    /// (batches are flushed before calls), so one buffer serves the
-    /// whole call stack. Taken from (and returned to) the per-thread
-    /// batch pool so repeated runs keep the grown event streams.
-    pub(crate) batch: crate::events::BlockBatch,
-}
-
-thread_local! {
-    /// Recycled [`crate::events::BlockBatch`] buffers: `run_entry` parks
-    /// the machine's batch buffer here at end of run and the next
-    /// machine on this thread takes it back, so repeated profiled runs
-    /// (a sweep, a rep loop) reuse the grown event streams instead of
-    /// re-growing them from zero. Capped so idle threads hold at most a
-    /// few buffers.
-    static BATCH_POOL: std::cell::RefCell<Vec<crate::events::BlockBatch>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Maximum parked batch buffers per thread.
-const BATCH_POOL_CAP: usize = 4;
-
-/// Takes a recycled batch buffer off this thread's pool (crediting its
-/// retained capacity to the `batch_bytes_reused` counter) or makes a
-/// fresh one.
-fn take_pooled_batch() -> crate::events::BlockBatch {
-    BATCH_POOL
-        .with(|pool| pool.borrow_mut().pop())
-        .inspect(|batch| {
-            let reused = batch.capacity_bytes();
-            if reused > 0 {
-                lp_obs::counters().add(lp_obs::Counter::BatchBytesReused, reused);
-            }
-        })
-        .unwrap_or_default()
-}
-
-/// Parks a finished batch buffer for reuse, dropping it when it holds
-/// no capacity worth keeping or the pool is full.
-fn park_pooled_batch(batch: crate::events::BlockBatch) {
-    if batch.capacity_bytes() == 0 {
-        return;
-    }
-    BATCH_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < BATCH_POOL_CAP {
-            pool.push(batch);
-        }
-    });
 }
 
 impl<'a, S: EventSink> Machine<'a, S> {
@@ -311,8 +258,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 })
             }),
             replay: None,
-            batching: false,
-            batch: take_pooled_batch(),
         }
     }
 
@@ -331,7 +276,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
     /// Shared run entry for both engines, reached through the
     /// [`crate::Exec`] builder: resolves the entry function, dispatches to
     /// the tree walk or — when `code` is present — the bytecode loop, and
-    /// finalizes heat/batch/memory bookkeeping identically on both paths.
+    /// finalizes heat/memory bookkeeping identically on both paths.
     ///
     /// # Errors
     /// Propagates traps and resource-limit failures, or an
@@ -353,21 +298,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 .map_err(|_| InterpError::TypeConfusion("missing main"))?,
         };
         let ret = match code {
-            Some(code) => {
-                self.batching = self.sink.fidelity() == crate::events::Fidelity::Block;
-                let ret = self.call_function_bc(code, entry, args);
-                // Deliver any pending block batch even when the run
-                // trapped, so batched sinks observe exactly the events
-                // the per-instruction stream would have delivered.
-                self.flush_batch();
-                ret
-            }
+            Some(code) => self.call_function_bc(code, entry, args),
             None => self.call_function(entry, args),
         };
         self.flush_heat();
-        // Park the (flushed, empty) batch buffer for the next machine on
-        // this thread — on error paths too, so trapped runs still recycle.
-        park_pooled_batch(std::mem::take(&mut self.batch));
         let ret = ret?;
         self.sink.mem_stats(self.memory.stats());
         Ok((
@@ -1204,8 +1138,9 @@ mod tests {
         let y = fb.load(Type::I64, p);
         fb.ret(Some(y));
         m.add_function(fb.finish().unwrap());
+        // Both engines deliver the same per-instruction callbacks.
         let mut sink = CountingSink::default();
-        let unit = ExecUnit::new(&m);
+        let unit = ExecUnit::with_engine(&m, Engine::Tree);
         let r = Exec::new(&unit).sink(&mut sink).run(&[]).unwrap().result;
         assert_eq!(r.ret, Value::I(5));
         assert_eq!(sink.loads, 1);
@@ -1213,8 +1148,6 @@ mod tests {
         assert_eq!(sink.blocks, 1);
         assert_eq!(sink.calls, 1); // main itself
         assert_eq!(r.cost, sink.cost);
-        // The bc engine delivers the same events through the batched
-        // path (CountingSink declares block fidelity).
         let mut bc_sink = CountingSink::default();
         let bc_unit = ExecUnit::with_engine(&m, Engine::Bc);
         let rb = Exec::new(&bc_unit)
@@ -1223,14 +1156,7 @@ mod tests {
             .unwrap()
             .result;
         assert_eq!(rb, r);
-        assert_eq!(
-            (bc_sink.cost, bc_sink.blocks, bc_sink.loads, bc_sink.stores),
-            (sink.cost, sink.blocks, sink.loads, sink.stores)
-        );
-        assert_eq!(
-            (bc_sink.calls, bc_sink.builtins, bc_sink.phis),
-            (sink.calls, sink.builtins, sink.phis)
-        );
+        assert_eq!(format!("{bc_sink:?}"), format!("{sink:?}"));
     }
 
     #[test]

@@ -225,8 +225,7 @@ mod tests {
             })
             .collect();
         assert!(nows.windows(2).all(|w| w[0] <= w[1]), "{nows:?}");
-        // A per-instruction sink sees the identical stream from the
-        // bytecode engine (delivered direct, without batching).
+        // The bytecode engine delivers the identical stream.
         let bc = trace(&m, Engine::Bc, 64);
         assert_eq!(bc.render(), text);
     }

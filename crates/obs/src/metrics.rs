@@ -123,18 +123,13 @@ pub enum Counter {
     /// Replayed runs whose final memory image or observable output
     /// diverged from the serial reference (hard failures).
     ReplayDivergences,
-    /// Heap bytes of block-batch event buffers the interpreter reused
-    /// from the batch pool instead of reallocating (growth churn saved
-    /// across profiled runs).
-    BatchBytesReused,
 }
 
 /// Number of distinct counter slots (scalar slots 0..=17 plus one
 /// reserved, the per-predictor pairs, then the store slots appended
 /// after the predictor block, then the hot-path cache slots, then the
-/// replay slots, then the batch-reuse slot — every historical slot
-/// stays stable).
-pub const COUNTER_SLOTS: usize = 30 + 2 * PredictorKind::ALL.len();
+/// replay slots — every historical slot stays stable).
+pub const COUNTER_SLOTS: usize = 29 + 2 * PredictorKind::ALL.len();
 
 impl Counter {
     /// Every counter, in export order.
@@ -169,7 +164,6 @@ impl Counter {
             Counter::ReplayLoopsCertified,
             Counter::ReplayWitnessRejected,
             Counter::ReplayDivergences,
-            Counter::BatchBytesReused,
         ];
         for kind in PredictorKind::ALL {
             out.push(Counter::PredictorHit(kind));
@@ -218,8 +212,6 @@ impl Counter {
             Counter::ReplayLoopsCertified => 36,
             Counter::ReplayWitnessRejected => 37,
             Counter::ReplayDivergences => 38,
-            // Allocation-reuse slot, appended after the replay block.
-            Counter::BatchBytesReused => 39,
         }
     }
 
@@ -255,7 +247,6 @@ impl Counter {
             Counter::ReplayLoopsCertified => "replay_loops_certified".to_string(),
             Counter::ReplayWitnessRejected => "replay_witness_rejected".to_string(),
             Counter::ReplayDivergences => "replay_divergences".to_string(),
-            Counter::BatchBytesReused => "batch_bytes_reused".to_string(),
             Counter::PredictorHit(kind) => format!("predictor_hit_{}", kind.label()),
             Counter::PredictorMiss(kind) => format!("predictor_miss_{}", kind.label()),
         }

@@ -3,9 +3,8 @@
 //! This crate is the heart of the limit study (paper §III):
 //!
 //! - [`tracker::Profiler`] consumes the interpreter's instrumentation —
-//!   per-instruction call-backs under the tree engine, natively decoded
-//!   block batches under the bytecode engine (DESIGN.md §15) — and
-//!   produces a [`profile::Profile`]: the dynamic region tree with
+//!   the same per-event call-backs under either engine (DESIGN.md §15) —
+//!   and produces a [`profile::Profile`]: the dynamic region tree with
 //!   iteration stamps, memory RAW conflicts (with the cactus-stack
 //!   structural-hazard filter of §II-E), register-LCD value prediction
 //!   traces, and call classes;

@@ -34,8 +34,7 @@ use crate::profile::{
 use crate::witness::{WitnessReport, WitnessState};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, Purity};
 use lp_interp::{
-    BatchKind, BlockBatch, EventSink, Exec, ExecUnit, Fidelity, MachineConfig, MemStats,
-    MeteredSink, RunResult, Value, STACK_BASE,
+    EventSink, Exec, ExecUnit, MachineConfig, MemStats, MeteredSink, RunResult, Value, STACK_BASE,
 };
 use lp_ir::fx::FxHashMap;
 use lp_ir::{BlockId, Builtin, FuncId, Inst, Module, ValueId, ValueKind};
@@ -571,8 +570,7 @@ impl<'a> Profiler<'a> {
         self.conflict_scan(addr, w, now);
     }
 
-    /// The load slow path, shared verbatim by the per-instruction stream
-    /// and the batched decode loop: walks every active loop level and
+    /// The load slow path: walks every active loop level and
     /// records the cross-iteration RAW conflicts `w` produces for the
     /// load of `addr` at `now`. Only reached when the last-writer stamp
     /// predates the innermost current iteration — rare by construction.
@@ -712,17 +710,10 @@ impl<'a> Profiler<'a> {
     }
 }
 
-impl Profiler<'_> {
-    /// The block-entry consume path, shared by the per-instruction
-    /// callback and the batch decoder. Returns whether loop or witness
-    /// state (stack membership, iteration starts, activation) may have
-    /// changed — the decoder refreshes its per-block hoists only then,
-    /// so mid-body block entries (the majority) stay branch-cheap.
-    #[inline]
-    fn consume_block_entry(&mut self, func: FuncId, block: BlockId, now: u64) -> bool {
+impl EventSink for Profiler<'_> {
+    fn block_entered(&mut self, func: FuncId, block: BlockId, _cost: u64, now: u64) {
         let stamp = now;
         self.now = self.now.max(now);
-        let mut changed = false;
         // Close loops (of this frame) the control flow has left.
         while let Some(top) = self.loop_stack.last() {
             if top.frame_depth != self.call_depth || top.func != func.0 {
@@ -732,7 +723,6 @@ impl Profiler<'_> {
                 break;
             }
             self.close_top_loop(stamp);
-            changed = true;
         }
         // Header entry: new iteration of the top instance, or a new
         // instance.
@@ -741,7 +731,6 @@ impl Profiler<'_> {
             .copied()
             .unwrap_or(NONE);
         if lid != NONE {
-            changed = true;
             let is_top = self.loop_stack.last().is_some_and(|t| {
                 t.frame_depth == self.call_depth && t.func == func.0 && t.loop_id == lid
             });
@@ -789,13 +778,6 @@ impl Profiler<'_> {
                 }
             }
         }
-        changed
-    }
-}
-
-impl EventSink for Profiler<'_> {
-    fn block_entered(&mut self, func: FuncId, block: BlockId, _cost: u64, now: u64) {
-        self.consume_block_entry(func, block, now);
     }
 
     fn phi_resolved(
@@ -922,149 +904,6 @@ impl EventSink for Profiler<'_> {
     fn mem_stats(&mut self, stats: MemStats) {
         self.mem_stats = stats;
     }
-
-    fn fidelity(&self) -> Fidelity {
-        // Native batch consumer: the bytecode engine delivers one
-        // [`BlockBatch`] per executed block instead of one virtual call
-        // per event. The tree-walk engine ignores this and keeps the
-        // per-instruction stream — both paths are pinned byte-identical
-        // by the engine differential suite.
-        Fidelity::Block
-    }
-
-    fn block_batch(&mut self, batch: &BlockBatch) {
-        // The opening block-entry event first: it can open or close loop
-        // regions and (de)activate witnesses, all of which the hoisted
-        // per-block state below must reflect.
-        if let Some(entry) = &batch.entry {
-            self.block_entered(batch.func, batch.block, entry.cost, entry.now);
-        }
-        if batch.is_empty() {
-            return;
-        }
-        // Per-block hoists — the work the per-instruction path repeats
-        // for every event. Everything hoisted here is invariant between
-        // block entries: `loop_stack` membership, `frames`, `call_depth`,
-        // and the witness active set are only mutated at block and
-        // function boundaries, never by the load/store/phi/def events
-        // in between — so the hoists refresh only at in-stream `Enter`
-        // markers, amortized over the whole multi-block batch.
-        let func = batch.func;
-        let mut cur_block = batch.block;
-        let mut witness_active = self.witness.as_ref().is_some_and(|w| w.any_active());
-        let mut in_loop = !self.loop_stack.is_empty();
-        let mut top_iter_start = self.loop_stack.last().map_or(0, |t| t.iter_start);
-        // Any stamp older than the *outermost* active instance start
-        // makes `conflict_scan` a guaranteed no-op (its first per-level
-        // test excludes every level before any tally is touched), so one
-        // hoisted compare replaces the whole level walk for init-phase
-        // producers — the dominant cold-load case in fill-then-consume
-        // kernels.
-        let mut scan_floor = self.loop_stack.first().map_or(0, |al| al.iter_starts[0]);
-        // Batch-local same-page run caches: consecutive accesses to one
-        // shadow page (strided array walks — the common case) resolve
-        // the page once and index the stamp arena directly. Page arena
-        // indices are stable (the arena only grows), and loads read the
-        // arena in place, so an in-batch store to a load-cached page is
-        // still observed; the caches stay valid across `Enter` markers
-        // for the same reason. The one hazard — a load cached `NONE`
-        // for a page a later in-batch store then allocates — is closed
-        // by the store path syncing the load cache when it resolves the
-        // same page, so next-iteration loads inside the batch see the
-        // fresh producer stamp.
-        let mut load_run_page = u64::MAX;
-        let mut load_run_idx = NONE;
-        let mut store_run_page = u64::MAX;
-        let mut store_run_idx = NONE;
-        // `self.now` is only read at batch boundaries (region pushes,
-        // finish) and at block entries (which refresh it themselves), so
-        // one deferred update per batch replaces one per event; `now`
-        // stamps are nondecreasing within a batch, making the final
-        // value identical.
-        let mut batch_now = 0u64;
-        let vals = batch.vals();
-        let mut vi = 0usize;
-        for (kind, payload, now) in batch.raw_events() {
-            match kind {
-                BatchKind::Load => {
-                    batch_now = now;
-                    if witness_active {
-                        self.witness_access(payload, false);
-                    }
-                    if !in_loop {
-                        continue;
-                    }
-                    let word = payload >> SHADOW_WORD_BITS;
-                    let page = word >> SHADOW_PAGE_BITS;
-                    if page != load_run_page {
-                        load_run_page = page;
-                        load_run_idx = self.shadow.lookup(page).unwrap_or(NONE);
-                    }
-                    let w = if load_run_idx == NONE {
-                        EMPTY_STAMP
-                    } else {
-                        self.shadow.pages[load_run_idx as usize][(word & SHADOW_PAGE_MASK) as usize]
-                    };
-                    // Same fast paths as `track_access`: written during
-                    // the innermost current iteration (or never), or so
-                    // long ago the scan would exclude every level.
-                    if w.t >= top_iter_start || w.t < scan_floor {
-                        continue;
-                    }
-                    self.conflict_scan(payload, w, now);
-                }
-                BatchKind::Store => {
-                    batch_now = now;
-                    if witness_active {
-                        self.witness_access(payload, true);
-                    }
-                    // As in `track_access`: a store with no loop active
-                    // can never become a cross-iteration producer.
-                    if !in_loop {
-                        continue;
-                    }
-                    let push = self.owner_frame_push(payload);
-                    let word = payload >> SHADOW_WORD_BITS;
-                    let page = word >> SHADOW_PAGE_BITS;
-                    if page != store_run_page {
-                        store_run_page = page;
-                        store_run_idx = self.shadow.lookup_or_alloc(page);
-                        // A load may have cached this page as absent
-                        // before the allocation; repoint it so in-batch
-                        // consumers observe this store's stamp.
-                        if load_run_page == page && load_run_idx == NONE {
-                            load_run_idx = store_run_idx;
-                        }
-                    }
-                    self.shadow.pages[store_run_idx as usize][(word & SHADOW_PAGE_MASK) as usize] =
-                        Stamp { t: now, push };
-                }
-                BatchKind::Phi => {
-                    let value = vals[vi];
-                    vi += 1;
-                    self.phi_resolved(func, cur_block, ValueId(payload as u32), value, now);
-                }
-                BatchKind::Def => {
-                    let val = vals[vi];
-                    vi += 1;
-                    self.value_defined(func, ValueId(payload as u32), val, now);
-                }
-                BatchKind::Enter => {
-                    cur_block = BlockId(payload as u32);
-                    if self.consume_block_entry(func, cur_block, now) {
-                        // The entry iterated, opened, or closed loops
-                        // (and may have toggled witnesses): refresh the
-                        // hoists. Mid-body entries change nothing.
-                        witness_active = self.witness.as_ref().is_some_and(|w| w.any_active());
-                        in_loop = !self.loop_stack.is_empty();
-                        top_iter_start = self.loop_stack.last().map_or(0, |t| t.iter_start);
-                        scan_floor = self.loop_stack.first().map_or(0, |al| al.iter_starts[0]);
-                    }
-                }
-            }
-        }
-        self.now = self.now.max(batch_now);
-    }
 }
 
 /// Runs `module` under the profiler and returns the profile plus the raw
@@ -1132,6 +971,7 @@ pub fn profile_module_with(
 mod tests {
     use super::*;
     use lp_analysis::analyze_module;
+    use lp_interp::Engine;
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{Global, IcmpPred, Module, Type};
 
@@ -1314,6 +1154,104 @@ mod tests {
             shadow.0 + shadow.1 < mem.0 + mem.1,
             "shadow stream (loop-only) must be a strict subset: {shadow:?} vs {mem:?}"
         );
+    }
+
+    /// Nested loops over two arrays with a call per inner iteration: the
+    /// callee reads a stack slot before writing it (stale frames from
+    /// earlier iterations feed the cactus-stack filter) and the body
+    /// stores into a row the next outer iteration reads back.
+    fn nested_calls_module() -> Module {
+        let (rows, cols) = (8i64, 96i64);
+        let mut m = Module::new("nested_calls");
+        let a = m.add_global(Global::zeroed("a", (rows * cols) as u64));
+        let b = m.add_global(Global::zeroed("b", cols as u64));
+
+        let mut fb = FunctionBuilder::new("bump", &[Type::I64], Type::I64);
+        let x = fb.param(0);
+        let slot = fb.alloca(1);
+        let old = fb.load(Type::I64, slot);
+        let new = fb.add(old, x);
+        fb.store(new, slot);
+        fb.ret(Some(new));
+        let bump = m.add_function(fb.finish().unwrap());
+
+        let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+        let zero = fb.const_i64(0);
+        let one = fb.const_i64(1);
+        let nrows = fb.const_i64(rows);
+        let ncols = fb.const_i64(cols);
+        let abase = fb.global_addr(a);
+        let bbase = fb.global_addr(b);
+        let oh = fb.create_block("outer.header");
+        let ih = fb.create_block("inner.header");
+        let ib = fb.create_block("inner.body");
+        let ol = fb.create_block("outer.latch");
+        let exit = fb.create_block("exit");
+        fb.br(oh);
+        fb.switch_to(oh);
+        let i = fb.phi(Type::I64);
+        let ci = fb.icmp(IcmpPred::Slt, i, nrows);
+        fb.cond_br(ci, ih, exit);
+        fb.switch_to(ih);
+        let j = fb.phi(Type::I64);
+        let cj = fb.icmp(IcmpPred::Slt, j, ncols);
+        fb.cond_br(cj, ib, ol);
+        fb.switch_to(ib);
+        let row = fb.mul(i, ncols);
+        let idx = fb.add(row, j);
+        let pa = fb.gep(abase, idx, 8, 0);
+        let pb = fb.gep(bbase, j, 8, 0);
+        let prev = fb.load(Type::I64, pb);
+        let got = fb.call(bump, Type::I64, &[prev]);
+        fb.store(got, pa);
+        fb.store(got, pb);
+        let j2 = fb.add(j, one);
+        fb.br(ih);
+        fb.switch_to(ol);
+        let i2 = fb.add(i, one);
+        fb.br(oh);
+        fb.switch_to(exit);
+        fb.ret(Some(zero));
+        fb.add_phi_incoming(i, lp_ir::BlockId::ENTRY, zero);
+        fb.add_phi_incoming(i, ol, i2);
+        fb.add_phi_incoming(j, oh, zero);
+        fb.add_phi_incoming(j, ib, j2);
+        m.add_function(fb.finish().unwrap());
+        m
+    }
+
+    #[test]
+    fn profiler_telemetry_is_engine_independent() {
+        // Both engines deliver the same event stream, so the profiler's
+        // tallies must agree as well as its profile.
+        let m = nested_calls_module();
+        let analysis = analyze_module(&m);
+        let run = |engine: Engine| {
+            let mut profiler = Profiler::new(&m, &analysis);
+            let cfg = MachineConfig {
+                watched_values: profiler.watched_values(),
+                ..Default::default()
+            };
+            let unit = ExecUnit::with_engine(&m, engine);
+            Exec::new(&unit)
+                .sink(&mut profiler)
+                .config(cfg)
+                .run(&[])
+                .unwrap();
+            let tallies = (
+                profiler.shadow.hits,
+                profiler.shadow.misses,
+                profiler.cactus_filter_hits,
+                profiler.mem_stats,
+            );
+            (tallies, format!("{:?}", profiler.finish()))
+        };
+        let (tree, tree_profile) = run(Engine::Tree);
+        let (bc, bc_profile) = run(Engine::Bc);
+        assert!(tree.0 > 0 && tree.1 > 0, "shadow cache saw no traffic");
+        assert!(tree.2 > 0, "cactus-stack filter never fired");
+        assert_eq!(tree, bc, "(shadow hits, misses, cactus hits, mem stats)");
+        assert_eq!(tree_profile, bc_profile);
     }
 
     #[test]

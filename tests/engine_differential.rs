@@ -11,11 +11,11 @@
 //! fields aside).
 
 use lp_analysis::{analyze_module, LoopId, ModuleAnalysis};
-use lp_interp::{Engine, EventSink, Exec, ExecUnit, MachineConfig, MemStats, Value};
+use lp_interp::{Engine, Exec, ExecUnit, MachineConfig};
 use lp_ir::builder::FunctionBuilder;
-use lp_ir::{BlockId, Builtin, FuncId, Global, IcmpPred, Module, Type, ValueId};
+use lp_ir::{BlockId, FuncId, Global, IcmpPred, Module, Type};
 use lp_runtime::{
-    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs, Profiler,
+    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs,
 };
 use lp_suite::kernels::counted_loop;
 use lp_suite::Scale;
@@ -232,72 +232,6 @@ fn all_loops(module: &Module, analysis: &ModuleAnalysis) -> Vec<(FuncId, LoopId)
     targets
 }
 
-/// Forwards every per-instruction callback to the wrapped profiler while
-/// keeping the default [`Fidelity::PerInstruction`]. Passing
-/// `&mut Profiler` directly would re-advertise `Fidelity::Block` (the
-/// `&mut S` blanket impl forwards `fidelity`), so this newtype is what
-/// forces the bytecode engine down the per-event delivery path that the
-/// native `block_batch` handler must reproduce byte-for-byte.
-struct PerInstructionView<'p, 'a>(&'p mut Profiler<'a>);
-
-impl EventSink for PerInstructionView<'_, '_> {
-    fn block_entered(&mut self, func: FuncId, block: BlockId, cost: u64, now: u64) {
-        self.0.block_entered(func, block, cost, now);
-    }
-    fn phi_resolved(&mut self, func: FuncId, block: BlockId, phi: ValueId, value: Value, now: u64) {
-        self.0.phi_resolved(func, block, phi, value, now);
-    }
-    fn load(&mut self, addr: u64, now: u64) {
-        self.0.load(addr, now);
-    }
-    fn store(&mut self, addr: u64, now: u64) {
-        self.0.store(addr, now);
-    }
-    fn func_entered(&mut self, func: FuncId, frame_base: u64, now: u64) {
-        self.0.func_entered(func, frame_base, now);
-    }
-    fn func_exited(&mut self, func: FuncId, now: u64) {
-        self.0.func_exited(func, now);
-    }
-    fn builtin_called(&mut self, caller: FuncId, builtin: Builtin, now: u64) {
-        self.0.builtin_called(caller, builtin, now);
-    }
-    fn value_defined(&mut self, func: FuncId, value: ValueId, val: Value, now: u64) {
-        self.0.value_defined(func, value, val, now);
-    }
-    fn mem_stats(&mut self, stats: MemStats) {
-        self.0.mem_stats(stats);
-    }
-}
-
-/// Profiles `module` on the bytecode engine with witnesses armed on
-/// every loop, delivering events either as native block batches
-/// (`batched`) or through the per-instruction path, and returns the
-/// full store-codec encoding plus the witness report's Debug rendering
-/// (`WitnessReport` has no `PartialEq`; its Debug form covers every
-/// field of every witness, violations included).
-fn profile_bc(module: &Module, batched: bool) -> (Vec<u8>, String) {
-    let analysis = analyze_module(module);
-    let targets = all_loops(module, &analysis);
-    let mut profiler = Profiler::new(module, &analysis);
-    profiler.enable_witness(&targets, Vec::new());
-    let config = MachineConfig {
-        watched_values: profiler.watched_values(),
-        ..MachineConfig::default()
-    };
-    let unit = ExecUnit::with_engine(module, Engine::Bc);
-    let exec = Exec::new(&unit).config(config);
-    let result = if batched {
-        exec.sink(&mut profiler).run(&[])
-    } else {
-        exec.sink(PerInstructionView(&mut profiler)).run(&[])
-    }
-    .unwrap_or_else(|e| panic!("{}: profiling trap (batched={batched}): {e}", module.name))
-    .result;
-    let (profile, report) = profiler.finish_with_witness();
-    (encode_entry(&profile, &result), format!("{report:?}"))
-}
-
 /// Witness-armed profiling run under `engine`: store-codec bytes plus
 /// the witness report's Debug rendering.
 fn witnessed_profile(module: &Module, engine: Engine) -> (Vec<u8>, String) {
@@ -318,23 +252,22 @@ fn witnessed_profile(module: &Module, engine: Engine) -> (Vec<u8>, String) {
     (encode_entry(&profile, &run), format!("{report:?}"))
 }
 
-/// The native block-batch `Profiler` entry point must be byte-identical
-/// to the per-instruction shim on every suite kernel: same profile
-/// encoding, same independence witnesses.
+/// Witness-armed profiling of every suite kernel is engine-invariant:
+/// identical profile encodings and identical independence witnesses.
 #[test]
-fn suite_native_batching_matches_per_instruction_shim() {
+fn suite_witness_reports_match_across_engines() {
     for b in lp_suite::registry() {
         let module = b.build(Scale::Test);
-        let (batch_bytes, batch_report) = profile_bc(&module, true);
-        let (shim_bytes, shim_report) = profile_bc(&module, false);
+        let tree = witnessed_profile(&module, Engine::Tree);
+        let bc = witnessed_profile(&module, Engine::Bc);
         assert_eq!(
-            batch_bytes, shim_bytes,
-            "{}: profile encoding diverges between native batching and the shim",
+            tree.0, bc.0,
+            "{}: witnessed profile encoding diverges between tree and bc",
             b.name
         );
         assert_eq!(
-            batch_report, shim_report,
-            "{}: witness report diverges between native batching and the shim",
+            tree.1, bc.1,
+            "{}: witness report diverges between tree and bc",
             b.name
         );
     }
@@ -342,26 +275,6 @@ fn suite_native_batching_matches_per_instruction_shim() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Generated loop programs profile byte-identically whether the
-    /// `Profiler` consumes native block batches or the per-instruction
-    /// event stream, and their independence witnesses agree too.
-    #[test]
-    fn generated_kernels_native_batching_matches_shim(
-        specs in prop::collection::vec(loop_spec(), 1..6)
-    ) {
-        let module = build_program(&specs);
-        let (batch_bytes, batch_report) = profile_bc(&module, true);
-        let (shim_bytes, shim_report) = profile_bc(&module, false);
-        prop_assert_eq!(
-            batch_bytes, shim_bytes,
-            "profile encoding diverges from the shim for {:?}", specs
-        );
-        prop_assert_eq!(
-            batch_report, shim_report,
-            "witness report diverges from the shim for {:?}", specs
-        );
-    }
 
     /// Witness-armed profiling is engine-invariant on generated
     /// kernels: identical profile encodings and identical witness
