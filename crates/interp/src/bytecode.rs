@@ -365,322 +365,9 @@ impl<'a, S: EventSink> Machine<'a, S> {
         args: &[Value],
     ) -> Result<Value> {
         let mut cost = self.cost;
-        // When the sink statically promises every callback is a no-op
-        // and nothing else can observe the run (no watched values, no
-        // live sampler, no replay plan), dispatch through the silent
-        // loop: same charges, same memory traffic, same trap points —
-        // minus the event plumbing nothing is listening to. `S::INERT`
-        // is a constant, so non-null sinks never even compile the check.
-        let r = if S::INERT
-            && !self.force_exact
-            && self.heat.is_none()
-            && self.replay.is_none()
-            && self.watched[fid.index()].is_empty()
-        {
-            self.exec_frame_silent(code, fid, args, &mut cost)
-        } else {
-            self.exec_frame_bc(code, fid, args, &mut cost)
-        };
+        let r = self.exec_frame_bc(code, fid, args, &mut cost);
         self.cost = cost;
         r
-    }
-
-    /// The silent twin of `exec_frame_bc`: selected by
-    /// `call_function_bc` when no observer exists. Register writes,
-    /// memory operations, trap points, and the final cost are identical;
-    /// every sink/heat/replay hook is gone rather than checked, and two
-    /// further liberties are taken — both invisible by construction:
-    ///
-    /// - **Block-granular fuel.** Instead of one increment-and-compare
-    ///   per instruction, the whole static cost of a block is added when
-    ///   the block is entered (the frame adds its entry block's cost,
-    ///   every edge-take adds its target's). On success the total is
-    ///   exactly the per-instruction sum — blocks only exit early by
-    ///   erroring — and no spurious exhaustion is possible: the counter
-    ///   stays monotone and never exceeds the true final cost, so a run
-    ///   the reference engine completes passes every check here too. A
-    ///   run that *errors* may report the wrong error (a mid-block trap
-    ///   after the precharged counter passed `max_cost`, or an
-    ///   exhaustion surfacing at a block boundary instead of
-    ///   mid-block); `Exec::run` catches any silent-path error and
-    ///   re-executes the run on the exact observing loop — errors are
-    ///   cold, the machine state of a failed run is discarded anyway,
-    ///   and the re-run reproduces the reference error and error point
-    ///   precisely.
-    /// - **Unchecked register access.** Every operand index was
-    ///   validated against the function's register-file length once at
-    ///   compile time (`compile::validate`), so per-dispatch bounds
-    ///   checks carry no information and are elided.
-    fn exec_frame_silent(
-        &mut self,
-        code: &CompiledModule,
-        fid: FuncId,
-        args: &[Value],
-        cost: &mut u64,
-    ) -> Result<Value> {
-        self.depth += 1;
-        if self.depth > self.config.max_call_depth {
-            return Err(InterpError::CallDepthExceeded);
-        }
-        let bf = &code.funcs[fid.index()];
-        let max_cost = self.config.max_cost;
-        let mut regs = match self.frame_pools[fid.index()].pop() {
-            // A recycled frame still holds this function's constants
-            // (instruction destinations never alias constant slots) and
-            // its stale `Param`/`Inst` slots are dead: verified SSA
-            // defines every register before any read.
-            Some(regs) => regs,
-            None => self.reg_templates[fid.index()].clone(),
-        };
-        regs[..args.len()].copy_from_slice(args);
-        let frame_mark = self.memory.stack_top();
-        *cost += bf.entry_cost;
-        if *cost > max_cost {
-            return Err(InterpError::FuelExhausted);
-        }
-
-        // SAFETY (for every `get_unchecked` below): `compile::validate`
-        // proved, for this exact `CompiledModule`, that every operand
-        // index is below the function's register-file length (`regs`
-        // was just sized from the same function's template), that every
-        // branch names an in-range edge leading to an in-range pc, and
-        // that every non-terminator is followed by another instruction —
-        // so `pc` stays in range and operand indexing cannot go out of
-        // bounds. `ExecUnit` is the only constructor of bytecode runs
-        // and always pairs the compiled module with the module it was
-        // compiled from.
-        macro_rules! reg {
-            ($i:expr) => {
-                unsafe { *regs.get_unchecked($i as usize) }
-            };
-        }
-        macro_rules! set {
-            ($i:expr, $v:expr) => {{
-                let v = $v;
-                unsafe { *regs.get_unchecked_mut($i as usize) = v }
-            }};
-        }
-        macro_rules! take_edge {
-            ($e:expr) => {{
-                let e = $e;
-                *cost += e.cost;
-                if *cost > max_cost {
-                    return Err(InterpError::FuelExhausted);
-                }
-                take_edge_silent(e, &mut regs, &mut self.phi_scratch);
-                e.target as usize
-            }};
-        }
-
-        let mut pc: usize = 0;
-        let ret = loop {
-            let inst = unsafe { bf.code.get_unchecked(pc) };
-            pc += 1;
-            match inst {
-                Bc::Bin { op, dst, lhs, rhs } => {
-                    set!(*dst, exec_bin(*op, reg!(*lhs), reg!(*rhs))?);
-                }
-                Bc::Icmp {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    set!(*dst, Value::B(icmp_eval(*pred, reg!(*lhs), reg!(*rhs))?));
-                }
-                Bc::Fcmp {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    set!(*dst, Value::B(fcmp_eval(*pred, reg!(*lhs), reg!(*rhs))?));
-                }
-                Bc::Select {
-                    dst,
-                    cond,
-                    then_val,
-                    else_val,
-                } => {
-                    let c = reg!(*cond).as_bool()?;
-                    set!(*dst, reg!(if c { *then_val } else { *else_val }));
-                }
-                Bc::Cast { kind, dst, val } => {
-                    set!(*dst, cast_eval(*kind, reg!(*val))?);
-                }
-                Bc::Load { ty, dst, addr } => {
-                    let a = reg!(*addr).as_ptr()?;
-                    let bits = self.memory.read(a)?;
-                    set!(*dst, Value::from_bits(*ty, bits));
-                }
-                Bc::Store { dst, val, addr } => {
-                    let v = reg!(*val).to_bits()?;
-                    let a = reg!(*addr).as_ptr()?;
-                    self.memory.write(a, v)?;
-                    set!(*dst, Value::Unit);
-                }
-                Bc::Gep {
-                    dst,
-                    base,
-                    index,
-                    scale,
-                    offset,
-                } => {
-                    let a = gep_addr(reg!(*base), reg!(*index), *scale, *offset)?;
-                    set!(*dst, Value::P(a));
-                }
-                Bc::GepLoad {
-                    ty,
-                    gep_dst,
-                    dst,
-                    base,
-                    index,
-                    scale,
-                    offset,
-                } => {
-                    let a = gep_addr(reg!(*base), reg!(*index), *scale, *offset)?;
-                    set!(*gep_dst, Value::P(a));
-                    let bits = self.memory.read(a)?;
-                    set!(*dst, Value::from_bits(*ty, bits));
-                }
-                Bc::GepStore {
-                    gep_dst,
-                    dst,
-                    val,
-                    base,
-                    index,
-                    scale,
-                    offset,
-                } => {
-                    let a = gep_addr(reg!(*base), reg!(*index), *scale, *offset)?;
-                    set!(*gep_dst, Value::P(a));
-                    let v = reg!(*val).to_bits()?;
-                    self.memory.write(a, v)?;
-                    set!(*dst, Value::Unit);
-                }
-                Bc::BinBin {
-                    op1,
-                    dst1,
-                    lhs1,
-                    rhs1,
-                    op2,
-                    dst2,
-                    lhs2,
-                    rhs2,
-                } => {
-                    set!(*dst1, exec_bin(*op1, reg!(*lhs1), reg!(*rhs1))?);
-                    set!(*dst2, exec_bin(*op2, reg!(*lhs2), reg!(*rhs2))?);
-                }
-                Bc::StoreBin {
-                    sdst,
-                    val,
-                    addr,
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let v = reg!(*val).to_bits()?;
-                    let a = reg!(*addr).as_ptr()?;
-                    self.memory.write(a, v)?;
-                    set!(*sdst, Value::Unit);
-                    set!(*dst, exec_bin(*op, reg!(*lhs), reg!(*rhs))?);
-                }
-                Bc::LoadBin {
-                    ty,
-                    ldst,
-                    addr,
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let a = reg!(*addr).as_ptr()?;
-                    let bits = self.memory.read(a)?;
-                    set!(*ldst, Value::from_bits(*ty, bits));
-                    set!(*dst, exec_bin(*op, reg!(*lhs), reg!(*rhs))?);
-                }
-                Bc::BinBr {
-                    op,
-                    dst,
-                    lhs,
-                    rhs,
-                    edge,
-                } => {
-                    set!(*dst, exec_bin(*op, reg!(*lhs), reg!(*rhs))?);
-                    pc = take_edge!(unsafe { bf.edges.get_unchecked(*edge as usize) });
-                }
-                Bc::Alloca { dst, words } => {
-                    let base = self.memory.stack_alloc(u64::from(*words));
-                    set!(*dst, Value::P(base));
-                }
-                Bc::CallFunc { dst, func, args } => {
-                    let mut argbuf = [Value::Unit; 8];
-                    self.cost = *cost;
-                    let v = if args.len() <= argbuf.len() {
-                        for (slot, &a) in argbuf.iter_mut().zip(args.iter()) {
-                            *slot = reg!(a);
-                        }
-                        self.call_function_bc(code, FuncId(*func), &argbuf[..args.len()])
-                    } else {
-                        let argv: Vec<Value> = args.iter().map(|&a| reg!(a)).collect();
-                        self.call_function_bc(code, FuncId(*func), &argv)
-                    };
-                    *cost = self.cost;
-                    set!(*dst, v?);
-                }
-                Bc::CallBuiltin { dst, builtin, args } => {
-                    let mut argbuf = [Value::Unit; 8];
-                    self.cost = *cost;
-                    let v = if args.len() <= argbuf.len() {
-                        for (slot, &a) in argbuf.iter_mut().zip(args.iter()) {
-                            *slot = reg!(a);
-                        }
-                        self.exec_builtin(*builtin, &argbuf[..args.len()])
-                    } else {
-                        let argv: Vec<Value> = args.iter().map(|&a| reg!(a)).collect();
-                        self.exec_builtin(*builtin, &argv)
-                    };
-                    *cost = self.cost;
-                    set!(*dst, v?);
-                }
-                Bc::Br { edge } => {
-                    pc = take_edge!(unsafe { bf.edges.get_unchecked(*edge as usize) });
-                }
-                Bc::CondBr {
-                    cond,
-                    then_edge,
-                    else_edge,
-                } => {
-                    let c = reg!(*cond).as_bool()?;
-                    pc = take_edge!(unsafe {
-                        bf.edges
-                            .get_unchecked(if c { *then_edge } else { *else_edge } as usize)
-                    });
-                }
-                Bc::IcmpBr {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                    then_edge,
-                    else_edge,
-                } => {
-                    let c = icmp_eval(*pred, reg!(*lhs), reg!(*rhs))?;
-                    set!(*dst, Value::B(c));
-                    pc = take_edge!(unsafe {
-                        bf.edges
-                            .get_unchecked(if c { *then_edge } else { *else_edge } as usize)
-                    });
-                }
-                Bc::Ret { val } => break reg!(*val),
-                Bc::RetVoid => break Value::Unit,
-            }
-        };
-        self.memory.stack_release(frame_mark);
-        self.depth -= 1;
-        self.frame_pools[fid.index()].push(regs);
-        Ok(ret)
     }
 
     fn exec_frame_bc(
@@ -1025,28 +712,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
         self.depth -= 1;
         self.frame_pool.push(regs);
         Ok(ret)
-    }
-}
-
-/// The silent loop's edge taker: the same phi-run parallel copy as
-/// `take_edge`, minus events and heat (phi resolution charges nothing,
-/// so the fuel counter is untouched on both paths).
-#[inline]
-fn take_edge_silent(e: &Edge, regs: &mut [Value], scratch: &mut Vec<(ValueId, Value)>) {
-    if e.sequential {
-        for &(dst, src) in e.moves.iter() {
-            // SAFETY: `compile::validate` checked every phi-move index
-            // against the owning function's register-file length.
-            unsafe { *regs.get_unchecked_mut(dst as usize) = *regs.get_unchecked(src as usize) };
-        }
-    } else {
-        for &(dst, src) in e.moves.iter() {
-            scratch.push((ValueId(dst), regs[src as usize]));
-        }
-        for &(r, v) in scratch.iter() {
-            regs[r.index()] = v;
-        }
-        scratch.clear();
     }
 }
 

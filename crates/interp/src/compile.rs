@@ -29,218 +29,8 @@ use lp_ir::{BlockId, Callee, Function, Inst, InstData, Module, Term};
 /// is expected to be verified (the same precondition the tree walk has).
 #[must_use]
 pub(crate) fn compile_module(module: &Module) -> CompiledModule {
-    let compiled = CompiledModule {
+    CompiledModule {
         funcs: module.functions.iter().map(compile_function).collect(),
-    };
-    validate(module, &compiled);
-    compiled
-}
-
-/// Proves, once per compile, the invariants the silent dispatch loop's
-/// unchecked accesses rely on (`bytecode::exec_frame_silent`): every
-/// operand index is below the owning function's register-file length,
-/// every edge index and edge target is in range, every phi move stays
-/// inside the register file, every direct call names an existing
-/// function, and every non-terminator instruction is followed by
-/// another instruction (so `pc + 1` after a non-branch never leaves the
-/// stream). Violations are compiler bugs, not user errors, so this
-/// panics — the same contract the tree walk assumes of verified IR,
-/// surfaced at compile time instead of dispatch time.
-fn validate(module: &Module, compiled: &CompiledModule) {
-    for (func, bf) in module.functions.iter().zip(&compiled.funcs) {
-        let nregs = func.values.len() as u32;
-        let r = |i: u32| assert!(i < nregs, "{}: operand {i} >= {nregs}", func.name);
-        let e = |i: u32| {
-            let edge = &bf.edges[i as usize];
-            assert!(
-                (edge.target as usize) < bf.code.len(),
-                "{}: edge target",
-                func.name
-            );
-            for &(dst, src) in edge.moves.iter() {
-                r(dst);
-                r(src);
-            }
-        };
-        for (pc, inst) in bf.code.iter().enumerate() {
-            let is_term = matches!(
-                inst,
-                Bc::BinBr { .. }
-                    | Bc::Br { .. }
-                    | Bc::CondBr { .. }
-                    | Bc::IcmpBr { .. }
-                    | Bc::Ret { .. }
-                    | Bc::RetVoid
-            );
-            assert!(
-                is_term || pc + 1 < bf.code.len(),
-                "{}: fallthrough off the end at pc {pc}",
-                func.name
-            );
-            match inst {
-                Bc::Bin { dst, lhs, rhs, .. }
-                | Bc::Icmp { dst, lhs, rhs, .. }
-                | Bc::Fcmp { dst, lhs, rhs, .. }
-                | Bc::Store {
-                    dst,
-                    val: lhs,
-                    addr: rhs,
-                }
-                | Bc::Gep {
-                    dst,
-                    base: lhs,
-                    index: rhs,
-                    ..
-                } => {
-                    r(*dst);
-                    r(*lhs);
-                    r(*rhs);
-                }
-                Bc::Select {
-                    dst,
-                    cond,
-                    then_val,
-                    else_val,
-                } => {
-                    r(*dst);
-                    r(*cond);
-                    r(*then_val);
-                    r(*else_val);
-                }
-                Bc::Cast { dst, val, .. } => {
-                    r(*dst);
-                    r(*val);
-                }
-                Bc::Load { dst, addr, .. } => {
-                    r(*dst);
-                    r(*addr);
-                }
-                Bc::GepLoad {
-                    gep_dst,
-                    dst,
-                    base,
-                    index,
-                    ..
-                } => {
-                    r(*gep_dst);
-                    r(*dst);
-                    r(*base);
-                    r(*index);
-                }
-                Bc::GepStore {
-                    gep_dst,
-                    dst,
-                    val,
-                    base,
-                    index,
-                    ..
-                } => {
-                    r(*gep_dst);
-                    r(*dst);
-                    r(*val);
-                    r(*base);
-                    r(*index);
-                }
-                Bc::BinBin {
-                    dst1,
-                    lhs1,
-                    rhs1,
-                    dst2,
-                    lhs2,
-                    rhs2,
-                    ..
-                } => {
-                    r(*dst1);
-                    r(*lhs1);
-                    r(*rhs1);
-                    r(*dst2);
-                    r(*lhs2);
-                    r(*rhs2);
-                }
-                Bc::StoreBin {
-                    sdst,
-                    val,
-                    addr,
-                    dst,
-                    lhs,
-                    rhs,
-                    ..
-                } => {
-                    r(*sdst);
-                    r(*val);
-                    r(*addr);
-                    r(*dst);
-                    r(*lhs);
-                    r(*rhs);
-                }
-                Bc::LoadBin {
-                    ldst,
-                    addr,
-                    dst,
-                    lhs,
-                    rhs,
-                    ..
-                } => {
-                    r(*ldst);
-                    r(*addr);
-                    r(*dst);
-                    r(*lhs);
-                    r(*rhs);
-                }
-                Bc::BinBr {
-                    dst,
-                    lhs,
-                    rhs,
-                    edge,
-                    ..
-                } => {
-                    r(*dst);
-                    r(*lhs);
-                    r(*rhs);
-                    e(*edge);
-                }
-                Bc::Alloca { dst, .. } => r(*dst),
-                Bc::CallFunc { dst, func: f, args } => {
-                    assert!(
-                        (*f as usize) < module.functions.len(),
-                        "{}: callee index {f} out of range",
-                        func.name
-                    );
-                    r(*dst);
-                    args.iter().for_each(|&a| r(a));
-                }
-                Bc::CallBuiltin { dst, args, .. } => {
-                    r(*dst);
-                    args.iter().for_each(|&a| r(a));
-                }
-                Bc::Br { edge } => e(*edge),
-                Bc::CondBr {
-                    cond,
-                    then_edge,
-                    else_edge,
-                } => {
-                    r(*cond);
-                    e(*then_edge);
-                    e(*else_edge);
-                }
-                Bc::IcmpBr {
-                    dst,
-                    lhs,
-                    rhs,
-                    then_edge,
-                    else_edge,
-                    ..
-                } => {
-                    r(*dst);
-                    r(*lhs);
-                    r(*rhs);
-                    e(*then_edge);
-                    e(*else_edge);
-                }
-                Bc::Ret { val } => r(*val),
-                Bc::RetVoid => {}
-            }
-        }
     }
 }
 

@@ -14,13 +14,6 @@ use lp_ir::{BlockId, Builtin, FuncId, ValueId};
 
 /// Receiver of instrumentation events.
 pub trait EventSink {
-    /// Statically promises that *every* callback on this sink is a
-    /// no-op (only [`NullSink`] qualifies). The bytecode engine uses
-    /// this to select a silent dispatch loop that skips event plumbing
-    /// entirely — observable semantics (results, costs, traps) are
-    /// unchanged because there is nothing listening. A sink that does
-    /// anything at all in any callback must leave this `false`.
-    const INERT: bool = false;
     /// A basic block was entered. `cost` is its static IR cost (non-phi
     /// instructions + terminator); `now` is the cost counter at entry
     /// (before any of the block's instructions are charged).
@@ -78,8 +71,6 @@ pub trait EventSink {
 /// Forwarding impl so decorators like `MeteredSink` can borrow a sink
 /// instead of owning it.
 impl<S: EventSink + ?Sized> EventSink for &mut S {
-    const INERT: bool = S::INERT;
-
     fn block_entered(&mut self, func: FuncId, block: BlockId, cost: u64, now: u64) {
         (**self).block_entered(func, block, cost, now);
     }
@@ -121,9 +112,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
-impl EventSink for NullSink {
-    const INERT: bool = true;
-}
+impl EventSink for NullSink {}
 
 /// A sink that tallies event counts — handy in tests and as the cheapest
 /// possible cost profiler.

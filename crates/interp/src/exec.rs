@@ -181,30 +181,11 @@ impl<'x, 'm, S: EventSink> Exec<'x, 'm, S> {
             replay,
         } = self;
         config.engine = unit.engine;
-        // A failed *silent* bytecode run may misreport the error: its
-        // fuel checks are block-granular (see `exec_frame_silent`), so a
-        // trap landing after the precharged counter passed the limit
-        // comes out as the wrong variant or at the wrong point. Errors
-        // are cold and a failed run's state is discarded anyway, so
-        // recover exactness by re-executing on the per-instruction loop.
-        let exact_rerun = unit.engine == Engine::Bc
-            && S::INERT
-            && replay.is_none()
-            && !lp_obs::sampler::collecting();
-        let rerun_config = exact_rerun.then(|| config.clone());
         let mut machine = Machine::with_config(unit.module, &mut sink, config);
         if let Some((plan, pexec)) = replay {
             machine = machine.with_replay(plan, pexec);
         }
-        let first = machine.run_entry(function, args, unit.code.as_ref());
-        let (result, memory) = match (first, rerun_config) {
-            (Err(_), Some(cfg)) => {
-                let mut exact = Machine::with_config(unit.module, &mut sink, cfg);
-                exact.force_exact = true;
-                exact.run_entry(function, args, unit.code.as_ref())?
-            }
-            (r, _) => r?,
-        };
+        let (result, memory) = machine.run_entry(function, args, unit.code.as_ref())?;
         Ok(ExecOut {
             result,
             memory: keep_memory.then_some(memory),

@@ -147,19 +147,6 @@ pub struct Machine<'a, S> {
     /// allocation (`clone_from` the template), so call-heavy code does
     /// not hit the allocator per frame.
     pub(crate) frame_pool: Vec<Vec<Value>>,
-    /// Per-function recycled register files for the *silent* bytecode
-    /// loop. Constant slots are immutable during execution (no
-    /// instruction destination ever aliases one), so a frame recycled
-    /// for the same function needs no template copy at all: its stale
-    /// `Param`/`Inst` slots are dead under verified SSA's
-    /// define-before-use guarantee — the precondition both engines
-    /// already assume.
-    pub(crate) frame_pools: Vec<Vec<Vec<Value>>>,
-    /// Forces the bytecode engine onto the exact per-instruction
-    /// observing loop even for an inert sink. Set by `Exec::run` when it
-    /// re-executes a failed silent run to recover the exact error and
-    /// error point (the silent loop's fuel checks are block-granular).
-    pub(crate) force_exact: bool,
     /// Dispatch-heat collection, on only while a sampler is live.
     pub(crate) heat: Option<Box<Heat>>,
     /// Parallel replay control: when armed, entering a planned certified
@@ -249,8 +236,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             reg_templates,
             phi_scratch: Vec::new(),
             frame_pool: Vec::new(),
-            frame_pools: vec![Vec::new(); module.functions.len()],
-            force_exact: false,
             heat: lp_obs::sampler::collecting().then(|| {
                 Box::new(Heat {
                     pairs: vec![0; lp_obs::sampler::PAIR_SLOTS],

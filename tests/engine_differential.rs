@@ -316,10 +316,10 @@ proptest! {
 
     /// Fuel fidelity: every budget from starving to ample produces the
     /// same outcome on both engines — the same `FuelExhausted` when the
-    /// budget runs out (the silent loop's block-granular precharge plus
-    /// `Exec::run`'s exact re-run must reproduce per-instruction
-    /// exhaustion), the same trap when the trap fires first, and the
-    /// same result and cost when the budget suffices.
+    /// budget runs out (a `NullSink` run on the bytecode loop charges
+    /// fuel per instruction, exactly as the tree walk does), the same
+    /// trap when the trap fires first, and the same result and cost when
+    /// the budget suffices.
     #[test]
     fn fuel_budgets_exhaust_identically(n in 5i64..30, budget in 1u64..400) {
         let module = div_trap_kernel(n, n / 2);
