@@ -21,6 +21,8 @@
 //! The top-level [`analyze_function`] and [`analyze_module`] helpers bundle
 //! everything the interpreter and the run-time component need.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod certify;
 pub mod cfg;

@@ -38,8 +38,8 @@ fn usage() -> ! {
     eprintln!("                | diff <a.json> <b.json> [--json] [--include-timing]");
     eprintln!("                       [--noise-floor N] | audit <snap.json>]");
     eprintln!("               [--jobs N] [--profile-cache DIR] [--trace-out FILE]");
-    eprintln!("               [--explain-out FILE] [--flight-out FILE] [--metrics-out FILE]");
-    eprintln!("               [--snapshot-out FILE] [--sample-hz N] [--quiet]");
+    eprintln!("               [--explain-out FILE] [--flight-out FILE] [--snapshot-out FILE]");
+    eprintln!("               [--sample-hz N] [--quiet]");
     eprintln!("  <file.lp>          study a textual-IR module");
     eprintln!("  --bench NAME       study a registered benchmark (e.g. 456.hmmer)");
     eprintln!("  --suite NAME       study a whole suite (eembc, cint2000, cfp2000, ...)");
@@ -64,8 +64,7 @@ fn usage() -> ! {
     eprintln!("                     (LP_PROFILE_CACHE=off|ro|rw selects the mode)");
     eprintln!("  --trace-out FILE   write a Chrome trace_event JSON of the run");
     eprintln!("  --explain-out FILE write limiter-attribution JSON (+ .collapsed stacks)");
-    eprintln!("  --flight-out FILE  dump the flight-recorder journal (also on panic/SIGUSR1)");
-    eprintln!("  --metrics-out FILE write a Prometheus text exposition of all counters");
+    eprintln!("  --flight-out FILE  dump the flight-recorder journal (also on panic)");
     eprintln!("  --snapshot-out FILE write the cross-run registry snapshot (diff/audit input)");
     eprintln!("  --sample-hz N      dispatch-heat sampling rate (default 997 Hz)");
     eprintln!("  --quiet            suppress progress logging (see also LP_LOG=off|info|debug)");

@@ -24,7 +24,9 @@
 //! (cross-run registry snapshot, diffable with `lpstudy diff`), and
 //! `--quiet`; the
 //! `LP_LOG` environment variable (`off`, `info`, `debug`) filters
-//! progress output. Criterion performance benches live in `benches/`.
+//! progress output.
+
+#![forbid(unsafe_code)]
 
 use loopapalooza::Study;
 use lp_obs::{lp_debug, lp_info, lp_warn};
@@ -155,11 +157,8 @@ pub struct Cli {
     /// [`Cli::store`]).
     pub profile_cache: Option<PathBuf>,
     /// Where to dump the flight-recorder journal (`--flight-out`), if
-    /// requested. The journal is also dumped there on panic or SIGUSR1.
+    /// requested. The journal is also dumped there on panic.
     pub flight_out: Option<PathBuf>,
-    /// Where to write the Prometheus text exposition of the metrics
-    /// registry (`--metrics-out`), if requested.
-    pub metrics_out: Option<PathBuf>,
     /// Where to write the cross-run registry snapshot
     /// (`--snapshot-out`, schema `lp-snapshot-v1`), if requested — the
     /// input format of `lpstudy diff` and `lpstudy audit`.
@@ -202,7 +201,6 @@ impl Cli {
             jobs: None,
             profile_cache: None,
             flight_out: None,
-            metrics_out: None,
             snapshot_out: None,
             sample_hz: None,
             engine: lp_interp::Engine::default(),
@@ -253,13 +251,6 @@ impl Cli {
                         std::process::exit(2);
                     }
                 },
-                "--metrics-out" => match args.next() {
-                    Some(path) => cli.metrics_out = Some(PathBuf::from(path)),
-                    None => {
-                        eprintln!("--metrics-out requires a file argument");
-                        std::process::exit(2);
-                    }
-                },
                 "--snapshot-out" => match args.next() {
                     Some(path) => cli.snapshot_out = Some(PathBuf::from(path)),
                     None => {
@@ -293,8 +284,8 @@ impl Cli {
         }
         lp_obs::log::init(cli.quiet);
         if let Some(path) = &cli.flight_out {
-            // Arms the panic hook and SIGUSR1 handler in addition to the
-            // end-of-run dump in `Cli::finish`.
+            // Arms the panic hook in addition to the end-of-run dump in
+            // `Cli::finish`.
             lp_obs::journal::arm(path);
         }
         cli
@@ -378,8 +369,8 @@ impl Cli {
             eprintln!(
                 "unknown argument {extra:?} (expected test|small|default, --jobs N, \
                  --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-                 --profile-cache DIR, --flight-out FILE, --metrics-out FILE, \
-                 --snapshot-out FILE, --sample-hz N, --quiet)"
+                 --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, \
+                 --sample-hz N, --quiet)"
             );
             std::process::exit(2);
         }
@@ -414,8 +405,8 @@ impl Cli {
     }
 
     /// End-of-run hook: dumps the observability summary at debug level
-    /// and writes the Chrome trace (`--trace-out`), the Prometheus text
-    /// exposition (`--metrics-out`), and the flight-recorder journal
+    /// and writes the Chrome trace (`--trace-out`), the registry snapshot
+    /// (`--snapshot-out`), and the flight-recorder journal
     /// (`--flight-out`) when requested.
     pub fn finish(&self, process: &str) {
         if lp_obs::log::enabled(lp_obs::Level::Debug) {
@@ -426,15 +417,6 @@ impl Cli {
                 Ok(()) => lp_info!("wrote Chrome trace to {}", path.display()),
                 Err(e) => {
                     eprintln!("cannot write trace to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = &self.metrics_out {
-            match std::fs::write(path, lp_obs::prometheus::render_global()) {
-                Ok(()) => lp_info!("wrote metrics exposition to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write metrics to {}: {e}", path.display());
                     std::process::exit(1);
                 }
             }
@@ -660,38 +642,6 @@ pub fn log_bar(value: f64, max: f64, width: usize) -> String {
     bar
 }
 
-/// Geometric-mean speedup of `runs` restricted to `suite` under one row.
-#[must_use]
-pub fn suite_geomean_speedup(
-    runs: &[SuiteRun],
-    suite: SuiteId,
-    model: lp_runtime::ExecModel,
-    config: lp_runtime::Config,
-) -> f64 {
-    let values: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.suite == suite)
-        .map(|r| r.study.evaluate(model, config).speedup)
-        .collect();
-    lp_runtime::geomean(&values)
-}
-
-/// Geometric-mean coverage of `runs` restricted to `suite` under one row.
-#[must_use]
-pub fn suite_geomean_coverage(
-    runs: &[SuiteRun],
-    suite: SuiteId,
-    model: lp_runtime::ExecModel,
-    config: lp_runtime::Config,
-) -> f64 {
-    let values: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.suite == suite)
-        .map(|r| r.study.evaluate(model, config).coverage.max(0.01))
-        .collect();
-    lp_runtime::geomean(&values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,8 +660,6 @@ mod tests {
                 "3",
                 "--profile-cache",
                 "/tmp/lp-cache",
-                "--metrics-out",
-                "/tmp/m.prom",
                 "--snapshot-out",
                 "/tmp/s.json",
                 "--sample-hz",
@@ -742,10 +690,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/e.json"))
         );
         assert_eq!(
-            cli.metrics_out.as_deref(),
-            Some(std::path::Path::new("/tmp/m.prom"))
-        );
-        assert_eq!(
             cli.snapshot_out.as_deref(),
             Some(std::path::Path::new("/tmp/s.json"))
         );
@@ -761,7 +705,7 @@ mod tests {
         assert!(cli.jobs.is_none());
         assert!(cli.jobs().get() >= 1);
         assert!(cli.profile_cache.is_none());
-        assert!(cli.flight_out.is_none() && cli.metrics_out.is_none() && cli.sample_hz.is_none());
+        assert!(cli.flight_out.is_none() && cli.sample_hz.is_none());
         assert!(cli.snapshot_out.is_none());
         // Restore logging for the rest of the test process.
         lp_obs::log::set_level(lp_obs::Level::Off);
@@ -854,8 +798,11 @@ mod tests {
         );
         assert_eq!(runs.len(), 10);
         let (model, config) = lp_runtime::best_pdoall();
-        let gm = suite_geomean_speedup(&runs, SuiteId::Eembc, model, config);
-        assert!(gm >= 1.0);
+        let speedups: Vec<f64> = runs
+            .iter()
+            .map(|r| r.study.evaluate(model, config).speedup)
+            .collect();
+        assert!(lp_runtime::geomean(&speedups) >= 1.0);
     }
 
     #[test]

@@ -60,8 +60,8 @@ fn unknown_argument_exits_2_with_the_pinned_message() {
             stderr_of(&out),
             "unknown argument \"--bogus\" (expected test|small|default, --jobs N, \
              --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-             --profile-cache DIR, --flight-out FILE, --metrics-out FILE, \
-             --snapshot-out FILE, --sample-hz N, --quiet)\n",
+             --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, \
+             --sample-hz N, --quiet)\n",
             "{binary}"
         );
     }
@@ -98,8 +98,7 @@ fn sweep_rejects_extras_with_its_own_positional_list() {
         stderr_of(&out),
         "unknown argument \"--bogus\" (expected test|small|default, --suite NAME, \
          --jobs N, --engine tree|bc, --trace-out FILE, --profile-cache DIR, \
-         --flight-out FILE, --metrics-out FILE, --snapshot-out FILE, \
-         --sample-hz N, --quiet)\n"
+         --flight-out FILE, --snapshot-out FILE, --sample-hz N, --quiet)\n"
     );
 }
 
@@ -130,10 +129,6 @@ fn flags_missing_their_operand_exit_2() {
         (
             &["--flight-out"][..],
             "--flight-out requires a file argument\n",
-        ),
-        (
-            &["--metrics-out"][..],
-            "--metrics-out requires a file argument\n",
         ),
         (
             &["--snapshot-out"][..],
@@ -246,29 +241,30 @@ fn quiet_silences_stderr_byte_exactly_across_every_binary() {
 }
 
 #[test]
-fn metrics_out_round_trips_every_counter() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("lp-metrics-{}.prom", std::process::id()));
+fn snapshot_out_names_every_counter_and_hist() {
+    let path = std::env::temp_dir().join(format!("lp-snapshot-{}.json", std::process::id()));
     let out = run(
         "fig1",
-        &["test", "--quiet", "--metrics-out", path.to_str().unwrap()],
+        &["test", "--quiet", "--snapshot-out", path.to_str().unwrap()],
     );
     assert!(out.status.success(), "fig1: {}", stderr_of(&out));
-    let text = std::fs::read_to_string(&path).unwrap();
-    let samples = lp_obs::prometheus::parse(&text)
-        .expect("--metrics-out must be valid Prometheus text exposition");
-    for counter in lp_obs::Counter::all() {
-        let (family, label) = lp_obs::prometheus::counter_series(counter);
-        let found = samples.iter().any(|s| {
-            s.name == family
-                && match label {
-                    None => true,
-                    Some((k, v)) => s.labels.iter().any(|(lk, lv)| lk == k && lv == v),
-                }
-        });
-        assert!(found, "counter {family} {label:?} missing from exposition");
-    }
+    let snap = lp_obs::RunSnapshot::read(&path).expect("--snapshot-out must be a valid snapshot");
     let _ = std::fs::remove_file(&path);
+    assert_eq!(snap.process, "fig1");
+    for counter in lp_obs::Counter::all() {
+        let name = counter.name();
+        assert!(
+            snap.counters.iter().any(|(n, _)| *n == name),
+            "counter {name} missing from snapshot"
+        );
+    }
+    for hist in lp_obs::Hist::ALL {
+        assert!(
+            snap.hist(hist.name()).is_some(),
+            "histogram {} missing from snapshot",
+            hist.name()
+        );
+    }
 }
 
 #[test]

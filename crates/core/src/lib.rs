@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lp_analysis;
 pub use lp_interp;
 pub use lp_ir;

@@ -3,8 +3,8 @@
 use crate::events::{EventSink, NullSink};
 use crate::memory::Memory;
 use crate::replay::{
-    reduction_identity, ChunkOut, ChunkRequest, ChunkSpec, LoopShape, PhiKind, ReplayCtl,
-    ReplayPlan,
+    reduction_identity, split_iterations, ChunkOut, ChunkRequest, ChunkSpec, LoopShape, PhiKind,
+    ReplayCtl, ReplayPlan,
 };
 use crate::value::Value;
 use crate::{InterpError, Result};
@@ -506,7 +506,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
 
         // Seed one register file per chunk.
         let entries: Vec<Value> = shape.phis.iter().map(|(v, _)| regs[v.index()]).collect();
-        let ranges = lp_ir::split_iterations(n, ctl.plan.jobs());
+        let ranges = split_iterations(n, ctl.plan.jobs());
         let mut chunks = Vec::with_capacity(ranges.len());
         for (ci, range) in ranges.iter().enumerate() {
             let mut cregs = regs.to_vec();

@@ -10,8 +10,7 @@
 //! 1. derives the trip count `N` by evaluating the header's pure
 //!    instructions against closed-form induction values (no memory, no
 //!    cost charged),
-//! 2. splits `0..N` into balanced chunks via
-//!    [`lp_ir::split_iterations`],
+//! 2. splits `0..N` into balanced chunks via [`split_iterations`],
 //! 3. seeds one register file per chunk — affine phis jump to
 //!    `entry + lo·step`, reduction phis start from the entry value
 //!    (first chunk) or the operator's identity (the rest),
@@ -98,6 +97,35 @@ pub enum PhiKind {
         /// The (exactly associative) combining operator.
         op: BinOp,
     },
+}
+
+/// Splits an iteration space of `total` iterations into at most `parts`
+/// contiguous, balanced, non-overlapping half-open ranges covering
+/// `0..total` in order.
+///
+/// The first `total % parts` ranges get one extra iteration, so sizes
+/// differ by at most one. The machine carves a certified DOALL loop's
+/// trip count into per-worker chunks with it.
+///
+/// Degenerate inputs collapse gracefully: `total == 0` yields no ranges,
+/// and `parts == 0` is treated as 1. When `total < parts` only `total`
+/// singleton ranges are produced — never an empty range.
+#[must_use]
+pub fn split_iterations(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
+    let parts = (parts.max(1) as u64).min(total);
+    let mut out = Vec::with_capacity(parts as usize);
+    if parts == 0 {
+        return out;
+    }
+    let base = total / parts;
+    let extra = total % parts;
+    let mut lo = 0u64;
+    for k in 0..parts {
+        let len = base + u64::from(k < extra);
+        out.push(lo..lo + len);
+        lo += len;
+    }
+    out
 }
 
 /// Identity element of an exactly-associative integer reduction
@@ -292,6 +320,31 @@ mod tests {
             terms: vec![(ValueId(0), 1)],
         };
         assert!(bad.eval(&[Value::F(1.0)]).is_err());
+    }
+
+    #[test]
+    fn split_iterations_covers_and_balances() {
+        for total in [0u64, 1, 2, 3, 7, 8, 100, 101] {
+            for parts in [0usize, 1, 2, 3, 8, 200] {
+                let ranges = split_iterations(total, parts);
+                // Exact cover, in order, no empty ranges.
+                let mut next = 0u64;
+                for r in &ranges {
+                    assert_eq!(r.start, next, "{total}/{parts}");
+                    assert!(r.end > r.start, "{total}/{parts}");
+                    next = r.end;
+                }
+                assert_eq!(next, total, "{total}/{parts}");
+                assert_eq!(ranges.len() as u64, (parts.max(1) as u64).min(total));
+                // Balanced: sizes differ by at most one.
+                if let (Some(min), Some(max)) = (
+                    ranges.iter().map(|r| r.end - r.start).min(),
+                    ranges.iter().map(|r| r.end - r.start).max(),
+                ) {
+                    assert!(max - min <= 1, "{total}/{parts}");
+                }
+            }
+        }
     }
 
     #[test]

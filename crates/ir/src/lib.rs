@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod function;
 pub mod fx;
@@ -39,7 +41,6 @@ pub mod inst;
 pub mod module;
 pub mod parser;
 pub mod printer;
-pub mod transform;
 pub mod types;
 pub mod value;
 pub mod verifier;
@@ -47,9 +48,6 @@ pub mod verifier;
 pub use function::{Block, BlockId, Function, InstData, InstId};
 pub use inst::{BinOp, Builtin, Callee, CastKind, FcmpPred, IcmpPred, Inst, Opcode, Term};
 pub use module::{FuncId, Global, GlobalId, Module};
-pub use transform::{
-    eliminate_dead_code, fold_constants, simplify, split_iterations, SimplifyStats,
-};
 pub use types::Type;
 pub use value::{ValueId, ValueKind};
 pub use verifier::{verify_function, verify_module};

@@ -9,12 +9,9 @@
 //! overhead budget (DESIGN.md §11 has the measurement; `lpbench`
 //! enforces the budget in CI).
 //!
-//! The journal is dumped to JSON three ways:
+//! The journal is dumped to JSON two ways:
 //!
 //! - **on panic**, via the hook installed by [`arm`];
-//! - **on request**, via a `SIGUSR1`-style signal ([`arm`] installs the
-//!   handler; the dump is written from the next [`record`] call, never
-//!   from the handler itself);
 //! - **at exit**, via the binaries' shared `--flight-out PATH` flag.
 //!
 //! When the ring is full, new records overwrite the oldest — a flight
@@ -29,7 +26,7 @@ use std::sync::{Mutex, OnceLock};
 /// Records retained before the ring wraps (overwriting the oldest).
 pub const JOURNAL_CAP: usize = 4096;
 
-/// What happened. The discriminant is the stable wire value.
+/// What happened. The JSON dump names each kind by [`EventKind::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// An interpreter run delivered its final event tallies
@@ -50,15 +47,13 @@ pub enum EventKind {
     /// The process panicked (recorded by the [`arm`] hook just before
     /// the dump is written).
     Panic,
-    /// A dump was requested by signal.
-    DumpRequested,
     /// Free-form marker for callers without a dedicated kind.
     Mark,
 }
 
 impl EventKind {
     /// Every kind, in wire order.
-    pub const ALL: [EventKind; 9] = [
+    pub const ALL: [EventKind; 8] = [
         EventKind::RunCompleted,
         EventKind::SweepStarted,
         EventKind::SweepTaskDone,
@@ -66,7 +61,6 @@ impl EventKind {
         EventKind::SweepEta,
         EventKind::BenchMeasured,
         EventKind::Panic,
-        EventKind::DumpRequested,
         EventKind::Mark,
     ];
 
@@ -81,7 +75,6 @@ impl EventKind {
             EventKind::SweepEta => "sweep_eta",
             EventKind::BenchMeasured => "bench_measured",
             EventKind::Panic => "panic",
-            EventKind::DumpRequested => "dump_requested",
             EventKind::Mark => "mark",
         }
     }
@@ -276,15 +269,12 @@ pub fn global() -> &'static Journal {
     GLOBAL.get_or_init(Journal::default)
 }
 
-/// Records one event in the process-wide journal, stamped "now". Also
-/// services a pending signal-requested dump (the handler itself only
-/// sets a flag — see [`arm`]).
+/// Records one event in the process-wide journal, stamped "now".
 pub fn record(kind: EventKind, a: u64, b: u64) {
-    service_dump_request();
     global().record(JournalRecord::now(kind, a, b));
 }
 
-/// The dump path registered by [`arm`] (panic hook + signal requests).
+/// The dump path registered by [`arm`] for the panic hook.
 fn armed_path() -> &'static Mutex<Option<PathBuf>> {
     static PATH: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
     PATH.get_or_init(|| Mutex::new(None))
@@ -299,21 +289,10 @@ fn dump_to_armed_path() {
     }
 }
 
-/// If a signal requested a dump, clear the request and write the dump
-/// (called from [`record`], i.e. from safe, non-handler context).
-pub fn service_dump_request() {
-    #[cfg(unix)]
-    if sig::DUMP_REQUESTED.swap(false, Ordering::Relaxed) {
-        global().record(JournalRecord::now(EventKind::DumpRequested, 0, 0));
-        dump_to_armed_path();
-    }
-}
-
 /// Arms post-mortem dumping to `path`: registers the path, installs a
 /// panic hook that records [`EventKind::Panic`] and writes the dump
-/// before delegating to the previous hook, and (on Unix) installs a
-/// `SIGUSR1` handler that requests a dump from the next [`record`]
-/// call. Safe to call more than once; the newest path wins.
+/// before delegating to the previous hook. Safe to call more than once;
+/// the newest path wins.
 pub fn arm(path: &Path) {
     if let Ok(mut armed) = armed_path().lock() {
         *armed = Some(path.to_path_buf());
@@ -326,46 +305,7 @@ pub fn arm(path: &Path) {
             dump_to_armed_path();
             previous(info);
         }));
-        #[cfg(unix)]
-        sig::install();
     });
-}
-
-/// `SIGUSR1` plumbing. The handler only flips an atomic flag; the dump
-/// itself is written from the next [`record`] call on a normal thread
-/// (writing files from a signal handler is not async-signal-safe).
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::AtomicBool;
-
-    /// Set by the handler, consumed by [`super::service_dump_request`].
-    pub static DUMP_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    #[cfg(target_os = "macos")]
-    const SIGUSR1: i32 = 30;
-    #[cfg(not(target_os = "macos"))]
-    const SIGUSR1: i32 = 10;
-
-    extern "C" fn on_sigusr1(_signum: i32) {
-        DUMP_REQUESTED.store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Registers the handler via the libc `signal(2)` symbol directly —
-    /// the workspace has no libc crate, and `signal` is in every Unix
-    /// libc the toolchain links anyway.
-    pub fn install() {
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        // SAFETY: `on_sigusr1` is an `extern "C" fn(i32)` matching the
-        // sighandler_t ABI, and it only performs an atomic store, which
-        // is async-signal-safe. A failed registration returns SIG_ERR,
-        // which we deliberately ignore (the journal still works, only
-        // signal-requested dumps are unavailable).
-        unsafe {
-            signal(SIGUSR1, on_sigusr1 as *const () as usize);
-        }
-    }
 }
 
 #[cfg(test)]

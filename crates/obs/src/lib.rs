@@ -13,16 +13,15 @@
 //!   stream privately and merges everything into the registry in one
 //!   flush, so concurrent workers never race on a shared summary;
 //! - **Exporters** — a human summary for stderr ([`summary`]), plain
-//!   JSON ([`to_json`]), Chrome `trace_event` JSON ([`chrome_trace`])
-//!   loadable in `chrome://tracing` / Perfetto, and Prometheus text
-//!   exposition ([`prometheus`]) with a coherent registry freeze;
-//! - **Cross-run layer** — a serializable registry freeze
+//!   JSON ([`to_json`]), and Chrome `trace_event` JSON ([`chrome_trace`])
+//!   loadable in `chrome://tracing` / Perfetto;
+//! - **Cross-run layer** — a coherent, serializable registry freeze
 //!   ([`snapshot`], `--snapshot-out`), a ranked two-snapshot comparison
 //!   ([`diff`], `lpstudy diff`), and an append-only run ledger with a
 //!   MAD-band regression check ([`trend`], `lpbench trend --check`);
 //! - **Flight recorder** — an always-on bounded ring journal of coarse
-//!   lifecycle events ([`journal`]), dumped to JSON on panic, on
-//!   `SIGUSR1`, or via the binaries' `--flight-out` flag;
+//!   lifecycle events ([`journal`]), dumped to JSON on panic or via the
+//!   binaries' `--flight-out` flag;
 //! - **Sampling self-profiler** — the interpreter publishes its
 //!   dispatch position through a relaxed atomic and a sampler thread
 //!   attributes wall time per opcode pair ([`sampler`]);
@@ -43,13 +42,14 @@
 //! assert!(trace.contains("\"name\":\"parse\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod export;
 pub mod journal;
 pub mod local;
 pub mod log;
 pub mod metrics;
-pub mod prometheus;
 pub mod registry;
 pub mod sampler;
 pub mod snapshot;

@@ -129,7 +129,7 @@ impl Registry {
     }
 
     /// A coherent copy of every histogram slot under **one** lock
-    /// acquisition (the freeze used by [`crate::prometheus::snapshot`]).
+    /// acquisition (the freeze used by [`crate::snapshot::capture`]).
     #[must_use]
     pub fn hists_snapshot(&self) -> [Histogram; Hist::ALL.len()] {
         self.hists.lock().expect("hist registry poisoned").clone()

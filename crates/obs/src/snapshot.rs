@@ -4,9 +4,8 @@
 //! metrics registry at one instant: every counter (zeros included, so
 //! two snapshots always align field-for-field), every log2 histogram
 //! with its full bucket vector, and the span/journal occupancy gauges.
-//! Unlike the Prometheus exposition (`--metrics-out`, a scrape format)
-//! or the Chrome trace (`--trace-out`, a timeline), a snapshot is meant
-//! to be **compared across runs**: `lp_obs::diff` ranks the divergences
+//! Unlike the Chrome trace (`--trace-out`, a timeline), a snapshot is
+//! meant to be **compared across runs**: `lp_obs::diff` ranks the divergences
 //! between any two, and `lpstudy audit` asserts the cross-counter
 //! conservation laws the pipeline implies.
 //!
@@ -15,7 +14,7 @@
 //! [`JsonWriter`] and read back through [`JsonValue`]).
 
 use crate::export::{JsonValue, JsonWriter};
-use crate::metrics::Histogram;
+use crate::metrics::{Counter, Hist, Histogram};
 use crate::registry::Registry;
 use std::path::Path;
 
@@ -43,26 +42,27 @@ pub struct RunSnapshot {
 }
 
 /// Freezes `reg` (and the process-wide journal) into a [`RunSnapshot`].
-/// The freeze itself reuses [`crate::prometheus::snapshot`], so the two
-/// export paths can never observe different registry states.
+/// Histograms are copied under one lock acquisition
+/// ([`Registry::hists_snapshot`]), so they all describe the same instant.
 #[must_use]
 pub fn capture(reg: &Registry, process: &str) -> RunSnapshot {
-    let frozen = crate::prometheus::snapshot(reg);
+    let counters = Counter::all()
+        .into_iter()
+        .map(|c| (c.name(), reg.counters().get(c)))
+        .collect();
+    let hists = Hist::ALL
+        .iter()
+        .zip(reg.hists_snapshot())
+        .map(|(h, hist)| (h.name().to_string(), hist))
+        .collect();
+    let (journal_total, journal_records) = crate::journal::global().snapshot();
     RunSnapshot {
         process: process.to_string(),
-        counters: frozen
-            .counters
-            .iter()
-            .map(|&(c, v)| (c.name(), v))
-            .collect(),
-        hists: frozen
-            .hists
-            .iter()
-            .map(|(h, hist)| (h.name().to_string(), hist.clone()))
-            .collect(),
-        spans_retained: frozen.spans_retained,
-        journal_total: frozen.journal_total,
-        journal_retained: frozen.journal_retained,
+        counters,
+        hists,
+        spans_retained: reg.span_count() as u64,
+        journal_total,
+        journal_retained: journal_records.len() as u64,
     }
 }
 
@@ -267,7 +267,6 @@ impl RunSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Counter, Hist};
 
     fn seeded() -> Registry {
         let reg = Registry::new();

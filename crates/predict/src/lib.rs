@@ -13,12 +13,12 @@
 //!
 //! [`HybridPredictor`] combines them with *perfect hybridization*: a value
 //! counts as predicted if **any** component predicts it — exactly the
-//! idealization the paper adopts for its limit study. A
-//! [`ConfidenceHybrid`] with saturating per-component confidence counters
-//! is provided for the realism ablation.
+//! idealization the paper adopts for its limit study.
 //!
 //! Values are 64-bit fingerprints (`lp_interp::Value::fingerprint`-style:
 //! integers as themselves, floats as IEEE bits).
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -420,85 +420,6 @@ impl Default for HybridPredictor {
     }
 }
 
-/// A realistic hybrid: each component carries a saturating confidence
-/// counter; the prediction is the highest-confidence component's, and only
-/// that single prediction is compared (no oracle selection). Used by the
-/// `dep2` realism ablation bench.
-#[derive(Debug, Clone)]
-pub struct ConfidenceHybrid {
-    last_value: LastValue,
-    stride: Stride,
-    two_delta: TwoDeltaStride,
-    fcm: Fcm,
-    confidence: [i32; 4],
-    stats: PredictorStats,
-    max_confidence: i32,
-}
-
-impl ConfidenceHybrid {
-    /// Creates the confidence-selected hybrid with 3-bit counters.
-    #[must_use]
-    pub fn new() -> ConfidenceHybrid {
-        ConfidenceHybrid {
-            last_value: LastValue::new(),
-            stride: Stride::new(),
-            two_delta: TwoDeltaStride::new(),
-            fcm: Fcm::new(),
-            confidence: [0; 4],
-            stats: PredictorStats::default(),
-            max_confidence: 7,
-        }
-    }
-
-    /// Observes one value; returns `true` if the *selected* component had
-    /// predicted it.
-    pub fn observe(&mut self, actual: u64) -> bool {
-        let predictions = [
-            self.last_value.predict(),
-            self.stride.predict(),
-            self.two_delta.predict(),
-            self.fcm.observe_value(actual),
-        ];
-        // Select the available component with the highest confidence.
-        let selected = predictions
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .max_by_key(|(i, _)| (self.confidence[*i], usize::MAX - *i))
-            .map(|(i, _)| i);
-        let hit = selected.is_some_and(|i| predictions[i] == Some(actual));
-        for (i, p) in predictions.iter().enumerate() {
-            if let Some(p) = p {
-                if *p == actual {
-                    self.confidence[i] = (self.confidence[i] + 1).min(self.max_confidence);
-                } else {
-                    self.confidence[i] = (self.confidence[i] - 1).max(0);
-                }
-            }
-        }
-        self.last_value.update(actual);
-        self.stride.update(actual);
-        self.two_delta.update(actual);
-        self.stats.observed += 1;
-        if hit {
-            self.stats.correct += 1;
-        }
-        hit
-    }
-
-    /// Accuracy statistics of the selected stream.
-    #[must_use]
-    pub fn stats(&self) -> PredictorStats {
-        self.stats
-    }
-}
-
-impl Default for ConfidenceHybrid {
-    fn default() -> ConfidenceHybrid {
-        ConfidenceHybrid::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,31 +533,6 @@ mod tests {
         }
         assert_eq!(hits, 9);
         assert!((hybrid.stats().accuracy() - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn confidence_hybrid_no_worse_than_chance_on_stride_stream() {
-        let seq: Vec<u64> = (0..100).map(|i| 3 * i).collect();
-        let mut ch = ConfidenceHybrid::new();
-        let mut hits = 0;
-        for &v in &seq {
-            if ch.observe(v) {
-                hits += 1;
-            }
-        }
-        assert!(
-            hits >= 90,
-            "confidence hybrid should lock onto stride: {hits}"
-        );
-        // And it can never beat the perfect hybrid.
-        let mut ph = HybridPredictor::new();
-        let mut phits = 0;
-        for &v in &seq {
-            if ph.observe(v) {
-                phits += 1;
-            }
-        }
-        assert!(phits >= hits);
     }
 
     #[test]

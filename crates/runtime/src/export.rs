@@ -7,7 +7,6 @@
 //! streams itself into a writer, and `to_json` / `to_json_pretty` pick
 //! the rendering.
 
-use crate::census::Census;
 use crate::eval::EvalReport;
 use crate::explain::{Attribution, Limiter};
 use crate::profile::{Profile, RegionKind};
@@ -80,33 +79,6 @@ pub fn reports_to_csv(reports: &[EvalReport]) -> String {
     for r in reports {
         out.push_str(&report_row(r));
         out.push('\n');
-    }
-    out
-}
-
-/// Per-loop detail rows for one report (program, loop identity, costs).
-#[must_use]
-pub fn loops_to_csv(report: &EvalReport) -> String {
-    let mut out = String::from(
-        "program,model,config,function,header,depth,instances,parallel_instances,iterations,serial_cost,best_cost,loop_speedup\n",
-    );
-    for l in &report.loops {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{:.6}",
-            field(&report.program),
-            report.model,
-            report.config,
-            field(&l.func_name),
-            l.header,
-            l.depth,
-            l.instances,
-            l.parallel_instances,
-            l.iterations,
-            l.serial_cost,
-            l.best_cost,
-            l.speedup()
-        );
     }
     out
 }
@@ -294,29 +266,6 @@ fn emit_region(
     stack.pop();
 }
 
-/// The census as a two-column CSV (category, count).
-#[must_use]
-pub fn census_to_csv(census: &Census) -> String {
-    let rows: [(&str, u64); 11] = [
-        ("programs", census.programs),
-        ("executed_loops", census.executed_loops),
-        ("computable_lcds", census.computable),
-        ("reduction_lcds", census.reductions),
-        ("predictable_lcds", census.predictable),
-        ("unpredictable_lcds", census.unpredictable),
-        ("frequent_mem_loops", census.frequent_mem_loops),
-        ("infrequent_mem_loops", census.infrequent_mem_loops),
-        ("no_mem_lcd_loops", census.no_mem_lcd_loops),
-        ("loops_with_calls", census.loops_with_calls),
-        ("loops_with_unsafe_calls", census.loops_with_unsafe_calls),
-    ];
-    let mut out = String::from("category,count\n");
-    for (k, v) in rows {
-        let _ = writeln!(out, "{k},{v}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,14 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_rows_render() {
-        let r = tiny_report();
-        let csv = loops_to_csv(&r);
-        assert!(csv.lines().count() >= 2);
-        assert!(csv.contains("main"));
-    }
-
-    #[test]
     fn sweep_json_is_valid_and_ordered() {
         let r = tiny_report();
         let json = SweepExport(&[r.clone(), r]).to_json();
@@ -399,13 +340,6 @@ mod tests {
             pretty.matches("\"kind\"").count(),
             attr.to_json().matches("\"kind\"").count()
         );
-    }
-
-    #[test]
-    fn census_csv_is_complete() {
-        let csv = census_to_csv(&Census::default());
-        assert_eq!(csv.lines().count(), 12); // header + 11 categories
-        assert!(csv.contains("reduction_lcds,0"));
     }
 
     fn tiny_explained() -> (crate::profile::Profile, Attribution) {

@@ -21,6 +21,8 @@
 //!   [`std::sync::Arc`]`<Profile>` — with a deterministic merge so the
 //!   output is byte-identical for any `--jobs` count.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod census;
 pub mod config;
@@ -54,7 +56,7 @@ pub use replay::{
     prediction_config, replay_module, replay_module_with, BenchReplay, Divergence, DivergenceKind,
     LoopReplay, RejectReason, RejectedLoop, ReplayExport, ThreadedExec,
 };
-pub use report::{geomean, geomean_coverage, geomean_speedup, mean, ProgramResult};
+pub use report::geomean;
 pub use store::{
     decode_entry, encode_entry, profile_module_cached, CodecError, ProfileKey, ProfileStore,
     StoreMode, PROFILE_FORMAT_VERSION,

@@ -1,7 +1,5 @@
 //! Cross-program aggregation helpers for the experiment harness.
 
-use crate::eval::EvalReport;
-
 /// Geometric mean of a slice (1.0 for an empty slice).
 ///
 /// The paper reports GEOMEAN speedups per suite (Figs 2–3).
@@ -17,55 +15,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     }
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Arithmetic mean of a slice (0.0 for an empty slice).
-#[must_use]
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// One benchmark's outcome under one `(model, config)` row.
-#[derive(Debug, Clone)]
-pub struct ProgramResult {
-    /// Benchmark name (e.g. `429.mcf`).
-    pub name: String,
-    /// Limit speedup.
-    pub speedup: f64,
-    /// Dynamic coverage (percent).
-    pub coverage: f64,
-}
-
-impl ProgramResult {
-    /// Extracts the interesting numbers from a full report.
-    #[must_use]
-    pub fn from_report(report: &EvalReport) -> ProgramResult {
-        ProgramResult {
-            name: report.program.clone(),
-            speedup: report.speedup,
-            coverage: report.coverage,
-        }
-    }
-}
-
-/// Geometric-mean speedup over a set of program results.
-#[must_use]
-pub fn geomean_speedup(results: &[ProgramResult]) -> f64 {
-    geomean(&results.iter().map(|r| r.speedup).collect::<Vec<_>>())
-}
-
-/// Geometric-mean coverage over a set of program results.
-#[must_use]
-pub fn geomean_coverage(results: &[ProgramResult]) -> f64 {
-    geomean(
-        &results
-            .iter()
-            .map(|r| r.coverage.max(0.01))
-            .collect::<Vec<_>>(),
-    )
 }
 
 #[cfg(test)]
@@ -85,30 +34,5 @@ mod tests {
         let a = geomean(&[1.5, 2.5, 3.5]);
         let b = geomean(&[3.0, 5.0, 7.0]);
         assert!((b / a - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_basics() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geomean_speedup_over_results() {
-        let rs = vec![
-            ProgramResult {
-                name: "a".into(),
-                speedup: 2.0,
-                coverage: 50.0,
-            },
-            ProgramResult {
-                name: "b".into(),
-                speedup: 8.0,
-                coverage: 100.0,
-            },
-        ];
-        assert!((geomean_speedup(&rs) - 4.0).abs() < 1e-9);
-        let cov = geomean_coverage(&rs);
-        assert!(cov > 50.0 && cov < 100.0);
     }
 }

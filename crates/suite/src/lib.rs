@@ -21,6 +21,8 @@
 //! Use [`registry`] to enumerate everything, [`Benchmark::build`] to get
 //! a verified [`Module`].
 
+#![forbid(unsafe_code)]
+
 pub mod cfp2000;
 pub mod cfp2006;
 pub mod cint2000;

@@ -20,7 +20,7 @@ use crate::kernels::{
     counted_loop, float_filler, if_else, int_filler, lcg_index, lcg_step, load_elem, store_elem,
 };
 use lp_ir::builder::FunctionBuilder;
-use lp_ir::{Builtin, FcmpPred, FuncId, IcmpPred, Module, Type, ValueId};
+use lp_ir::{Builtin, FuncId, IcmpPred, Module, Type, ValueId};
 
 /// DOALL integer fill: `a[i] = i*mul + add`.
 pub fn fill_affine(fb: &mut FunctionBuilder, base: ValueId, n: ValueId, mul: i64, add: i64) {
@@ -418,38 +418,6 @@ pub fn matvec(
     });
 }
 
-/// Threshold count: counts `a[i] > limit` with a branchy body (irregular
-/// iteration lengths). DOALL apart from the reduction.
-pub fn threshold_count(
-    fb: &mut FunctionBuilder,
-    base: ValueId,
-    n: ValueId,
-    limit: f64,
-    work: u32,
-) -> ValueId {
-    let zero = fb.const_i64(0);
-    let lim = fb.const_f64(limit);
-    let one = fb.const_i64(1);
-    let phis = counted_loop(fb, n, &[(Type::I64, zero)], |fb, i, phis| {
-        let v = load_elem(fb, Type::F64, base, i);
-        let hot = fb.fcmp(FcmpPred::Ogt, v, lim);
-        let inc = if_else(
-            fb,
-            hot,
-            Type::I64,
-            |fb| {
-                let w = float_filler(fb, v, work);
-                let wi = fb.fptosi(w);
-                let nz = fb.icmp(IcmpPred::Ne, wi, zero);
-                fb.cast(lp_ir::CastKind::BoolToInt, nz)
-            },
-            |_| one,
-        );
-        vec![fb.add(phis[0], inc)]
-    });
-    phis[0]
-}
-
 // ---- module-level callee builders --------------------------------------
 
 /// Builds a pure arithmetic function `fn(x) -> x`-ish (no memory).
@@ -491,15 +459,6 @@ pub fn make_scratch_fn(module: &mut Module, name: &str) -> FuncId {
     let r = int_filler(&mut fb, r0, 4);
     fb.ret(Some(r));
     module.add_function(fb.finish().expect("valid scratch fn"))
-}
-
-/// Builds a logging helper that prints its argument (non-thread-safe).
-pub fn make_logging_fn(module: &mut Module, name: &str) -> FuncId {
-    let mut fb = FunctionBuilder::new(name, &[Type::I64], Type::I64);
-    let x = fb.param(0);
-    fb.call_builtin(Builtin::PrintI64, &[x]);
-    fb.ret(Some(x));
-    module.add_function(fb.finish().expect("valid logging fn"))
 }
 
 #[cfg(test)]
