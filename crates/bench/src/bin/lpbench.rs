@@ -21,13 +21,6 @@
 //! median over per-rep aggregates) exceeds 3% beyond its own MAD-based
 //! noise allowance. Counters of the hot-path caches (`mem_page_cache_*`,
 //! `shadow_page_cache_*`) ride along in the `counters` object.
-//!
-//! `--trend FILE` appends one `lp-trend-v1` record (bench id, reps,
-//! median-of-reps throughput, machine digest, key counters, optional
-//! `--label`) to an append-only run ledger; the `lpbench trend`
-//! subcommand summarises a ledger, and `lpbench trend --check` exits 2
-//! when the newest record falls below the robust noise band of its own
-//! history (see `lp_obs::trend`).
 
 use lp_analysis::analyze_module;
 use lp_bench::{run_benchmarks, Cli, SweepTable};
@@ -58,6 +51,26 @@ struct Row {
     interp_reps: Vec<u64>,
     profile_reps: Vec<u64>,
     profile_nojournal_reps: Vec<u64>,
+}
+
+/// Median of `values` (sorts in place; 0 when empty).
+fn median(values: &mut [f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
+}
+
+/// Median absolute deviation of `values` around `center`.
+fn mad(values: &[f64], center: f64) -> f64 {
+    let mut devs: Vec<f64> = values.iter().map(|v| (v - center).abs()).collect();
+    median(&mut devs)
 }
 
 /// Millions of instructions per second (0 when the clock read 0).
@@ -147,11 +160,11 @@ fn measure(bench: &Benchmark, scale: Scale, reps: u32, engine: Engine) -> Row {
     // it across evaluations).
     let unit = ExecUnit::with_engine(&module, engine);
     let mut insts = 0;
-    let mut interp_reps = Vec::with_capacity(reps.max(1) as usize);
-    let mut profile_reps = Vec::with_capacity(reps.max(1) as usize);
-    let mut profile_nojournal_reps = Vec::with_capacity(reps.max(1) as usize);
+    let mut interp_reps = Vec::with_capacity(reps as usize);
+    let mut profile_reps = Vec::with_capacity(reps as usize);
+    let mut profile_nojournal_reps = Vec::with_capacity(reps as usize);
     let journal = lp_obs::journal::global();
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let (ns, result) = timed(|| Exec::new(&unit).run(&[]));
         let result = result.unwrap_or_else(|e| panic!("benchmark {} failed: {e}", bench.name));
         insts = result.result.cost;
@@ -188,141 +201,18 @@ fn measure(bench: &Benchmark, scale: Scale, reps: u32, engine: Engine) -> Row {
 fn usage_exit() -> ! {
     eprintln!(
         "usage: lpbench [test|small|default] [--engine tree|bc] [--bench NAME]... [--reps N] \
-         [--out FILE] [--baseline FILE] [--check FILE] [--trend FILE] [--label TEXT] [--jobs N] \
-         [--quiet]\n\
-         \x20      lpbench trend [--ledger FILE] [--check] [--window N] [--min-history N]"
+         [--out FILE] [--baseline FILE] [--check FILE] [--jobs N] [--quiet]"
     );
     std::process::exit(2);
-}
-
-/// Stable fingerprint of the measuring machine: the cost-model knobs
-/// that shape the numbers plus the host architecture and OS. Records
-/// from different machines land in different trend series.
-fn machine_digest() -> String {
-    let text = format!(
-        "{:?}|{}|{}",
-        MachineConfig::default(),
-        std::env::consts::ARCH,
-        std::env::consts::OS
-    );
-    format!("{:016x}", lp_obs::trend::fnv1a(text.as_bytes()))
-}
-
-/// The `lpbench trend` subcommand: summarise the run ledger and, with
-/// `--check`, judge the newest record against the MAD noise band of its
-/// own series — exit 2 on a regression (the distinct code CI gates on).
-fn run_trend(cli: &Cli) -> ! {
-    let mut ledger = PathBuf::from("results/BENCH_trend.jsonl");
-    let mut check = false;
-    let mut window = lp_obs::trend::DEFAULT_WINDOW;
-    let mut min_history = lp_obs::trend::DEFAULT_MIN_HISTORY;
-    let mut rest = cli.rest.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--ledger" => match rest.next() {
-                Some(p) => ledger = PathBuf::from(p),
-                None => usage_exit(),
-            },
-            "--check" => check = true,
-            "--window" => match rest.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => window = n,
-                _ => usage_exit(),
-            },
-            "--min-history" => match rest.next().and_then(|n| n.parse().ok()) {
-                Some(n) => min_history = n,
-                _ => usage_exit(),
-            },
-            _ => usage_exit(),
-        }
-    }
-    let records = lp_obs::trend::read_ledger(&ledger).unwrap_or_else(|e| {
-        eprintln!("cannot read trend ledger: {e}");
-        std::process::exit(1);
-    });
-    if records.is_empty() {
-        println!("trend ledger {} is empty", ledger.display());
-        if check {
-            eprintln!("nothing to check");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
-    // One line per series: run count, newest point, noise band when the
-    // series is deep enough to have one.
-    let mut keys: Vec<String> = Vec::new();
-    for r in &records {
-        let key = r.series_key();
-        if !keys.contains(&key) {
-            keys.push(key);
-        }
-    }
-    println!(
-        "trend ledger {} — {} record(s), {} series",
-        ledger.display(),
-        records.len(),
-        keys.len()
-    );
-    for key in &keys {
-        let series: Vec<&lp_obs::TrendRecord> =
-            records.iter().filter(|r| &r.series_key() == key).collect();
-        let newest = series.last().expect("series is non-empty");
-        let history: Vec<f64> = series[..series.len() - 1]
-            .iter()
-            .map(|r| r.profile_mips)
-            .collect();
-        let recent = &history[history.len().saturating_sub(window)..];
-        let band = if recent.len() >= min_history.max(1) {
-            let b = lp_obs::trend::noise_band(
-                recent,
-                lp_obs::trend::BAND_K,
-                lp_obs::trend::BAND_REL_FLOOR,
-            );
-            format!(
-                "band [{:.2}, {:.2}] over {} prior",
-                b.lower,
-                b.upper,
-                recent.len()
-            )
-        } else {
-            format!("{} prior run(s), no band yet", recent.len())
-        };
-        let label = if newest.label.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", newest.label)
-        };
-        println!(
-            "  {} {} ({}): {} run(s), latest {:.2} Mi/s{label}, {band}",
-            newest.bench,
-            newest.scale,
-            &newest.machine[..8.min(newest.machine.len())],
-            series.len(),
-            newest.profile_mips,
-        );
-    }
-    if check {
-        let verdict =
-            lp_obs::trend::check_latest(&records, window, min_history).expect("non-empty ledger");
-        println!("{}", verdict.render());
-        if !verdict.passed() {
-            std::process::exit(2);
-        }
-    }
-    std::process::exit(0);
 }
 
 fn main() {
     let cli = Cli::parse();
     cli.enforce("lpbench");
-    if cli.rest.first().map(String::as_str) == Some("trend") {
-        run_trend(&cli);
-    }
     let mut reps: u32 = 3;
     let mut out: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut check_path: Option<PathBuf> = None;
-    let mut trend_path: Option<PathBuf> = None;
-    let mut label = String::new();
     let mut picked: Vec<Benchmark> = Vec::new();
     let mut rest = cli.rest.iter();
     while let Some(arg) = rest.next() {
@@ -336,8 +226,11 @@ fn main() {
                 None => usage_exit(),
             },
             "--reps" => match rest.next().and_then(|n| n.parse().ok()) {
-                Some(n) => reps = n,
-                None => usage_exit(),
+                Some(n) if n >= 1 => reps = n,
+                _ => {
+                    eprintln!("--reps requires a positive integer argument");
+                    std::process::exit(2);
+                }
             },
             "--out" => match rest.next() {
                 Some(p) => out = Some(PathBuf::from(p)),
@@ -349,14 +242,6 @@ fn main() {
             },
             "--check" => match rest.next() {
                 Some(p) => check_path = Some(PathBuf::from(p)),
-                None => usage_exit(),
-            },
-            "--trend" => match rest.next() {
-                Some(p) => trend_path = Some(PathBuf::from(p)),
-                None => usage_exit(),
-            },
-            "--label" => match rest.next() {
-                Some(l) => label = l.clone(),
                 None => usage_exit(),
             },
             _ => usage_exit(),
@@ -401,7 +286,7 @@ fn main() {
     // Robust per-rep statistics: rep r's aggregate is the sum across
     // benchmarks of that rep's sample, so the rep vectors line up into
     // `reps` paired aggregate observations of each pipeline stage.
-    let nreps = reps.max(1) as usize;
+    let nreps = reps as usize;
     let agg = |pick: &dyn Fn(&Row) -> &Vec<u64>| -> Vec<f64> {
         (0..nreps)
             .map(|r| rows.iter().map(|row| pick(row)[r]).sum::<u64>() as f64)
@@ -410,9 +295,9 @@ fn main() {
     let interp_agg = agg(&|row| &row.interp_reps);
     let profile_agg = agg(&|row| &row.profile_reps);
     let nojournal_agg = agg(&|row| &row.profile_nojournal_reps);
-    let interp_med_ns = lp_obs::trend::median(&mut interp_agg.clone());
-    let profile_med_ns = lp_obs::trend::median(&mut profile_agg.clone());
-    let nojournal_med_ns = lp_obs::trend::median(&mut nojournal_agg.clone());
+    let interp_med_ns = median(&mut interp_agg.clone());
+    let profile_med_ns = median(&mut profile_agg.clone());
+    let nojournal_med_ns = median(&mut nojournal_agg.clone());
     // Relative cost of always-on journaling, per rep (pairing reps
     // cancels slow-machine moments that hit both runs alike); the point
     // estimate is the median so one noisy rep cannot trip the gate, and
@@ -423,8 +308,8 @@ fn main() {
         .zip(&nojournal_agg)
         .map(|(p, n)| p / n.max(1.0) - 1.0)
         .collect();
-    let journal_overhead = lp_obs::trend::median(&mut overheads);
-    let journal_overhead_mad = lp_obs::trend::mad(&overheads, journal_overhead);
+    let journal_overhead = median(&mut overheads);
+    let journal_overhead_mad = mad(&overheads, journal_overhead);
 
     let mut w = JsonWriter::compact();
     w.begin_object();
@@ -560,31 +445,6 @@ fn main() {
         None => print!("{json}"),
     }
 
-    if let Some(path) = &trend_path {
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        let record = lp_obs::TrendRecord {
-            bench: picked.iter().map(|b| b.name).collect::<Vec<_>>().join("+"),
-            scale: scale_label(cli.scale).to_string(),
-            label: label.clone(),
-            reps: u64::from(reps),
-            unix_ms,
-            machine: machine_digest(),
-            profile_mips: mips(t_insts, profile_med_ns as u64),
-            interp_mips: mips(t_insts, interp_med_ns as u64),
-            slowdown: profile_med_ns / interp_med_ns.max(1.0),
-            journal_overhead,
-            counters: lp_obs::counters().snapshot(),
-        };
-        if let Err(e) = lp_obs::trend::append_ledger(path, &record) {
-            eprintln!("cannot append trend record to {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        lp_info!("appended trend record to {}", path.display());
-    }
-
     if let Some(path) = &check_path {
         // Engine equivalence gate: profile every picked benchmark under
         // both engines and byte-compare the serialized profile cache
@@ -657,4 +517,22 @@ fn main() {
         );
     }
     cli.finish("lpbench");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_and_mad_are_robust() {
+        assert_eq!(median(&mut []), 0.0);
+        assert_eq!(median(&mut [3.0]), 3.0);
+        assert_eq!(median(&mut [1.0, 9.0]), 5.0);
+        // One wild outlier barely moves the median and not the MAD.
+        let values = [10.0, 10.2, 9.9, 10.1, 500.0];
+        let mut sorted = values.to_vec();
+        let m = median(&mut sorted);
+        assert_eq!(m, 10.1);
+        assert!((mad(&values, m) - 0.1).abs() < 1e-9);
+    }
 }

@@ -33,21 +33,18 @@ const DEMO_BENCH: &str = "181.mcf";
 fn usage() -> ! {
     eprintln!("usage: lpstudy [<file.lp> | --bench <name> | --suite <name> | --dump <name>");
     eprintln!("                | --analyze <file.lp|name> | explain [<file.lp|name>]");
-    eprintln!("                | dispatch-heat [--suite <name>]");
     eprintln!("                | replay [--suite <name>] [--replay-out FILE]");
     eprintln!("                | diff <a.json> <b.json> [--json] [--include-timing]");
     eprintln!("                       [--noise-floor N] | audit <snap.json>]");
     eprintln!("               [--jobs N] [--profile-cache DIR] [--trace-out FILE]");
     eprintln!("               [--explain-out FILE] [--flight-out FILE] [--snapshot-out FILE]");
-    eprintln!("               [--sample-hz N] [--quiet]");
+    eprintln!("               [--quiet]");
     eprintln!("  <file.lp>          study a textual-IR module");
     eprintln!("  --bench NAME       study a registered benchmark (e.g. 456.hmmer)");
     eprintln!("  --suite NAME       study a whole suite (eembc, cint2000, cfp2000, ...)");
     eprintln!("  --dump NAME        print a registered benchmark as textual IR");
     eprintln!("  --analyze WHAT     print the compile-time analysis (loops, LCD classes)");
     eprintln!("  explain [WHAT]     rank, per loop, the limiters that block further speedup");
-    eprintln!("  dispatch-heat      profile the interpreter itself: ranked opcode and");
-    eprintln!("                     opcode-pair dispatch heat over a suite (default eembc)");
     eprintln!("  replay             execute certified DOALL loops across real threads and");
     eprintln!("                     byte-compare every run against a serial reference;");
     eprintln!("                     prints measured vs predicted speedup per loop and ends");
@@ -66,7 +63,6 @@ fn usage() -> ! {
     eprintln!("  --explain-out FILE write limiter-attribution JSON (+ .collapsed stacks)");
     eprintln!("  --flight-out FILE  dump the flight-recorder journal (also on panic)");
     eprintln!("  --snapshot-out FILE write the cross-run registry snapshot (diff/audit input)");
-    eprintln!("  --sample-hz N      dispatch-heat sampling rate (default 997 Hz)");
     eprintln!("  --quiet            suppress progress logging (see also LP_LOG=off|info|debug)");
     std::process::exit(2);
 }
@@ -204,145 +200,6 @@ fn run_explain(cli: &Cli, module: &lp_ir::Module) {
     if let Some(path) = &cli.explain_out {
         write_explain(path, &attrs, Some(study.profile()));
     }
-    cli.finish("lpstudy");
-}
-
-/// Opcode wire value → display name (`?` for values outside the enum).
-fn opname(op: u8) -> &'static str {
-    lp_ir::Opcode::from_u8(op).map_or("?", |o| o.name())
-}
-
-/// The `dispatch-heat` subcommand: profile the interpreter *itself*.
-/// Dispatch-heat collection is switched on, a whole suite is profiled
-/// while a sampling thread attributes wall time to the published
-/// `(func, block, prev-opcode, cur-opcode)` progress word, and the
-/// result is printed as ranked per-opcode and per-opcode-pair tables
-/// plus collapsed stacks. The pair counts are exact (one bump per
-/// dispatched instruction), so the ranking is deterministic and
-/// cross-checkable against the profiler's event counters; the sampler
-/// adds the wall-time view.
-fn run_dispatch_heat(cli: &Cli, args: &[String]) {
-    let mut suite_name = "eembc";
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--suite" => match args.get(i + 1) {
-                Some(name) => {
-                    suite_name = name;
-                    i += 2;
-                }
-                None => usage(),
-            },
-            _ => usage(),
-        }
-    }
-    let Some(suite) = SuiteId::all().into_iter().find(|s| s.label() == suite_name) else {
-        eprintln!("unknown suite {suite_name:?}; expected one of:");
-        for s in SuiteId::all() {
-            eprintln!("  {}", s.label());
-        }
-        std::process::exit(2);
-    };
-
-    let hz = cli.sample_hz.unwrap_or(997).min(100_000) as u32;
-    let counters = lp_obs::counters();
-    let loads_before = counters.get(lp_obs::Counter::Loads);
-    let phis_before = counters.get(lp_obs::Counter::PhisResolved);
-    lp_obs::sampler::reset_pairs();
-    let sampler = lp_obs::sampler::Sampler::start(hz);
-    let store = cli.store();
-    let runs = run_suites(&[suite], cli.scale, cli.jobs(), store.as_ref(), cli.engine);
-    let report = sampler.stop();
-    let pairs = lp_obs::sampler::pair_counts();
-    let total: u64 = pairs.iter().sum();
-
-    println!(
-        "dispatch-heat — suite {} ({:?} scale): {} benchmark(s), {} dispatches, \
-         sampler {} Hz ({} live samples, {} idle)\n",
-        suite.label(),
-        cli.scale,
-        runs.len(),
-        total,
-        report.hz,
-        report.taken,
-        report.idle
-    );
-
-    println!("exact opcode dispatch heat:");
-    println!(
-        "  {:<4} {:<10} {:>14} {:>7}",
-        "rank", "opcode", "dispatches", "share"
-    );
-    for (rank, &(op, n)) in lp_obs::sampler::ranked_opcodes(&pairs).iter().enumerate() {
-        println!(
-            "  {:<4} {:<10} {:>14} {:>6.1}%",
-            rank + 1,
-            opname(op),
-            n,
-            n as f64 / total.max(1) as f64 * 100.0
-        );
-    }
-
-    println!("\ntop 10 opcode pairs (prev+cur):");
-    println!(
-        "  {:<4} {:<21} {:>14} {:>7}",
-        "rank", "pair", "dispatches", "share"
-    );
-    for (rank, &(p, c, n)) in lp_obs::sampler::ranked_pairs(&pairs)
-        .iter()
-        .take(10)
-        .enumerate()
-    {
-        println!(
-            "  {:<4} {:<21} {:>14} {:>6.1}%",
-            rank + 1,
-            format!("{}+{}", opname(p), opname(c)),
-            n,
-            n as f64 / total.max(1) as f64 * 100.0
-        );
-    }
-
-    if report.taken > 0 {
-        println!("\nsampled wall-time attribution (by current opcode):");
-        let sampled = report.pair_table();
-        for &(op, n) in lp_obs::sampler::ranked_opcodes(&sampled).iter().take(10) {
-            println!(
-                "  {:<10} {:>6.1}%  ({} samples)",
-                opname(op),
-                n as f64 / report.taken as f64 * 100.0,
-                n
-            );
-        }
-        println!("\ncollapsed stacks (func;block;pair weight, top 20):");
-        for &(word, n) in report.by_word.iter().take(20) {
-            let (f, b, p, c) = lp_obs::sampler::unpack_progress(word);
-            println!("f{f};b{b};{}+{} {n}", opname(p), opname(c));
-        }
-    }
-
-    // The pair table and the profiler's event counters observe the same
-    // dispatch stream through independent paths; a divergence means one
-    // of them is mis-wired.
-    let loads = counters.get(lp_obs::Counter::Loads) - loads_before;
-    let phis = counters.get(lp_obs::Counter::PhisResolved) - phis_before;
-    let load_op = lp_ir::Opcode::Load as usize;
-    let phi_op = lp_ir::Opcode::Phi as usize;
-    let load_dispatches: u64 = (0..lp_obs::sampler::OPCODE_LIMIT)
-        .map(|prev| pairs[prev * lp_obs::sampler::OPCODE_LIMIT + load_op])
-        .sum();
-    let phi_dispatches: u64 = (0..lp_obs::sampler::OPCODE_LIMIT)
-        .map(|prev| pairs[prev * lp_obs::sampler::OPCODE_LIMIT + phi_op])
-        .sum();
-    let verdict = |a: u64, b: u64| if a == b { "OK" } else { "MISMATCH" };
-    println!("\ncross-check against profiler counters:");
-    println!(
-        "  loads         {loads:>14}  load dispatches {load_dispatches:>14}  {}",
-        verdict(loads, load_dispatches)
-    );
-    println!(
-        "  phis_resolved {phis:>14}  phi dispatches  {phi_dispatches:>14}  {}",
-        verdict(phis, phi_dispatches)
-    );
     cli.finish("lpstudy");
 }
 
@@ -594,10 +451,6 @@ fn main() {
             });
             let _span = span!("parse");
             bench.build(cli.scale)
-        }
-        Some("dispatch-heat") => {
-            run_dispatch_heat(&cli, args);
-            return;
         }
         Some("replay") => {
             run_replay(&cli, args);

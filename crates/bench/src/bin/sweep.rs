@@ -50,7 +50,7 @@ fn main() {
                 eprintln!(
                     "unknown argument {extra:?} (expected test|small|default, --suite NAME, \
                      --jobs N, --engine tree|bc, --trace-out FILE, --profile-cache DIR, \
-                     --flight-out FILE, --snapshot-out FILE, --sample-hz N, --quiet)"
+                     --flight-out FILE, --snapshot-out FILE, --quiet)"
                 );
                 std::process::exit(2);
             }

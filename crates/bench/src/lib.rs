@@ -163,9 +163,6 @@ pub struct Cli {
     /// (`--snapshot-out`, schema `lp-snapshot-v1`), if requested — the
     /// input format of `lpstudy diff` and `lpstudy audit`.
     pub snapshot_out: Option<PathBuf>,
-    /// Explicit `--sample-hz N` self-profiler sampling rate, if given
-    /// (consumed by `lpstudy dispatch-heat`).
-    pub sample_hz: Option<u64>,
     /// Interpreter engine: `--engine tree|bc`, default `bc`.
     /// Output is byte-identical for either engine — `tree` is the
     /// reference oracle, `bc` only trades compile time for dispatch
@@ -202,7 +199,6 @@ impl Cli {
             profile_cache: None,
             flight_out: None,
             snapshot_out: None,
-            sample_hz: None,
             engine: lp_interp::Engine::default(),
             rest: Vec::new(),
         };
@@ -255,13 +251,6 @@ impl Cli {
                     Some(path) => cli.snapshot_out = Some(PathBuf::from(path)),
                     None => {
                         eprintln!("--snapshot-out requires a file argument");
-                        std::process::exit(2);
-                    }
-                },
-                "--sample-hz" => match args.next().and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) if n >= 1 => cli.sample_hz = Some(n),
-                    _ => {
-                        eprintln!("--sample-hz requires a positive integer argument");
                         std::process::exit(2);
                     }
                 },
@@ -369,8 +358,7 @@ impl Cli {
             eprintln!(
                 "unknown argument {extra:?} (expected test|small|default, --jobs N, \
                  --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-                 --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, \
-                 --sample-hz N, --quiet)"
+                 --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, --quiet)"
             );
             std::process::exit(2);
         }
@@ -662,8 +650,6 @@ mod tests {
                 "/tmp/lp-cache",
                 "--snapshot-out",
                 "/tmp/s.json",
-                "--sample-hz",
-                "997",
                 "--engine",
                 "tree",
                 "--bench",
@@ -693,7 +679,6 @@ mod tests {
             cli.snapshot_out.as_deref(),
             Some(std::path::Path::new("/tmp/s.json"))
         );
-        assert_eq!(cli.sample_hz, Some(997));
         assert_eq!(cli.rest, vec!["--bench".to_string(), "x.lp".to_string()]);
 
         // With no flag the default engine is the bytecode fast path.
@@ -705,7 +690,7 @@ mod tests {
         assert!(cli.jobs.is_none());
         assert!(cli.jobs().get() >= 1);
         assert!(cli.profile_cache.is_none());
-        assert!(cli.flight_out.is_none() && cli.sample_hz.is_none());
+        assert!(cli.flight_out.is_none());
         assert!(cli.snapshot_out.is_none());
         // Restore logging for the rest of the test process.
         lp_obs::log::set_level(lp_obs::Level::Off);

@@ -53,17 +53,22 @@ fn unknown_argument_exits_2_with_the_pinned_message() {
         "ablations",
         "scaling",
     ];
+    // A retired flag is as unknown as any other.
     for binary in rejecting {
-        let out = run(binary, &["--bogus"]);
-        assert_eq!(out.status.code(), Some(2), "{binary}");
-        assert_eq!(
-            stderr_of(&out),
-            "unknown argument \"--bogus\" (expected test|small|default, --jobs N, \
-             --engine tree|bc, --trace-out FILE, --explain-out FILE, \
-             --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, \
-             --sample-hz N, --quiet)\n",
-            "{binary}"
-        );
+        for args in [&["--bogus"][..], &["--sample-hz", "997"][..]] {
+            let out = run(binary, args);
+            assert_eq!(out.status.code(), Some(2), "{binary} {args:?}");
+            assert_eq!(
+                stderr_of(&out),
+                format!(
+                    "unknown argument {:?} (expected test|small|default, --jobs N, \
+                     --engine tree|bc, --trace-out FILE, --explain-out FILE, \
+                     --profile-cache DIR, --flight-out FILE, --snapshot-out FILE, --quiet)\n",
+                    args[0]
+                ),
+                "{binary} {args:?}"
+            );
+        }
     }
 }
 
@@ -92,23 +97,89 @@ fn explain_out_is_rejected_where_unsupported() {
 
 #[test]
 fn sweep_rejects_extras_with_its_own_positional_list() {
-    let out = run("sweep", &["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        stderr_of(&out),
-        "unknown argument \"--bogus\" (expected test|small|default, --suite NAME, \
-         --jobs N, --engine tree|bc, --trace-out FILE, --profile-cache DIR, \
-         --flight-out FILE, --snapshot-out FILE, --sample-hz N, --quiet)\n"
-    );
+    for args in [&["--bogus"][..], &["--sample-hz", "997"][..]] {
+        let out = run("sweep", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert_eq!(
+            stderr_of(&out),
+            format!(
+                "unknown argument {:?} (expected test|small|default, --suite NAME, \
+                 --jobs N, --engine tree|bc, --trace-out FILE, --profile-cache DIR, \
+                 --flight-out FILE, --snapshot-out FILE, --quiet)\n",
+                args[0]
+            ),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]
-fn lpstudy_prints_usage_on_unknown_flag() {
-    let out = run("lpstudy", &["--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert!(err.starts_with("usage: lpstudy"), "got: {err}");
-    assert!(err.contains("--profile-cache DIR"), "got: {err}");
+fn lpstudy_and_lpbench_reject_unknown_input_with_exit_2() {
+    for (binary, args, prefix) in [
+        ("lpstudy", &["--bogus"][..], "usage: lpstudy"),
+        // Removed subcommands: lpstudy reads a bare word as a kernel
+        // file, lpbench accepts no bare word.
+        (
+            "lpstudy",
+            &["dispatch-heat"][..],
+            "cannot read dispatch-heat: ",
+        ),
+        ("lpbench", &["trend"][..], "usage: lpbench"),
+    ] {
+        let out = run(binary, args);
+        assert_eq!(out.status.code(), Some(2), "{binary} {args:?}");
+        let err = stderr_of(&out);
+        assert!(err.starts_with(prefix), "{binary} {args:?} got: {err}");
+        if prefix.starts_with("usage:") {
+            assert!(err.contains("--jobs N"), "got: {err}");
+        }
+    }
+}
+
+#[test]
+fn lpbench_report_records_a_positive_rep_count() {
+    let path = std::env::temp_dir().join(format!("lp-lpbench-{}.json", std::process::id()));
+    let out = run(
+        "lpbench",
+        &[
+            "test",
+            "--bench",
+            "eembc.matrix01",
+            "--reps",
+            "1",
+            "--out",
+            path.to_str().unwrap(),
+            "--quiet",
+        ],
+    );
+    assert!(out.status.success(), "lpbench: {}", stderr_of(&out));
+    let text = std::fs::read_to_string(&path).expect("--out writes the report");
+    let _ = std::fs::remove_file(&path);
+    let doc = lp_obs::JsonValue::parse(&text).expect("report is JSON");
+    assert_eq!(doc.get("reps").and_then(|v| v.as_u64()), Some(1));
+    let counters = doc.get("counters").and_then(|c| c.entries()).unwrap();
+    assert!(!counters.is_empty(), "counters must ride along");
+    let total = |key: &str| {
+        doc.get("totals")
+            .and_then(|t| t.get(key))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("totals.{key} missing: {text}"))
+    };
+    assert!(total("profile_mips") > 0.0, "throughput missing: {text}");
+    assert!(
+        total("interp_mips") > total("profile_mips"),
+        "profiling must cost something: {text}"
+    );
+
+    // Zero reps measure nothing; the report must never claim them.
+    for reps in ["0", "many"] {
+        let out = run("lpbench", &["test", "--reps", reps, "--quiet"]);
+        assert_eq!(out.status.code(), Some(2), "--reps {reps}");
+        assert_eq!(
+            stderr_of(&out),
+            "--reps requires a positive integer argument\n"
+        );
+    }
 }
 
 #[test]
@@ -133,10 +204,6 @@ fn flags_missing_their_operand_exit_2() {
         (
             &["--snapshot-out"][..],
             "--snapshot-out requires a file argument\n",
-        ),
-        (
-            &["--sample-hz", "fast"][..],
-            "--sample-hz requires a positive integer argument\n",
         ),
         (
             &["--engine"][..],

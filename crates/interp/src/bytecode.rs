@@ -8,10 +8,11 @@
 //! instruction. The speed comes from what was pre-resolved — operands
 //! are direct register indices, branch targets are absolute offsets,
 //! per-edge phi-run tables replace the per-entry `incomings` search,
-//! block costs are table lookups, and the dominant dispatch pairs are
-//! fused ([`Bc::IcmpBr`], [`Bc::GepLoad`]) — never from skipping
-//! bookkeeping: fused superinstructions still tick the heat table,
-//! charge fuel, and stamp events once per constituent instruction.
+//! block costs are table lookups, and the dominant dispatch pairs of
+//! the EEMBC opcode-pair table (EXPERIMENTS.md, "Extension: interpreter
+//! dispatch heat") are fused ([`Bc::IcmpBr`], [`Bc::GepLoad`]) — never
+//! from skipping bookkeeping: fused superinstructions still charge fuel
+//! and stamp events once per constituent instruction.
 //!
 //! Events go straight to the sink as they happen, one [`EventSink`]
 //! callback per block entry, phi, load, store and watched definition —
@@ -21,9 +22,7 @@ use crate::events::EventSink;
 use crate::machine::{exec_bin, Machine};
 use crate::value::Value;
 use crate::{InterpError, Result};
-use lp_ir::{
-    BinOp, BlockId, Builtin, CastKind, FcmpPred, FuncId, IcmpPred, Module, Opcode, Type, ValueId,
-};
+use lp_ir::{BinOp, BlockId, Builtin, CastKind, FcmpPred, FuncId, IcmpPred, Module, Type, ValueId};
 
 /// One flat bytecode instruction. Operands are dense `u32` indices into
 /// the function's register file (the same indexing as [`ValueId`], so
@@ -177,9 +176,9 @@ pub(crate) enum Bc {
 }
 
 /// A pre-resolved CFG edge: where to jump, which block that is (for
-/// events, heat attribution, and replay interception), the target's
-/// static cost, and the phi-run move table resolving the target's phi
-/// prefix for this specific predecessor.
+/// events and replay interception), the target's static cost, and the
+/// phi-run move table resolving the target's phi prefix for this
+/// specific predecessor.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Edge {
     /// Absolute pc of the target block's first instruction.
@@ -300,8 +299,8 @@ impl<'a, S: EventSink> Machine<'a, S> {
     }
 
     /// Takes a pre-resolved CFG edge: block-entry event, phi-run moves
-    /// (parallel-copy, with per-phi heat ticks and events exactly as the
-    /// tree walk orders them), then the replay interception check. The
+    /// (parallel-copy, with per-phi events exactly as the tree walk
+    /// orders them), then the replay interception check. The
     /// caller updates its `block`/`pc` from the edge afterwards.
     ///
     /// `cost` is the frame's live fuel counter (see `exec_frame_bc`);
@@ -324,7 +323,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             for &(dst, src) in e.moves.iter() {
                 let v = regs[src as usize];
                 regs[dst as usize] = v;
-                self.heat_tick(fid, e.block, Opcode::Phi);
                 self.sink.phi_resolved(fid, e.block, ValueId(dst), v, *cost);
             }
         } else {
@@ -334,7 +332,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             }
             for &(r, v) in &updates {
                 regs[r.index()] = v;
-                self.heat_tick(fid, e.block, Opcode::Phi);
                 self.sink.phi_resolved(fid, e.block, r, v, *cost);
             }
             updates.clear();
@@ -350,9 +347,9 @@ impl<'a, S: EventSink> Machine<'a, S> {
     }
 
     /// The bytecode dispatch loop — the fast twin of `call_function`.
-    /// Every observable (events, `now` stamps, heat ticks, fuel charges,
-    /// error instruction) matches the tree walk exactly; see the module
-    /// docs for where the speed comes from.
+    /// Every observable (events, `now` stamps, fuel charges, error
+    /// instruction) matches the tree walk exactly; see the module docs
+    /// for where the speed comes from.
     ///
     /// This wrapper keeps `self.cost` authoritative at the call
     /// boundary; the loop itself runs on a frame-local fuel counter
@@ -407,7 +404,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             pc += 1;
             match inst {
                 Bc::Bin { op, dst, lhs, rhs } => {
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
@@ -418,7 +414,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     lhs,
                     rhs,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Icmp);
                     charge(cost, max_cost)?;
                     let c = icmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
@@ -429,7 +424,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     lhs,
                     rhs,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Fcmp);
                     charge(cost, max_cost)?;
                     let c = fcmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
@@ -440,20 +434,17 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     then_val,
                     else_val,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Select);
                     charge(cost, max_cost)?;
                     let c = regs[*cond as usize].as_bool()?;
                     let v = regs[if c { *then_val } else { *else_val } as usize];
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
                 }
                 Bc::Cast { kind, dst, val } => {
-                    self.heat_tick(fid, block, Opcode::Cast);
                     charge(cost, max_cost)?;
                     let v = cast_eval(*kind, regs[*val as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
                 }
                 Bc::Load { ty, dst, addr } => {
-                    self.heat_tick(fid, block, Opcode::Load);
                     charge(cost, max_cost)?;
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
@@ -468,7 +459,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     );
                 }
                 Bc::Store { dst, val, addr } => {
-                    self.heat_tick(fid, block, Opcode::Store);
                     charge(cost, max_cost)?;
                     let v = regs[*val as usize].to_bits()?;
                     let a = regs[*addr as usize].as_ptr()?;
@@ -483,7 +473,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     scale,
                     offset,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Gep);
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
                     self.set_reg(fid, watch, &mut regs, *dst, Value::P(a), *cost);
@@ -497,13 +486,11 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     scale,
                     offset,
                 } => {
-                    // Fused, but each half keeps its own tick + charge so
+                    // Fused, but each half keeps its own charge so
                     // cost stamps and fuel-exhaustion points are exact.
-                    self.heat_tick(fid, block, Opcode::Gep);
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
                     self.set_reg(fid, watch, &mut regs, *gep_dst, Value::P(a), *cost);
-                    self.heat_tick(fid, block, Opcode::Load);
                     charge(cost, max_cost)?;
                     let bits = self.memory.read(a)?;
                     self.sink.load(a, *cost);
@@ -525,13 +512,11 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     scale,
                     offset,
                 } => {
-                    // Fused, but each half keeps its own tick + charge so
+                    // Fused, but each half keeps its own charge so
                     // cost stamps and fuel-exhaustion points are exact.
-                    self.heat_tick(fid, block, Opcode::Gep);
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
                     self.set_reg(fid, watch, &mut regs, *gep_dst, Value::P(a), *cost);
-                    self.heat_tick(fid, block, Opcode::Store);
                     charge(cost, max_cost)?;
                     let v = regs[*val as usize].to_bits()?;
                     self.memory.write(a, v)?;
@@ -548,11 +533,9 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     lhs2,
                     rhs2,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op1, regs[*lhs1 as usize], regs[*rhs1 as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst1, v, *cost);
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op2, regs[*lhs2 as usize], regs[*rhs2 as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst2, v, *cost);
@@ -566,16 +549,14 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     lhs,
                     rhs,
                 } => {
-                    // Fused, but each half keeps its own tick + charge so
+                    // Fused, but each half keeps its own charge so
                     // cost stamps and fuel-exhaustion points are exact.
-                    self.heat_tick(fid, block, Opcode::Store);
                     charge(cost, max_cost)?;
                     let v = regs[*val as usize].to_bits()?;
                     let a = regs[*addr as usize].as_ptr()?;
                     self.memory.write(a, v)?;
                     self.sink.store(a, *cost);
                     self.set_reg(fid, watch, &mut regs, *sdst, Value::Unit, *cost);
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
@@ -589,9 +570,8 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     lhs,
                     rhs,
                 } => {
-                    // Fused, but each half keeps its own tick + charge so
+                    // Fused, but each half keeps its own charge so
                     // cost stamps and fuel-exhaustion points are exact.
-                    self.heat_tick(fid, block, Opcode::Load);
                     charge(cost, max_cost)?;
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
@@ -604,7 +584,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                         Value::from_bits(*ty, bits),
                         *cost,
                     );
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
@@ -616,11 +595,9 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     rhs,
                     edge,
                 } => {
-                    self.heat_tick(fid, block, Opcode::Bin);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
-                    self.heat_tick(fid, block, Opcode::Br);
                     charge(cost, max_cost)?;
                     let e = &bf.edges[*edge as usize];
                     self.take_edge(fid, func, block, e, &mut regs, cost)?;
@@ -628,13 +605,11 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     pc = e.target as usize;
                 }
                 Bc::Alloca { dst, words } => {
-                    self.heat_tick(fid, block, Opcode::Alloca);
                     charge(cost, max_cost)?;
                     let base = self.memory.stack_alloc(u64::from(*words));
                     self.set_reg(fid, watch, &mut regs, *dst, Value::P(base), *cost);
                 }
                 Bc::CallFunc { dst, func, args } => {
-                    self.heat_tick(fid, block, Opcode::Call);
                     charge(cost, max_cost)?;
                     let argv: Vec<Value> = args.iter().map(|&a| regs[a as usize]).collect();
                     self.cost = *cost;
@@ -644,7 +619,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
                 }
                 Bc::CallBuiltin { dst, builtin, args } => {
-                    self.heat_tick(fid, block, Opcode::Call);
                     charge(cost, max_cost)?;
                     let argv: Vec<Value> = args.iter().map(|&a| regs[a as usize]).collect();
                     self.sink.builtin_called(fid, *builtin, *cost);
@@ -655,7 +629,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
                 }
                 Bc::Br { edge } => {
-                    self.heat_tick(fid, block, Opcode::Br);
                     charge(cost, max_cost)?;
                     let e = &bf.edges[*edge as usize];
                     self.take_edge(fid, func, block, e, &mut regs, cost)?;
@@ -667,7 +640,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     then_edge,
                     else_edge,
                 } => {
-                    self.heat_tick(fid, block, Opcode::CondBr);
                     charge(cost, max_cost)?;
                     let c = regs[*cond as usize].as_bool()?;
                     let e = &bf.edges[if c { *then_edge } else { *else_edge } as usize];
@@ -683,12 +655,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     then_edge,
                     else_edge,
                 } => {
-                    // Fused, with per-constituent ticks and charges.
-                    self.heat_tick(fid, block, Opcode::Icmp);
+                    // Fused, with per-constituent charges.
                     charge(cost, max_cost)?;
                     let c = icmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
                     self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
-                    self.heat_tick(fid, block, Opcode::CondBr);
                     charge(cost, max_cost)?;
                     let e = &bf.edges[if c { *then_edge } else { *else_edge } as usize];
                     self.take_edge(fid, func, block, e, &mut regs, cost)?;
@@ -696,12 +666,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     pc = e.target as usize;
                 }
                 Bc::Ret { val } => {
-                    self.heat_tick(fid, block, Opcode::Ret);
                     charge(cost, max_cost)?;
                     break regs[*val as usize];
                 }
                 Bc::RetVoid => {
-                    self.heat_tick(fid, block, Opcode::Ret);
                     charge(cost, max_cost)?;
                     break Value::Unit;
                 }

@@ -15,12 +15,13 @@
 //!   iteration,
 //! - block costs are precomputed ([`lp_ir::Function::block_costs`])
 //!   instead of re-counted on every block entry,
-//! - the dominant dispatch pairs named by `lpstudy dispatch-heat` are
+//! - the dominant dispatch pairs (the EEMBC opcode-pair table recorded
+//!   in EXPERIMENTS.md, "Extension: interpreter dispatch heat") are
 //!   fused into superinstructions: a block-terminal `icmp` feeding its
 //!   own `cond_br` becomes [`Bc::IcmpBr`], and a `gep` feeding the
 //!   immediately following `load` becomes [`Bc::GepLoad`]. Fused forms
-//!   keep per-constituent cost charging, heat ticks, and event stamps,
-//!   so the observable stream is identical to the unfused one.
+//!   keep per-constituent cost charging and event stamps, so the
+//!   observable stream is identical to the unfused one.
 
 use crate::bytecode::{Bc, BcFunc, CompiledModule, Edge};
 use lp_ir::{BlockId, Callee, Function, Inst, InstData, Module, Term};

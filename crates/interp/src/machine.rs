@@ -9,24 +9,9 @@ use crate::replay::{
 use crate::value::Value;
 use crate::{InterpError, Result};
 use lp_ir::{
-    BinOp, BlockId, Builtin, Callee, CastKind, FcmpPred, FuncId, IcmpPred, Inst, Module, Opcode,
-    Term, ValueId, ValueKind,
+    BinOp, BlockId, Builtin, Callee, CastKind, FcmpPred, FuncId, IcmpPred, Inst, Module, Term,
+    ValueId, ValueKind,
 };
-
-/// Dispatch-heat collection state, allocated only when
-/// `lp_obs::sampler::collecting()` is on at machine construction. While
-/// live, every dispatched opcode (1) bumps the exact count of its
-/// dynamic `(previous, current)` opcode pair and (2) publishes the
-/// packed `(func, block, prev, cur)` progress word for the sampling
-/// self-profiler. When absent the hot loop pays one `Option` check per
-/// instruction and nothing else.
-#[derive(Debug)]
-pub(crate) struct Heat {
-    /// Exact pair counts, `prev * OPCODE_LIMIT + cur`.
-    pairs: Vec<u64>,
-    /// Opcode of the previously dispatched instruction.
-    prev: u8,
-}
 
 /// Which execution engine interprets the module.
 ///
@@ -147,8 +132,6 @@ pub struct Machine<'a, S> {
     /// allocation (`clone_from` the template), so call-heavy code does
     /// not hit the allocator per frame.
     pub(crate) frame_pool: Vec<Vec<Value>>,
-    /// Dispatch-heat collection, on only while a sampler is live.
-    pub(crate) heat: Option<Box<Heat>>,
     /// Parallel replay control: when armed, entering a planned certified
     /// loop header from outside the loop fans its iterations out through
     /// the executor instead of running them serially. One `Option` check
@@ -236,12 +219,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             reg_templates,
             phi_scratch: Vec::new(),
             frame_pool: Vec::new(),
-            heat: lp_obs::sampler::collecting().then(|| {
-                Box::new(Heat {
-                    pairs: vec![0; lp_obs::sampler::PAIR_SLOTS],
-                    prev: 0,
-                })
-            }),
             replay: None,
         }
     }
@@ -261,7 +238,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
     /// Shared run entry for both engines, reached through the
     /// [`crate::Exec`] builder: resolves the entry function, dispatches to
     /// the tree walk or — when `code` is present — the bytecode loop, and
-    /// finalizes heat/memory bookkeeping identically on both paths.
+    /// finalizes memory bookkeeping identically on both paths.
     ///
     /// # Errors
     /// Propagates traps and resource-limit failures, or an
@@ -285,9 +262,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         let ret = match code {
             Some(code) => self.call_function_bc(code, entry, args),
             None => self.call_function(entry, args),
-        };
-        self.flush_heat();
-        let ret = ret?;
+        }?;
         self.sink.mem_stats(self.memory.stats());
         Ok((
             RunResult {
@@ -312,35 +287,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
     #[must_use]
     pub fn global_base(&self, g: lp_ir::GlobalId) -> u64 {
         self.global_bases[g.index()]
-    }
-
-    /// Folds any collected dispatch-heat pair counts into the global
-    /// table, even if the run errored mid-way.
-    pub(crate) fn flush_heat(&mut self) {
-        if let Some(heat) = self.heat.take() {
-            lp_obs::sampler::merge_pairs(&heat.pairs);
-        }
-    }
-
-    /// Dispatch-heat bookkeeping for one dispatched opcode: bumps the
-    /// exact `(prev, cur)` pair count and publishes the packed progress
-    /// word for the sampling self-profiler. One `Option` check when no
-    /// sampler is live.
-    #[inline]
-    pub(crate) fn heat_tick(&mut self, fid: FuncId, block: BlockId, op: Opcode) {
-        let Some(heat) = self.heat.as_deref_mut() else {
-            return;
-        };
-        let cur = op as u8;
-        let idx = heat.prev as usize * lp_obs::sampler::OPCODE_LIMIT + cur as usize;
-        heat.pairs[idx] = heat.pairs[idx].saturating_add(1);
-        lp_obs::sampler::publish(lp_obs::sampler::pack_progress(
-            fid.index() as u32,
-            block.index() as u32,
-            heat.prev,
-            cur,
-        ));
-        heat.prev = cur;
     }
 
     pub(crate) fn charge(&mut self, c: u64) -> Result<()> {
@@ -395,7 +341,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 }
                 for &(r, v) in &updates {
                     regs[r.index()] = v;
-                    self.heat_tick(fid, block, Opcode::Phi);
                     self.sink.phi_resolved(fid, block, r, v, self.cost);
                 }
                 updates.clear();
@@ -420,7 +365,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 if data.inst.is_phi() {
                     continue;
                 }
-                self.heat_tick(fid, block, data.inst.opcode());
                 self.charge(1)?;
                 let result = self.exec_inst(fid, func, &mut regs, &data.inst)?;
                 regs[data.result.index()] = result;
@@ -431,7 +375,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             }
 
             // Terminator (one cost unit).
-            self.heat_tick(fid, block, func.block(block).term.opcode());
             self.charge(1)?;
             match &func.block(block).term {
                 Term::Br(t) => {
@@ -1142,46 +1085,6 @@ mod tests {
             .result;
         assert_eq!(rb, r);
         assert_eq!(format!("{bc_sink:?}"), format!("{sink:?}"));
-    }
-
-    #[test]
-    fn dispatch_heat_counts_pairs_when_collecting() {
-        use lp_obs::sampler;
-        // Store-then-load body: the exact (store, load) adjacency must
-        // land in the pair table, and load dispatches must cover the
-        // sink's load count. Other tests may run machines concurrently
-        // while collection is on, so assertions are lower bounds.
-        let mut m = Module::new("heat");
-        let g = m.add_global(Global::zeroed("buf", 4));
-        let mut fb = FunctionBuilder::new("main", &[], Type::I64);
-        let p = fb.global_addr(g);
-        let x = fb.const_i64(5);
-        fb.store(x, p);
-        let y = fb.load(Type::I64, p);
-        fb.ret(Some(y));
-        m.add_function(fb.finish().unwrap());
-
-        for engine in [Engine::Tree, Engine::Bc] {
-            sampler::reset_pairs();
-            sampler::set_collecting(true);
-            let mut sink = CountingSink::default();
-            let unit = ExecUnit::with_engine(&m, engine);
-            let r = Exec::new(&unit).sink(&mut sink).run(&[]).unwrap().result;
-            sampler::set_collecting(false);
-            assert_eq!(r.ret, Value::I(5));
-
-            let pairs = sampler::pair_counts();
-            let load_dispatches: u64 = (0..sampler::OPCODE_LIMIT)
-                .map(|prev| pairs[prev * sampler::OPCODE_LIMIT + Opcode::Load as usize])
-                .sum();
-            assert!(load_dispatches >= sink.loads, "{engine:?}");
-            let idx = Opcode::Store as usize * sampler::OPCODE_LIMIT + Opcode::Load as usize;
-            assert!(
-                pairs[idx] >= 1,
-                "store->load pair missing from {engine:?} heat table"
-            );
-            sampler::reset_pairs();
-        }
     }
 
     #[test]

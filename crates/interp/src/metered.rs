@@ -1,11 +1,10 @@
-//! Sink combinators: metering and teeing.
+//! Sink metering.
 //!
 //! [`MeteredSink`] decorates any [`EventSink`] with per-kind event
 //! counters without touching the inner sink's behaviour — the decorated
 //! run produces exactly the same inner-sink state as an undecorated one
 //! (counters are plain local `u64`s, so the overhead is one increment
-//! per event). [`TeeSink`] fans every event out to two sinks, letting a
-//! debugging trace ride along with the profiler, for example.
+//! per event).
 
 use crate::events::EventSink;
 use crate::value::Value;
@@ -142,69 +141,6 @@ impl<S: EventSink> EventSink for MeteredSink<S> {
     }
 }
 
-/// Fans every event out to two sinks (`a` first, then `b`).
-#[derive(Debug, Default, Clone)]
-pub struct TeeSink<A, B> {
-    /// The first receiver.
-    pub a: A,
-    /// The second receiver.
-    pub b: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Combines two sinks.
-    pub fn new(a: A, b: B) -> TeeSink<A, B> {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
-    fn block_entered(&mut self, func: FuncId, block: BlockId, cost: u64, now: u64) {
-        self.a.block_entered(func, block, cost, now);
-        self.b.block_entered(func, block, cost, now);
-    }
-
-    fn phi_resolved(&mut self, func: FuncId, block: BlockId, phi: ValueId, value: Value, now: u64) {
-        self.a.phi_resolved(func, block, phi, value, now);
-        self.b.phi_resolved(func, block, phi, value, now);
-    }
-
-    fn load(&mut self, addr: u64, now: u64) {
-        self.a.load(addr, now);
-        self.b.load(addr, now);
-    }
-
-    fn store(&mut self, addr: u64, now: u64) {
-        self.a.store(addr, now);
-        self.b.store(addr, now);
-    }
-
-    fn func_entered(&mut self, func: FuncId, frame_base: u64, now: u64) {
-        self.a.func_entered(func, frame_base, now);
-        self.b.func_entered(func, frame_base, now);
-    }
-
-    fn func_exited(&mut self, func: FuncId, now: u64) {
-        self.a.func_exited(func, now);
-        self.b.func_exited(func, now);
-    }
-
-    fn builtin_called(&mut self, caller: FuncId, builtin: Builtin, now: u64) {
-        self.a.builtin_called(caller, builtin, now);
-        self.b.builtin_called(caller, builtin, now);
-    }
-
-    fn value_defined(&mut self, func: FuncId, value: ValueId, val: Value, now: u64) {
-        self.a.value_defined(func, value, val, now);
-        self.b.value_defined(func, value, val, now);
-    }
-
-    fn mem_stats(&mut self, stats: crate::memory::MemStats) {
-        self.a.mem_stats(stats);
-        self.b.mem_stats(stats);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,22 +206,6 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| r.kind == lp_obs::EventKind::RunCompleted && r.a == metered.counts().total()));
-    }
-
-    #[test]
-    fn tee_delivers_to_both_sinks() {
-        let m = sample_module();
-        let mut tee = TeeSink::new(CountingSink::default(), CountingSink::default());
-        run_with(&m, Engine::Tree, &mut tee);
-        assert_eq!(format!("{:?}", tee.a), format!("{:?}", tee.b));
-        assert!(tee.a.loads > 0 && tee.a.stores > 0);
-        // The bytecode engine feeds the tee the same stream.
-        let mut bc = TeeSink::new(CountingSink::default(), TraceSink::new(64));
-        run_with(&m, Engine::Bc, &mut bc);
-        assert_eq!(format!("{:?}", bc.a), format!("{:?}", tee.a));
-        let mut tree_trace = TraceSink::new(64);
-        run_with(&m, Engine::Tree, &mut tree_trace);
-        assert_eq!(bc.b.render(), tree_trace.render());
     }
 
     #[test]

@@ -653,122 +653,6 @@ impl Term {
             Term::Ret(_) => vec![],
         }
     }
-
-    /// Dynamic opcode class of this terminator.
-    #[must_use]
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Term::Br(_) => Opcode::Br,
-            Term::CondBr { .. } => Opcode::CondBr,
-            Term::Ret(_) => Opcode::Ret,
-        }
-    }
-}
-
-/// Coarse dynamic opcode classes — one per [`Inst`] variant plus the
-/// terminators — used by the interpreter's dispatch-heat attribution
-/// (which opcode *pairs* dominate execution, the input to fused
-/// superinstruction selection). The discriminant is a stable wire
-/// value that must stay below 32 (`lp_obs::sampler::OPCODE_LIMIT`
-/// packs it into 5 bits of the progress word).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Opcode {
-    /// Binary arithmetic/logic.
-    Bin = 0,
-    /// Integer comparison.
-    Icmp = 1,
-    /// Float comparison.
-    Fcmp = 2,
-    /// Ternary select.
-    Select = 3,
-    /// Value cast.
-    Cast = 4,
-    /// Memory load.
-    Load = 5,
-    /// Memory store.
-    Store = 6,
-    /// Address computation.
-    Gep = 7,
-    /// Stack allocation.
-    Alloca = 8,
-    /// Direct call (user function or builtin).
-    Call = 9,
-    /// SSA phi (resolved on edges; attributed to header re-entry).
-    Phi = 10,
-    /// Unconditional branch.
-    Br = 11,
-    /// Conditional branch.
-    CondBr = 12,
-    /// Function return.
-    Ret = 13,
-}
-
-impl Opcode {
-    /// Every opcode, in wire order.
-    pub const ALL: [Opcode; 14] = [
-        Opcode::Bin,
-        Opcode::Icmp,
-        Opcode::Fcmp,
-        Opcode::Select,
-        Opcode::Cast,
-        Opcode::Load,
-        Opcode::Store,
-        Opcode::Gep,
-        Opcode::Alloca,
-        Opcode::Call,
-        Opcode::Phi,
-        Opcode::Br,
-        Opcode::CondBr,
-        Opcode::Ret,
-    ];
-
-    /// Stable lowercase name used by heat reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Opcode::Bin => "bin",
-            Opcode::Icmp => "icmp",
-            Opcode::Fcmp => "fcmp",
-            Opcode::Select => "select",
-            Opcode::Cast => "cast",
-            Opcode::Load => "load",
-            Opcode::Store => "store",
-            Opcode::Gep => "gep",
-            Opcode::Alloca => "alloca",
-            Opcode::Call => "call",
-            Opcode::Phi => "phi",
-            Opcode::Br => "br",
-            Opcode::CondBr => "cond_br",
-            Opcode::Ret => "ret",
-        }
-    }
-
-    /// Inverse of the wire value (`None` above the last opcode).
-    #[must_use]
-    pub fn from_u8(value: u8) -> Option<Opcode> {
-        Opcode::ALL.get(value as usize).copied()
-    }
-}
-
-impl Inst {
-    /// Dynamic opcode class of this instruction.
-    #[must_use]
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Inst::Bin { .. } => Opcode::Bin,
-            Inst::Icmp { .. } => Opcode::Icmp,
-            Inst::Fcmp { .. } => Opcode::Fcmp,
-            Inst::Select { .. } => Opcode::Select,
-            Inst::Cast { .. } => Opcode::Cast,
-            Inst::Load { .. } => Opcode::Load,
-            Inst::Store { .. } => Opcode::Store,
-            Inst::Gep { .. } => Opcode::Gep,
-            Inst::Alloca { .. } => Opcode::Alloca,
-            Inst::Call { .. } => Opcode::Call,
-            Inst::Phi { .. } => Opcode::Phi,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -819,51 +703,6 @@ mod tests {
             else_blk: BlockId(2),
         };
         assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-    }
-
-    #[test]
-    fn opcode_wire_values_round_trip_and_fit_five_bits() {
-        for (i, &op) in Opcode::ALL.iter().enumerate() {
-            assert_eq!(op as u8 as usize, i, "wire order must match ALL order");
-            assert_eq!(Opcode::from_u8(op as u8), Some(op));
-            assert!((op as u8) < 32, "{op:?} exceeds the 5-bit progress field");
-        }
-        assert_eq!(Opcode::from_u8(Opcode::ALL.len() as u8), None);
-        let names: std::collections::HashSet<&str> = Opcode::ALL.iter().map(|o| o.name()).collect();
-        assert_eq!(names.len(), Opcode::ALL.len());
-    }
-
-    #[test]
-    fn inst_and_term_map_to_their_opcode_class() {
-        assert_eq!(
-            Inst::Load {
-                ty: Type::I64,
-                addr: ValueId(0)
-            }
-            .opcode(),
-            Opcode::Load
-        );
-        assert_eq!(
-            Inst::Gep {
-                base: ValueId(0),
-                index: ValueId(1),
-                scale: 8,
-                offset: 0
-            }
-            .opcode(),
-            Opcode::Gep
-        );
-        assert_eq!(Term::Br(BlockId(0)).opcode(), Opcode::Br);
-        assert_eq!(Term::Ret(None).opcode(), Opcode::Ret);
-        assert_eq!(
-            Term::CondBr {
-                cond: ValueId(0),
-                then_blk: BlockId(1),
-                else_blk: BlockId(2)
-            }
-            .opcode(),
-            Opcode::CondBr
-        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod value;
 pub mod verifier;
 
 pub use function::{Block, BlockId, Function, InstData, InstId};
-pub use inst::{BinOp, Builtin, Callee, CastKind, FcmpPred, IcmpPred, Inst, Opcode, Term};
+pub use inst::{BinOp, Builtin, Callee, CastKind, FcmpPred, IcmpPred, Inst, Term};
 pub use module::{FuncId, Global, GlobalId, Module};
 pub use types::Type;
 pub use value::{ValueId, ValueKind};

@@ -234,7 +234,7 @@ pub fn validate_json(text: &str) -> Result<(), String> {
 }
 
 /// A parsed JSON document — the read-side companion to [`JsonWriter`],
-/// used by the snapshot/diff/trend machinery to load documents the
+/// used by the snapshot/diff machinery to load documents the
 /// workspace wrote in earlier runs.
 ///
 /// Numbers keep their raw source token: `u64` counters round-trip

@@ -41,9 +41,6 @@ pub enum EventKind {
     /// Estimated time to sweep completion
     /// (`a` = tasks remaining, `b` = estimated ms remaining).
     SweepEta,
-    /// A benchmark measurement finished
-    /// (`a` = instructions, `b` = profile ns).
-    BenchMeasured,
     /// The process panicked (recorded by the [`arm`] hook just before
     /// the dump is written).
     Panic,
@@ -53,13 +50,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in wire order.
-    pub const ALL: [EventKind; 8] = [
+    pub const ALL: [EventKind; 7] = [
         EventKind::RunCompleted,
         EventKind::SweepStarted,
         EventKind::SweepTaskDone,
         EventKind::SweepCompleted,
         EventKind::SweepEta,
-        EventKind::BenchMeasured,
         EventKind::Panic,
         EventKind::Mark,
     ];
@@ -73,7 +69,6 @@ impl EventKind {
             EventKind::SweepTaskDone => "sweep_task_done",
             EventKind::SweepCompleted => "sweep_completed",
             EventKind::SweepEta => "sweep_eta",
-            EventKind::BenchMeasured => "bench_measured",
             EventKind::Panic => "panic",
             EventKind::Mark => "mark",
         }

@@ -16,15 +16,11 @@
 //!   JSON ([`to_json`]), and Chrome `trace_event` JSON ([`chrome_trace`])
 //!   loadable in `chrome://tracing` / Perfetto;
 //! - **Cross-run layer** — a coherent, serializable registry freeze
-//!   ([`snapshot`], `--snapshot-out`), a ranked two-snapshot comparison
-//!   ([`diff`], `lpstudy diff`), and an append-only run ledger with a
-//!   MAD-band regression check ([`trend`], `lpbench trend --check`);
+//!   ([`snapshot`], `--snapshot-out`) and a ranked two-snapshot
+//!   comparison ([`diff`], `lpstudy diff`);
 //! - **Flight recorder** — an always-on bounded ring journal of coarse
 //!   lifecycle events ([`journal`]), dumped to JSON on panic or via the
 //!   binaries' `--flight-out` flag;
-//! - **Sampling self-profiler** — the interpreter publishes its
-//!   dispatch position through a relaxed atomic and a sampler thread
-//!   attributes wall time per opcode pair ([`sampler`]);
 //! - **Logging** — `lp_info!` / `lp_debug!` macros filtered by the
 //!   `LP_LOG` environment variable and the binaries' `--quiet` flag.
 //!
@@ -51,10 +47,8 @@ pub mod local;
 pub mod log;
 pub mod metrics;
 pub mod registry;
-pub mod sampler;
 pub mod snapshot;
 pub mod span;
-pub mod trend;
 
 pub use diff::{Diff, DiffOptions};
 pub use export::{
@@ -68,7 +62,6 @@ pub use metrics::{Counter, CounterBank, Hist, Histogram, PredictorKind, COUNTER_
 pub use registry::{Registry, MAX_SPANS};
 pub use snapshot::RunSnapshot;
 pub use span::{SpanGuard, SpanRecord};
-pub use trend::TrendRecord;
 
 /// The process-wide registry (spans, counters, histograms).
 #[must_use]
