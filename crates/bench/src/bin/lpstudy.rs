@@ -206,9 +206,9 @@ fn run_explain(cli: &Cli, module: &lp_ir::Module) {
 /// The `replay` subcommand: certify DOALL loops statically, gate them on
 /// the run-time independence witness, execute the survivors' iterations
 /// across real worker threads, and differentially validate every
-/// replayed run against a plain serial reference. Prints a
+/// replayed run against the serial reference (the witnessed run). Prints a
 /// measured-vs-predicted speedup table per benchmark; the last line is
-/// always `... N divergence(s)` so CI can `grep '0 divergence(s)'`. Any
+/// always the `... N divergence(s)` verdict, which CI compares exactly. Any
 /// divergence is a hard failure (exit 1) naming the culprit loop.
 fn run_replay(cli: &Cli, args: &[String]) {
     let mut suite_name = "eembc".to_string();

@@ -148,10 +148,35 @@ fn mask_replay_timings(json: &str) -> String {
         .join("\n")
 }
 
+/// `(name, tid, start, end)` of every complete (`"ph":"X"`) event of a
+/// Chrome trace, in microseconds.
+fn trace_spans(trace: &str) -> Vec<(String, u64, f64, f64)> {
+    let doc = lp_obs::export::JsonValue::parse(trace).expect("trace must be valid JSON");
+    doc.get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+        .map(|e| {
+            let num = |k: &str| e.get(k).and_then(|v| v.as_f64()).expect("numeric field");
+            (
+                e.get("name").and_then(|n| n.as_str()).unwrap().to_string(),
+                e.get("tid").and_then(|t| t.as_u64()).unwrap(),
+                num("ts"),
+                num("ts") + num("dur"),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn replay_quickstart_has_stable_schema_and_loop_structure() {
     let dir = std::env::temp_dir();
     let json = dir.join(format!("lp-golden-replay-{}.json", std::process::id()));
+    let trace = dir.join(format!(
+        "lp-golden-replay-trace-{}.json",
+        std::process::id()
+    ));
     lpstudy(&[
         "replay",
         "test",
@@ -160,6 +185,8 @@ fn replay_quickstart_has_stable_schema_and_loop_structure() {
         "2",
         "--replay-out",
         json.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
     ]);
     let fresh = std::fs::read_to_string(&json).unwrap();
     let golden =
@@ -170,7 +197,28 @@ fn replay_quickstart_has_stable_schema_and_loop_structure() {
         "replay-quickstart.json structure drifted — if the change is \
          intentional, regenerate it (see this test's module docs)"
     );
+
+    // Every replay stage shows up in the trace, nested under a `replay`
+    // span on the same thread.
+    let spans = trace_spans(&std::fs::read_to_string(&trace).unwrap());
+    for stage in ["replay-witness", "replay-run", "replay-compare"] {
+        let mut seen = 0;
+        for (_, tid, start, end) in spans.iter().filter(|s| s.0 == stage) {
+            seen += 1;
+            assert!(
+                spans
+                    .iter()
+                    .any(|(name, ptid, pstart, pend)| name == "replay"
+                        && ptid == tid
+                        && *pstart <= start + 1e-3
+                        && end - 1e-3 <= *pend),
+                "{stage} span at {start}µs is not nested under a replay span"
+            );
+        }
+        assert!(seen > 0, "no {stage} span in the replay trace");
+    }
     let _ = std::fs::remove_file(&json);
+    let _ = std::fs::remove_file(&trace);
 }
 
 /// As above, through the bytecode engine: everything but wall clock in

@@ -18,8 +18,9 @@
 //! callback per block entry, phi, load, store and watched definition —
 //! the same single delivery path as the tree walk.
 
-use crate::events::EventSink;
+use crate::events::{EventSink, NullSink};
 use crate::machine::{exec_bin, Machine};
+use crate::replay::{ChunkOut, ChunkRequest, ChunkSpec, ReplayCtl};
 use crate::value::Value;
 use crate::{InterpError, Result};
 use lp_ir::{BinOp, BlockId, Builtin, CastKind, FcmpPred, FuncId, IcmpPred, Module, Type, ValueId};
@@ -300,10 +301,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
 
     /// Takes a pre-resolved CFG edge: block-entry event, phi-run moves
     /// (parallel-copy, with per-phi events exactly as the tree walk
-    /// orders them), then the replay interception check. The
-    /// caller updates its `block`/`pc` from the edge afterwards.
+    /// orders them), then the replay check. The caller updates its
+    /// `block`/`pc` from the edge afterwards.
     ///
-    /// `cost` is the frame's live fuel counter (see `exec_frame_bc`);
+    /// `cost` is the frame's live fuel counter (see `call_function_bc`);
     /// phi resolution charges nothing, but replay interception runs
     /// whole loop chunks, so the counter is synced across it.
     fn take_edge(
@@ -314,7 +315,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         e: &Edge,
         regs: &mut [Value],
         cost: &mut u64,
-    ) -> Result<()> {
+    ) -> std::result::Result<(), Halt> {
         self.sink.block_entered(fid, e.block, e.cost, *cost);
         if e.sequential {
             // No move reads an earlier move's destination (the compiler
@@ -338,41 +339,61 @@ impl<'a, S: EventSink> Machine<'a, S> {
             self.phi_scratch = updates;
         }
         if self.replay.is_some() {
-            self.cost = *cost;
-            let r = self.maybe_replay(fid, func, e.block, Some(from), regs);
-            *cost = self.cost;
-            r?;
+            self.replay_edge(fid, func, Some(from), e.block, regs, cost)?;
         }
         Ok(())
     }
 
-    /// The bytecode dispatch loop — the fast twin of `call_function`.
-    /// Every observable (events, `now` stamps, fuel charges, error
-    /// instruction) matches the tree walk exactly; see the module docs
-    /// for where the speed comes from.
+    /// The replay check on entering block `to` (from `from`, or as the
+    /// frame's entry block). A planned run may fan a certified loop out
+    /// at `to`; a chunk worker's own frame must stay inside its loop and
+    /// stops after its last latch→header arrival. Frames called from
+    /// inside a chunk run unbounded.
+    fn replay_edge(
+        &mut self,
+        fid: FuncId,
+        func: &'a lp_ir::Function,
+        from: Option<BlockId>,
+        to: BlockId,
+        regs: &mut [Value],
+        cost: &mut u64,
+    ) -> std::result::Result<(), Halt> {
+        if let Some(ReplayCtl::Chunk { shape, depth, left }) = &mut self.replay {
+            if self.depth != *depth {
+                return Ok(());
+            }
+            if !shape.contains(to) {
+                return Err(Halt::Trap(ESCAPED));
+            }
+            if to == shape.header {
+                *left -= 1;
+                if *left == 0 {
+                    return Err(Halt::ChunkDone);
+                }
+            }
+            return Ok(());
+        }
+        self.cost = *cost;
+        let r = self.maybe_replay(fid, func, to, from, regs);
+        *cost = self.cost;
+        Ok(r?)
+    }
+
+    /// Calls `fid` on the bytecode engine — the fast twin of
+    /// `call_function`. Every observable (events, `now` stamps, fuel
+    /// charges, error instruction) matches the tree walk exactly; see the
+    /// module docs for where the speed comes from.
     ///
-    /// This wrapper keeps `self.cost` authoritative at the call
-    /// boundary; the loop itself runs on a frame-local fuel counter
-    /// (`exec_frame_bc`) so the per-instruction charge is register
-    /// arithmetic, not a load/store round-trip through `self`.
+    /// This is the frame prologue and epilogue around `run_blocks`. It
+    /// keeps `self.cost` authoritative at the call boundary; the block
+    /// loop runs on a frame-local fuel counter so the per-instruction
+    /// charge is register arithmetic, not a load/store round-trip
+    /// through `self`.
     pub(crate) fn call_function_bc(
         &mut self,
         code: &CompiledModule,
         fid: FuncId,
         args: &[Value],
-    ) -> Result<Value> {
-        let mut cost = self.cost;
-        let r = self.exec_frame_bc(code, fid, args, &mut cost);
-        self.cost = cost;
-        r
-    }
-
-    fn exec_frame_bc(
-        &mut self,
-        code: &CompiledModule,
-        fid: FuncId,
-        args: &[Value],
-        cost: &mut u64,
     ) -> Result<Value> {
         self.depth += 1;
         if self.depth > self.config.max_call_depth {
@@ -380,33 +401,54 @@ impl<'a, S: EventSink> Machine<'a, S> {
         }
         let func = self.module.function(fid);
         let bf = &code.funcs[fid.index()];
-        let max_cost = self.config.max_cost;
         debug_assert_eq!(args.len(), func.params.len());
         let mut regs = self.frame_pool.pop().unwrap_or_default();
         regs.clone_from(&self.reg_templates[fid.index()]);
         regs[..args.len()].copy_from_slice(args);
         let frame_mark = self.memory.stack_top();
-        self.sink.func_entered(fid, frame_mark, *cost);
+        let mut cost = self.cost;
+        self.sink.func_entered(fid, frame_mark, cost);
 
-        let watch = !self.watched[fid.index()].is_empty();
-        let mut block = BlockId::ENTRY;
-        let mut pc: usize = 0;
-        self.sink.block_entered(fid, block, bf.entry_cost, *cost);
+        self.sink
+            .block_entered(fid, BlockId::ENTRY, bf.entry_cost, cost);
         if self.replay.is_some() {
-            self.cost = *cost;
-            let r = self.maybe_replay(fid, func, block, None, &mut regs);
-            *cost = self.cost;
-            r?;
+            self.replay_edge(fid, func, None, BlockId::ENTRY, &mut regs, &mut cost)?;
         }
+        let ret = self.run_blocks(code, fid, &mut regs, BlockId::ENTRY, 0, &mut cost);
+        self.cost = cost;
+        let ret = ret?;
+        self.memory.stack_release(frame_mark);
+        self.sink.func_exited(fid, cost);
+        self.depth -= 1;
+        self.frame_pool.push(regs);
+        Ok(ret)
+    }
 
-        let ret = loop {
+    /// The block loop of one frame: executes from `pc` (the first
+    /// instruction of `block`) until the frame returns, a trap, or — in
+    /// a replay chunk's own frame — the chunk's last latch→header
+    /// arrival ([`Halt::ChunkDone`]).
+    fn run_blocks(
+        &mut self,
+        code: &CompiledModule,
+        fid: FuncId,
+        regs: &mut [Value],
+        mut block: BlockId,
+        mut pc: usize,
+        cost: &mut u64,
+    ) -> std::result::Result<Value, Halt> {
+        let func = self.module.function(fid);
+        let bf = &code.funcs[fid.index()];
+        let max_cost = self.config.max_cost;
+        let watch = !self.watched[fid.index()].is_empty();
+        loop {
             let inst = &bf.code[pc];
             pc += 1;
             match inst {
                 Bc::Bin { op, dst, lhs, rhs } => {
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::Icmp {
                     pred,
@@ -416,7 +458,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 } => {
                     charge(cost, max_cost)?;
                     let c = icmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::B(c), *cost);
                 }
                 Bc::Fcmp {
                     pred,
@@ -426,7 +468,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 } => {
                     charge(cost, max_cost)?;
                     let c = fcmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::B(c), *cost);
                 }
                 Bc::Select {
                     dst,
@@ -437,26 +479,19 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     charge(cost, max_cost)?;
                     let c = regs[*cond as usize].as_bool()?;
                     let v = regs[if c { *then_val } else { *else_val } as usize];
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::Cast { kind, dst, val } => {
                     charge(cost, max_cost)?;
                     let v = cast_eval(*kind, regs[*val as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::Load { ty, dst, addr } => {
                     charge(cost, max_cost)?;
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
                     self.sink.load(a, *cost);
-                    self.set_reg(
-                        fid,
-                        watch,
-                        &mut regs,
-                        *dst,
-                        Value::from_bits(*ty, bits),
-                        *cost,
-                    );
+                    self.set_reg(fid, watch, regs, *dst, Value::from_bits(*ty, bits), *cost);
                 }
                 Bc::Store { dst, val, addr } => {
                     charge(cost, max_cost)?;
@@ -464,7 +499,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let a = regs[*addr as usize].as_ptr()?;
                     self.memory.write(a, v)?;
                     self.sink.store(a, *cost);
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::Unit, *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::Unit, *cost);
                 }
                 Bc::Gep {
                     dst,
@@ -475,7 +510,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 } => {
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::P(a), *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::P(a), *cost);
                 }
                 Bc::GepLoad {
                     ty,
@@ -490,18 +525,11 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     // cost stamps and fuel-exhaustion points are exact.
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
-                    self.set_reg(fid, watch, &mut regs, *gep_dst, Value::P(a), *cost);
+                    self.set_reg(fid, watch, regs, *gep_dst, Value::P(a), *cost);
                     charge(cost, max_cost)?;
                     let bits = self.memory.read(a)?;
                     self.sink.load(a, *cost);
-                    self.set_reg(
-                        fid,
-                        watch,
-                        &mut regs,
-                        *dst,
-                        Value::from_bits(*ty, bits),
-                        *cost,
-                    );
+                    self.set_reg(fid, watch, regs, *dst, Value::from_bits(*ty, bits), *cost);
                 }
                 Bc::GepStore {
                     gep_dst,
@@ -516,12 +544,12 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     // cost stamps and fuel-exhaustion points are exact.
                     charge(cost, max_cost)?;
                     let a = gep_addr(regs[*base as usize], regs[*index as usize], *scale, *offset)?;
-                    self.set_reg(fid, watch, &mut regs, *gep_dst, Value::P(a), *cost);
+                    self.set_reg(fid, watch, regs, *gep_dst, Value::P(a), *cost);
                     charge(cost, max_cost)?;
                     let v = regs[*val as usize].to_bits()?;
                     self.memory.write(a, v)?;
                     self.sink.store(a, *cost);
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::Unit, *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::Unit, *cost);
                 }
                 Bc::BinBin {
                     op1,
@@ -535,10 +563,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 } => {
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op1, regs[*lhs1 as usize], regs[*rhs1 as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst1, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst1, v, *cost);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op2, regs[*lhs2 as usize], regs[*rhs2 as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst2, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst2, v, *cost);
                 }
                 Bc::StoreBin {
                     sdst,
@@ -556,10 +584,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let a = regs[*addr as usize].as_ptr()?;
                     self.memory.write(a, v)?;
                     self.sink.store(a, *cost);
-                    self.set_reg(fid, watch, &mut regs, *sdst, Value::Unit, *cost);
+                    self.set_reg(fid, watch, regs, *sdst, Value::Unit, *cost);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::LoadBin {
                     ty,
@@ -576,17 +604,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let a = regs[*addr as usize].as_ptr()?;
                     let bits = self.memory.read(a)?;
                     self.sink.load(a, *cost);
-                    self.set_reg(
-                        fid,
-                        watch,
-                        &mut regs,
-                        *ldst,
-                        Value::from_bits(*ty, bits),
-                        *cost,
-                    );
+                    self.set_reg(fid, watch, regs, *ldst, Value::from_bits(*ty, bits), *cost);
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::BinBr {
                     op,
@@ -597,17 +618,17 @@ impl<'a, S: EventSink> Machine<'a, S> {
                 } => {
                     charge(cost, max_cost)?;
                     let v = exec_bin(*op, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                     charge(cost, max_cost)?;
                     let e = &bf.edges[*edge as usize];
-                    self.take_edge(fid, func, block, e, &mut regs, cost)?;
+                    self.take_edge(fid, func, block, e, regs, cost)?;
                     block = e.block;
                     pc = e.target as usize;
                 }
                 Bc::Alloca { dst, words } => {
                     charge(cost, max_cost)?;
                     let base = self.memory.stack_alloc(u64::from(*words));
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::P(base), *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::P(base), *cost);
                 }
                 Bc::CallFunc { dst, func, args } => {
                     charge(cost, max_cost)?;
@@ -616,7 +637,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let v = self.call_function_bc(code, FuncId(*func), &argv);
                     *cost = self.cost;
                     let v = v?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::CallBuiltin { dst, builtin, args } => {
                     charge(cost, max_cost)?;
@@ -626,12 +647,12 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     let v = self.exec_builtin(*builtin, &argv);
                     *cost = self.cost;
                     let v = v?;
-                    self.set_reg(fid, watch, &mut regs, *dst, v, *cost);
+                    self.set_reg(fid, watch, regs, *dst, v, *cost);
                 }
                 Bc::Br { edge } => {
                     charge(cost, max_cost)?;
                     let e = &bf.edges[*edge as usize];
-                    self.take_edge(fid, func, block, e, &mut regs, cost)?;
+                    self.take_edge(fid, func, block, e, regs, cost)?;
                     block = e.block;
                     pc = e.target as usize;
                 }
@@ -643,7 +664,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     charge(cost, max_cost)?;
                     let c = regs[*cond as usize].as_bool()?;
                     let e = &bf.edges[if c { *then_edge } else { *else_edge } as usize];
-                    self.take_edge(fid, func, block, e, &mut regs, cost)?;
+                    self.take_edge(fid, func, block, e, regs, cost)?;
                     block = e.block;
                     pc = e.target as usize;
                 }
@@ -658,34 +679,114 @@ impl<'a, S: EventSink> Machine<'a, S> {
                     // Fused, with per-constituent charges.
                     charge(cost, max_cost)?;
                     let c = icmp_eval(*pred, regs[*lhs as usize], regs[*rhs as usize])?;
-                    self.set_reg(fid, watch, &mut regs, *dst, Value::B(c), *cost);
+                    self.set_reg(fid, watch, regs, *dst, Value::B(c), *cost);
                     charge(cost, max_cost)?;
                     let e = &bf.edges[if c { *then_edge } else { *else_edge } as usize];
-                    self.take_edge(fid, func, block, e, &mut regs, cost)?;
+                    self.take_edge(fid, func, block, e, regs, cost)?;
                     block = e.block;
                     pc = e.target as usize;
                 }
                 Bc::Ret { val } => {
                     charge(cost, max_cost)?;
-                    break regs[*val as usize];
+                    return Ok(regs[*val as usize]);
                 }
                 Bc::RetVoid => {
                     charge(cost, max_cost)?;
-                    break Value::Unit;
+                    return Ok(Value::Unit);
                 }
             }
-        };
-        self.memory.stack_release(frame_mark);
-        self.sink.func_exited(fid, *cost);
-        self.depth -= 1;
-        self.frame_pool.push(regs);
-        Ok(ret)
+        }
     }
+}
+
+/// Why a frame's block loop stopped without returning. Crate-private,
+/// so a chunk's stop can never reach a caller as an [`InterpError`], and
+/// a real trap inside a chunk always travels as itself.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// A trap or resource-limit failure.
+    Trap(InterpError),
+    /// A replay chunk completed its iterations (see [`run_chunk`]).
+    ChunkDone,
+}
+
+/// The defensive check on a chunk: control left its certified loop.
+const ESCAPED: InterpError = InterpError::TypeConfusion("certified loop escaped during replay");
+
+impl From<InterpError> for Halt {
+    fn from(e: InterpError) -> Halt {
+        Halt::Trap(e)
+    }
+}
+
+impl From<Halt> for InterpError {
+    /// Only a chunk worker's own frame can stop with
+    /// [`Halt::ChunkDone`], and [`run_chunk`] enters that frame directly,
+    /// so every other frame sees only traps.
+    fn from(h: Halt) -> InterpError {
+        match h {
+            Halt::Trap(e) => e,
+            Halt::ChunkDone => InterpError::TypeConfusion("replay chunk stop outside its frame"),
+        }
+    }
+}
+
+/// Runs one replay chunk on a worker machine over a clone of the parent
+/// memory, returning the chunk's write log, cost, and final phi values.
+///
+/// The chunk enters the compiled loop at the header's pc with the seeded
+/// register file and runs the ordinary block loop until its last
+/// latch→header arrival. Workers carry no replay plan, so any nested loop
+/// inside the chunk runs serially.
+///
+/// # Errors
+/// Propagates interpreter traps, fuel exhaustion, and the defensive
+/// escape check (control leaving the certified loop's blocks — which
+/// certification should make impossible).
+///
+/// # Panics
+/// Panics if a chunk register file has the wrong length for the loop's
+/// function (the machine that built the [`ChunkSpec`] guarantees this).
+pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
+    let shape = req.shape;
+    let mut regs = spec.regs.clone();
+    assert_eq!(
+        regs.len(),
+        req.module.function(shape.func).values.len(),
+        "chunk register file length"
+    );
+    let pc = req.code.funcs[shape.func.index()]
+        .edges
+        .iter()
+        .find(|e| e.block == shape.header)
+        .ok_or(ESCAPED)?
+        .target as usize;
+    let mut memory = req.memory.clone();
+    memory.enable_write_log();
+    let mut sink = NullSink;
+    let mut machine = Machine::with_memory(req.module, &mut sink, req.config.clone(), Some(memory));
+    machine.replay = Some(ReplayCtl::Chunk {
+        shape,
+        depth: machine.depth,
+        left: spec.iters,
+    });
+    let mut cost = 0;
+    match machine.run_blocks(req.code, shape.func, &mut regs, shape.header, pc, &mut cost) {
+        Err(Halt::ChunkDone) => {}
+        Err(Halt::Trap(e)) => return Err(e),
+        Ok(_) => return Err(ESCAPED),
+    }
+    Ok(ChunkOut {
+        index: spec.index,
+        cost,
+        log: machine.memory.take_write_log(),
+        phi_out: shape.phis.iter().map(|(v, _)| regs[v.index()]).collect(),
+    })
 }
 
 /// The per-instruction fuel charge on the frame-local counter — plain
 /// register arithmetic instead of a `self.cost` round-trip (the sole
-/// reason `exec_frame_bc` threads `cost` explicitly).
+/// reason `run_blocks` threads `cost` explicitly).
 #[inline]
 fn charge(cost: &mut u64, max_cost: u64) -> Result<()> {
     *cost += 1;

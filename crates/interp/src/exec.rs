@@ -25,7 +25,7 @@ use crate::bytecode::CompiledModule;
 use crate::events::{EventSink, NullSink};
 use crate::machine::{Engine, Machine, MachineConfig, RunResult};
 use crate::memory::Memory;
-use crate::replay::{ParallelExec, ReplayPlan};
+use crate::replay::{ParallelExec, ReplayCtl, ReplayPlan};
 use crate::value::Value;
 use crate::Result;
 use lp_ir::Module;
@@ -181,9 +181,19 @@ impl<'x, 'm, S: EventSink> Exec<'x, 'm, S> {
             replay,
         } = self;
         config.engine = unit.engine;
+        let compiled;
         let mut machine = Machine::with_config(unit.module, &mut sink, config);
-        if let Some((plan, pexec)) = replay {
-            machine = machine.with_replay(plan, pexec);
+        if let Some((plan, exec)) = replay {
+            // Replay chunks always run on bytecode: a tree unit compiles
+            // it once for this run, while the run itself stays tree.
+            let code = match &unit.code {
+                Some(code) => code,
+                None => {
+                    compiled = CompiledModule::compile(unit.module);
+                    &compiled
+                }
+            };
+            machine.replay = Some(ReplayCtl::Plan { plan, exec, code });
         }
         let (result, memory) = machine.run_entry(function, args, unit.code.as_ref())?;
         Ok(ExecOut {

@@ -1,10 +1,9 @@
 //! The interpreter core.
 
-use crate::events::{EventSink, NullSink};
+use crate::events::EventSink;
 use crate::memory::Memory;
 use crate::replay::{
-    reduction_identity, split_iterations, ChunkOut, ChunkRequest, ChunkSpec, LoopShape, PhiKind,
-    ReplayCtl, ReplayPlan,
+    reduction_identity, split_iterations, ChunkRequest, ChunkSpec, LoopShape, PhiKind, ReplayCtl,
 };
 use crate::value::Value;
 use crate::{InterpError, Result};
@@ -111,7 +110,6 @@ pub struct Machine<'a, S> {
     pub(crate) sink: &'a mut S,
     pub(crate) config: MachineConfig,
     pub(crate) memory: Memory,
-    global_bases: Vec<u64>,
     pub(crate) cost: u64,
     pub(crate) rng: u64,
     pub(crate) output: Vec<String>,
@@ -132,24 +130,14 @@ pub struct Machine<'a, S> {
     /// allocation (`clone_from` the template), so call-heavy code does
     /// not hit the allocator per frame.
     pub(crate) frame_pool: Vec<Vec<Value>>,
-    /// Parallel replay control: when armed, entering a planned certified
+    /// Parallel replay control: in a planned run, entering a certified
     /// loop header from outside the loop fans its iterations out through
-    /// the executor instead of running them serially. One `Option` check
-    /// per block entry when disarmed.
+    /// the executor; in a chunk worker, it bounds the chunk. One `Option`
+    /// check per block entry when disarmed.
     pub(crate) replay: Option<ReplayCtl<'a>>,
 }
 
 impl<'a, S: EventSink> Machine<'a, S> {
-    /// Creates a machine with default configuration.
-    ///
-    /// # Panics
-    /// Panics if global initializers are longer than their globals (the
-    /// module should have been verified).
-    #[must_use]
-    pub fn new(module: &'a Module, sink: &'a mut S) -> Machine<'a, S> {
-        Machine::with_config(module, sink, MachineConfig::default())
-    }
-
     /// Creates a machine with an explicit configuration.
     ///
     /// # Panics
@@ -160,20 +148,35 @@ impl<'a, S: EventSink> Machine<'a, S> {
         sink: &'a mut S,
         config: MachineConfig,
     ) -> Machine<'a, S> {
-        let mut memory = Memory::new();
+        Machine::with_memory(module, sink, config, None)
+    }
+
+    /// As [`Machine::with_config`] over `memory`, a parent run's image
+    /// (replay chunk workers start from a clone of it), whose globals
+    /// are already initialized; `None` starts from a fresh image.
+    pub(crate) fn with_memory(
+        module: &'a Module,
+        sink: &'a mut S,
+        config: MachineConfig,
+        memory: Option<Memory>,
+    ) -> Machine<'a, S> {
+        let fresh = memory.is_none();
+        let mut memory = memory.unwrap_or_default();
         let mut global_bases = Vec::with_capacity(module.globals.len());
         let mut base = crate::memory::GLOBAL_BASE;
         for g in &module.globals {
-            assert!(
-                g.init.len() as u64 <= g.words,
-                "global {} initializer too long",
-                g.name
-            );
             global_bases.push(base);
-            for (i, w) in g.init.iter().enumerate() {
-                memory
-                    .write(base + (i as u64) * 8, *w)
-                    .expect("global layout is aligned");
+            if fresh {
+                assert!(
+                    g.init.len() as u64 <= g.words,
+                    "global {} initializer too long",
+                    g.name
+                );
+                for (i, w) in g.init.iter().enumerate() {
+                    memory
+                        .write(base + (i as u64) * 8, *w)
+                        .expect("global layout is aligned");
+                }
             }
             base += g.words.max(1) * 8;
         }
@@ -210,7 +213,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             sink,
             config,
             memory,
-            global_bases,
             cost: 0,
             rng,
             output: Vec::new(),
@@ -221,18 +223,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             frame_pool: Vec::new(),
             replay: None,
         }
-    }
-
-    /// Arms parallel replay: certified loops in `plan` will be executed
-    /// across `exec`'s workers instead of serially.
-    #[must_use]
-    pub fn with_replay(
-        mut self,
-        plan: &'a ReplayPlan,
-        exec: &'a dyn crate::replay::ParallelExec,
-    ) -> Machine<'a, S> {
-        self.replay = Some(ReplayCtl { plan, exec });
-        self
     }
 
     /// Shared run entry for both engines, reached through the
@@ -272,21 +262,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             },
             self.memory,
         ))
-    }
-
-    /// Dynamic cost so far.
-    #[must_use]
-    pub fn cost(&self) -> u64 {
-        self.cost
-    }
-
-    /// Address of a global (for constructing pointer arguments in tests).
-    ///
-    /// # Panics
-    /// Panics if out of bounds.
-    #[must_use]
-    pub fn global_base(&self, g: lp_ir::GlobalId) -> u64 {
-        self.global_bases[g.index()]
     }
 
     pub(crate) fn charge(&mut self, c: u64) -> Result<()> {
@@ -421,10 +396,10 @@ impl<'a, S: EventSink> Machine<'a, S> {
         prev: Option<BlockId>,
         regs: &mut [Value],
     ) -> Result<()> {
-        let Some(ctl) = self.replay else {
+        let Some(ReplayCtl::Plan { plan, exec, code }) = self.replay else {
             return Ok(());
         };
-        let Some(shape) = ctl.plan.shape_at(fid, block) else {
+        let Some(shape) = plan.shape_at(fid, block) else {
             return Ok(());
         };
         if prev.is_some_and(|p| shape.contains(p)) {
@@ -449,7 +424,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
 
         // Seed one register file per chunk.
         let entries: Vec<Value> = shape.phis.iter().map(|(v, _)| regs[v.index()]).collect();
-        let ranges = split_iterations(n, ctl.plan.jobs());
+        let ranges = split_iterations(n, plan.jobs());
         let mut chunks = Vec::with_capacity(ranges.len());
         for (ci, range) in ranges.iter().enumerate() {
             let mut cregs = regs.to_vec();
@@ -485,21 +460,17 @@ impl<'a, S: EventSink> Machine<'a, S> {
             max_cost: self.config.max_cost - self.cost,
             max_call_depth: self.config.max_call_depth - self.depth,
             rng_seed: self.config.rng_seed,
-            capture_output: false,
-            watched_values: Vec::new(),
-            // Chunk workers always run the tree walk (`run_chunk` calls
-            // `exec_chunk` directly); both engines produce value-identical
-            // chunks, so this only labels the worker's config.
-            engine: Engine::Tree,
+            ..MachineConfig::default()
         };
         let request = ChunkRequest {
             module: self.module,
+            code,
             shape,
             memory: &self.memory,
             config: &worker_config,
             chunks,
         };
-        let outs = ctl.exec.run_chunks(request)?;
+        let outs = exec.run_chunks(request)?;
         if outs.len() != ranges.len() {
             return Err(InterpError::TypeConfusion(
                 "replay executor returned wrong chunk count",
@@ -542,86 +513,6 @@ impl<'a, S: EventSink> Machine<'a, S> {
             };
         }
         Ok(())
-    }
-
-    /// Executes `iters` iterations of a certified loop, starting at the
-    /// header with `regs` pre-seeded for the chunk's first iteration.
-    /// Stops on the latch→header arrival after the last iteration,
-    /// leaving the next iteration's phi inputs in `regs` (the chunk's
-    /// partials / exit values).
-    fn exec_chunk(&mut self, shape: &LoopShape, regs: &mut [Value], iters: u64) -> Result<()> {
-        let fid = shape.func;
-        let func = self.module.function(fid);
-        let mut done = 0u64;
-        let mut block = shape.header;
-        let mut prev: Option<BlockId> = None;
-        loop {
-            if !shape.contains(block) {
-                return Err(InterpError::TypeConfusion(
-                    "certified loop escaped during replay",
-                ));
-            }
-            // Two-phase phi resolution, as in `call_function` (free).
-            if let Some(pred) = prev {
-                let blk = func.block(block);
-                let mut updates = std::mem::take(&mut self.phi_scratch);
-                for &iid in &blk.insts {
-                    let data = func.inst(iid);
-                    let Inst::Phi { incomings, .. } = &data.inst else {
-                        break;
-                    };
-                    let (_, v) = incomings
-                        .iter()
-                        .find(|(b, _)| *b == pred)
-                        .expect("verified phi covers predecessors");
-                    updates.push((data.result, regs[v.index()]));
-                }
-                for &(r, v) in &updates {
-                    regs[r.index()] = v;
-                }
-                updates.clear();
-                self.phi_scratch = updates;
-            }
-            // A latch→header arrival completes one iteration; stop
-            // before re-executing the header once the chunk is done, so
-            // the header's compare runs exactly once per iteration.
-            if block == shape.header && prev.is_some() {
-                done += 1;
-                if done == iters {
-                    return Ok(());
-                }
-            }
-            for &iid in &func.block(block).insts {
-                let data = func.inst(iid);
-                if data.inst.is_phi() {
-                    continue;
-                }
-                self.charge(1)?;
-                let result = self.exec_inst(fid, func, regs, &data.inst)?;
-                regs[data.result.index()] = result;
-            }
-            self.charge(1)?;
-            match &func.block(block).term {
-                Term::Br(t) => {
-                    prev = Some(block);
-                    block = *t;
-                }
-                Term::CondBr {
-                    cond,
-                    then_blk,
-                    else_blk,
-                } => {
-                    let c = regs[cond.index()].as_bool()?;
-                    prev = Some(block);
-                    block = if c { *then_blk } else { *else_blk };
-                }
-                Term::Ret(_) => {
-                    return Err(InterpError::TypeConfusion(
-                        "certified loop escaped during replay",
-                    ));
-                }
-            }
-        }
     }
 
     fn exec_inst(
@@ -914,47 +805,6 @@ fn probe_trip_count(
         }
     }
     Err(InterpError::FuelExhausted)
-}
-
-/// Runs one replay chunk on a fresh worker machine over a clone of the
-/// parent memory, returning the chunk's write log, cost, and final phi
-/// values. Workers carry no replay plan, so any nested loop inside the
-/// chunk runs serially.
-///
-/// # Errors
-/// Propagates interpreter traps, fuel exhaustion, and the defensive
-/// escape check (control leaving the certified loop's blocks — which
-/// certification should make impossible).
-///
-/// # Panics
-/// Panics if a chunk register file has the wrong length for the loop's
-/// function (the machine that built the [`ChunkSpec`] guarantees this).
-pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
-    let mut sink = NullSink;
-    let mut machine = Machine::with_config(req.module, &mut sink, req.config.clone());
-    machine.memory = req.memory.clone();
-    machine.memory.enable_write_log();
-    let mut regs = spec.regs.clone();
-    assert_eq!(
-        regs.len(),
-        req.module.function(req.shape.func).values.len(),
-        "chunk register file length"
-    );
-    machine.exec_chunk(req.shape, &mut regs, spec.iters)?;
-    let cost = machine.cost;
-    let log = machine.memory.take_write_log();
-    let phi_out = req
-        .shape
-        .phis
-        .iter()
-        .map(|(v, _)| regs[v.index()])
-        .collect();
-    Ok(ChunkOut {
-        index: spec.index,
-        cost,
-        log,
-        phi_out,
-    })
 }
 
 #[cfg(test)]
@@ -1387,6 +1237,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Runs `m` unreplayed and replayed through [`SerialExec`] at 1 and 2
+    /// chunks, on both top-level engines, and asserts every replayed
+    /// outcome — result or trap — equals the unreplayed one.
+    fn assert_replay_matches_serial(m: &Module, cfg: &MachineConfig, args: &[Value]) {
+        use crate::replay::{ReplayPlan, SerialExec};
+        for engine in [Engine::Tree, Engine::Bc] {
+            let unit = ExecUnit::with_engine(m, engine);
+            let run = |plan: Option<&ReplayPlan>| {
+                let exec = Exec::new(&unit).config(cfg.clone());
+                match plan {
+                    Some(plan) => exec.replay(plan, &SerialExec).run(args),
+                    None => exec.run(args),
+                }
+                .map(|out| out.result)
+            };
+            let serial = run(None);
+            for jobs in [1usize, 2] {
+                let plan = ReplayPlan::new(vec![sum_shape(m)], jobs);
+                assert_eq!(
+                    run(Some(&plan)),
+                    serial,
+                    "{engine:?} jobs={jobs} max_cost={}",
+                    cfg.max_cost
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn traps_inside_replayed_chunks_match_the_serial_run() {
+        // s += 100 / (i - k): the certified loop divides by zero at
+        // iteration k, which lands in the first or the second chunk.
+        for k in [0i64, 37, 60, 96] {
+            let mut m = Module::new("div");
+            let mut fb = FunctionBuilder::new("main", &[Type::I64], Type::I64);
+            let n = fb.param(0);
+            let zero = fb.const_i64(0);
+            let one = fb.const_i64(1);
+            let kk = fb.const_i64(k);
+            let hundred = fb.const_i64(100);
+            let header = fb.create_block("header");
+            let body = fb.create_block("body");
+            let exit = fb.create_block("exit");
+            fb.br(header);
+            fb.switch_to(header);
+            let i = fb.phi(Type::I64);
+            let s = fb.phi(Type::I64);
+            let c = fb.icmp(IcmpPred::Slt, i, n);
+            fb.cond_br(c, body, exit);
+            fb.switch_to(body);
+            let d = fb.sub(i, kk);
+            let q = fb.sdiv(hundred, d);
+            let s2 = fb.add(s, q);
+            let i2 = fb.add(i, one);
+            fb.add_phi_incoming(i, BlockId::ENTRY, zero);
+            fb.add_phi_incoming(i, body, i2);
+            fb.add_phi_incoming(s, BlockId::ENTRY, zero);
+            fb.add_phi_incoming(s, body, s2);
+            fb.br(header);
+            fb.switch_to(exit);
+            fb.ret(Some(s));
+            m.add_function(fb.finish().unwrap());
+            let cfg = MachineConfig::default();
+            assert_eq!(
+                err_both(&m, &cfg, &[Value::I(97)]),
+                InterpError::DivByZero,
+                "k={k}"
+            );
+            assert_replay_matches_serial(&m, &cfg, &[Value::I(97)]);
+            // Stopping short of iteration k never traps.
+            assert_replay_matches_serial(&m, &cfg, &[Value::I(k)]);
+        }
+    }
+
+    #[test]
+    fn fuel_running_out_inside_replayed_chunks_matches_the_serial_run() {
+        // 300 iterations cost 5 units each. Budgets from starving to
+        // ample exhaust in the trip-count probe, inside a chunk, at the
+        // parent's charge of the chunk costs, or not at all; each must
+        // end exactly as the unreplayed run does.
+        let m = sum_module();
+        let full = run_main(&m, &[Value::I(300)]).cost;
+        for max_cost in (50..=full + 50).step_by(50).chain([700, full - 1, full]) {
+            let cfg = MachineConfig {
+                max_cost,
+                ..MachineConfig::default()
+            };
+            assert_replay_matches_serial(&m, &cfg, &[Value::I(300)]);
+        }
+        let starved = MachineConfig {
+            max_cost: 700,
+            ..MachineConfig::default()
+        };
+        assert_eq!(
+            err_both(&m, &starved, &[Value::I(300)]),
+            InterpError::FuelExhausted
+        );
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!    `entry + lo·step`, reduction phis start from the entry value
 //!    (first chunk) or the operator's identity (the rest),
 //! 4. hands the chunks to a [`ParallelExec`] implementation, which runs
-//!    each on a fresh machine over a clone of the parent memory with a
-//!    write log armed, and
+//!    each on a worker machine over a clone of the parent memory with a
+//!    write log armed: [`run_chunk`] enters the run's compiled bytecode
+//!    at the header's pc with the seeded register file and runs the one
+//!    dispatch loop until the chunk's last latch→header arrival (a
+//!    tree-engine run compiles the module once for its chunks), and
 //! 5. merges the logs back in chunk order, folds reduction partials in
 //!    chunk order, and sets the exit phi values — then lets the header
 //!    run once more so the loop exits through its ordinary compare.
@@ -33,13 +36,14 @@
 //! and the probe charges nothing — so a replayed run's dynamic IR cost
 //! equals the serial run's, keeping the paper's cost model intact.
 
+use crate::bytecode::CompiledModule;
 use crate::machine::MachineConfig;
 use crate::memory::Memory;
 use crate::value::Value;
 use crate::Result;
 use lp_ir::{BinOp, BlockId, FuncId, Module, ValueId};
 
-pub use crate::machine::run_chunk;
+pub use crate::bytecode::run_chunk;
 
 /// A loop-invariant affine step expression: `konst + Σ coeff · reg`.
 ///
@@ -245,6 +249,9 @@ pub struct ChunkOut {
 pub struct ChunkRequest<'m> {
     /// The program.
     pub module: &'m Module,
+    /// The program's bytecode, compiled once per run; chunks execute on
+    /// its dispatch loop.
+    pub code: &'m CompiledModule,
     /// The loop being replayed.
     pub shape: &'m LoopShape,
     /// Parent memory image at loop entry; every worker clones it.
@@ -257,7 +264,7 @@ pub struct ChunkRequest<'m> {
 
 /// Executor hook: `lp-runtime` implements this over `parallel_map`;
 /// [`SerialExec`] runs chunks inline.
-pub trait ParallelExec {
+pub trait ParallelExec: std::fmt::Debug {
     /// Runs every chunk and returns their outputs in chunk order.
     ///
     /// # Errors
@@ -277,29 +284,26 @@ impl ParallelExec for SerialExec {
     }
 }
 
-/// Replay control a machine carries: the plan plus the executor. Held
-/// by reference so the (shared) plan outlives any number of machines.
-pub struct ReplayCtl<'a> {
-    /// Certified loop shapes and the worker count.
-    pub plan: &'a ReplayPlan,
-    /// Chunk executor.
-    pub exec: &'a dyn ParallelExec,
-}
-
-impl Clone for ReplayCtl<'_> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl Copy for ReplayCtl<'_> {}
-
-impl std::fmt::Debug for ReplayCtl<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplayCtl")
-            .field("plan", &self.plan)
-            .finish_non_exhaustive()
-    }
+/// Replay control a machine carries in its one `Option` slot, checked
+/// once per CFG edge: a top-level run's plan, or a chunk worker's bound.
+/// A worker never has a plan armed, so nested loops inside a chunk run
+/// serially.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReplayCtl<'a> {
+    /// Certified loops in `plan` fan out through `exec`; their chunks
+    /// run on `code`'s dispatch loop.
+    Plan {
+        plan: &'a ReplayPlan,
+        exec: &'a dyn ParallelExec,
+        code: &'a CompiledModule,
+    },
+    /// The frame at call depth `depth` is running `shape`'s blocks and
+    /// stops after `left` more latch→header arrivals.
+    Chunk {
+        shape: &'a LoopShape,
+        depth: u32,
+        left: u64,
+    },
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! The limit study's numbers are *predictions* — cost-model folds over a
 //! profile. This module closes the loop by actually executing certified
 //! DOALL loops across worker threads and byte-comparing the outcome
-//! against a plain serial run. Per module, [`replay_module`] runs the
+//! against the serial run. Per module, [`replay_module`] runs the
 //! five-stage pipeline:
 //!
 //! 1. **Static certification** — `lp_analysis::certify` selects loops
@@ -17,8 +17,10 @@
 //!    fails (or that never executed) are rejected *before any parallel
 //!    execution* — this is what catches a WAW-only false DOALL that RAW
 //!    profiling cannot see.
-//! 3. **Serial reference** — an unprofiled run records the final memory
-//!    image, captured output, return value, and exact dynamic cost.
+//! 3. **Serial reference** — the same witnessed run: it is serial and
+//!    unreplayed, and its sink only observes, so it also records the
+//!    final memory image, captured output, return value, and exact
+//!    dynamic cost that the replayed runs must reproduce.
 //! 4. **Replayed runs** — the interpreter re-runs the program twice with
 //!    the surviving loops' [`ReplayPlan`]s armed: once with one worker
 //!    (the timing baseline) and once with `jobs` workers, chunks fanned
@@ -31,6 +33,11 @@
 //!    (bisected by re-running with single-loop plans) — never a silent
 //!    wrong answer.
 //!
+//! Stages 2, 4 and 5 record `lp_obs` spans nested under `replay`:
+//! `replay-witness`, one `replay-run` per replayed run (bisect re-runs
+//! included), and one `replay-compare` per comparison, so a Chrome trace
+//! (`--trace-out`) shows where replay time went.
+//!
 //! Alongside the measured speedup (serial wall time of the loop's chunk
 //! execution over its parallel wall time), each loop reports the limit
 //! study's *predicted* DOALL speedup for the same profile, so
@@ -40,7 +47,7 @@ use crate::config::{Config, DepMode, ExecModel, FnMode, ReducMode};
 use crate::eval::evaluate;
 use crate::export::Export;
 use crate::sweep::{parallel_map, Jobs};
-use crate::witness::{profile_module_witnessed, WitnessViolation};
+use crate::witness::{witnessed_run, WitnessViolation};
 use lp_analysis::{analyze_module, certify_module, CertPhi, CertifiedLoop};
 use lp_interp::{
     run_chunk, ChunkOut, ChunkRequest, Engine, Exec, ExecUnit, InterpError, LoopShape,
@@ -290,6 +297,7 @@ fn run_with_plan(
     args: &[Value],
     config: &MachineConfig,
 ) -> Result<(lp_interp::RunResult, lp_interp::Memory, ThreadedExec), InterpError> {
+    let _s = span!("replay-run");
     let plan = ReplayPlan::new(shapes, jobs.get());
     let exec = ThreadedExec::new(jobs);
     let out = Exec::new(unit)
@@ -309,6 +317,7 @@ fn compare(
     replay: &lp_interp::RunResult,
     replay_mem: &mut lp_interp::Memory,
 ) -> Option<DivergenceKind> {
+    let _s = span!("replay-compare");
     if let Some((addr, expected, actual)) = serial_mem.first_difference(replay_mem) {
         return Some(DivergenceKind::Memory {
             addr,
@@ -387,9 +396,10 @@ pub fn replay_module(
 
 /// As [`replay_module`] with an explicit top-level [`Engine`].
 ///
-/// The engine drives the profiled, serial-reference, and replayed
-/// top-level runs; replay chunk *workers* always execute the tree walk
-/// (chunks bypass the per-function dispatch the bytecode accelerates).
+/// The engine drives the witnessed run (which is also the serial
+/// reference) and the replayed top-level runs; replay chunk *workers*
+/// always execute the bytecode dispatch loop, entered at the loop
+/// header (a tree run compiles the module once for them).
 ///
 /// # Errors
 /// See [`replay_module`].
@@ -413,8 +423,12 @@ pub fn replay_module_with(
         ..MachineConfig::default()
     };
     let unit = ExecUnit::with_engine(module, engine);
-    let (profile, _, witness) =
-        profile_module_witnessed(module, &analysis, args, base_config.clone(), &targets)?;
+    // The witnessed run doubles as the serial reference: it is serial and
+    // unreplayed, and the profiler sink only observes.
+    let (profile, serial, mut serial_mem, witness) = {
+        let _s = span!("replay-witness");
+        witnessed_run(&unit, &analysis, args, base_config.clone(), &targets)?
+    };
 
     // Witness gate: at least one observed instance, all footprints
     // disjoint. Rejected loops never reach a thread.
@@ -444,16 +458,6 @@ pub fn replay_module_with(
             .iter()
             .filter(|r| matches!(r.reason, RejectReason::Violation(_)))
             .count() as u64,
-    );
-
-    // Serial reference: plain run, no replay, no profiling.
-    let serial_out = Exec::new(&unit)
-        .config(base_config.clone())
-        .keep_memory(true)
-        .run(args)?;
-    let (serial, mut serial_mem) = (
-        serial_out.result,
-        serial_out.memory.expect("keep_memory was requested"),
     );
 
     // Replayed runs: 1 worker (timing baseline), then `jobs` workers.

@@ -30,7 +30,9 @@
 use crate::profile::Profile;
 use crate::tracker::Profiler;
 use lp_analysis::{LoopId, ModuleAnalysis};
-use lp_interp::{Exec, ExecUnit, InterpError, MachineConfig, MeteredSink, RunResult, Value};
+use lp_interp::{
+    Exec, ExecUnit, InterpError, MachineConfig, Memory, MeteredSink, RunResult, Value,
+};
 use lp_ir::fx::FxHashMap;
 use lp_ir::{FuncId, Module};
 
@@ -325,21 +327,39 @@ pub fn profile_module_witnessed(
     module: &Module,
     analysis: &ModuleAnalysis,
     args: &[Value],
-    mut machine_config: MachineConfig,
+    machine_config: MachineConfig,
     targets: &[(FuncId, LoopId)],
 ) -> Result<(Profile, RunResult, WitnessReport), InterpError> {
-    let mut profiler = Profiler::new(module, analysis);
+    let unit = ExecUnit::with_engine(module, machine_config.engine);
+    let (profile, result, _, report) =
+        witnessed_run(&unit, analysis, args, machine_config, targets)?;
+    Ok((profile, result, report))
+}
+
+/// [`profile_module_witnessed`] on the caller's [`ExecUnit`] (so the
+/// module is compiled once), also returning the final memory image. The
+/// run is serial and unreplayed, and its sink only observes, so its
+/// result and memory are those of a plain run: replay uses them as its
+/// serial reference.
+pub(crate) fn witnessed_run(
+    unit: &ExecUnit<'_>,
+    analysis: &ModuleAnalysis,
+    args: &[Value],
+    mut machine_config: MachineConfig,
+    targets: &[(FuncId, LoopId)],
+) -> Result<(Profile, RunResult, Memory, WitnessReport), InterpError> {
+    let mut profiler = Profiler::new(unit.module(), analysis);
     profiler.enable_witness(targets, Vec::new());
     machine_config.watched_values = profiler.watched_values();
     let mut metered = MeteredSink::new(&mut profiler);
-    let unit = ExecUnit::with_engine(module, machine_config.engine);
-    let result = Exec::new(&unit)
+    let out = Exec::new(unit)
         .sink(&mut metered)
         .config(machine_config)
-        .run(args)?
-        .result;
+        .keep_memory(true)
+        .run(args)?;
     let (profile, report) = profiler.finish_with_witness();
-    Ok((profile, result, report))
+    let memory = out.memory.expect("keep_memory was requested");
+    Ok((profile, out.result, memory, report))
 }
 
 #[cfg(test)]

@@ -11,14 +11,14 @@
 //! fields aside).
 
 use lp_analysis::{analyze_module, LoopId, ModuleAnalysis};
-use lp_interp::{Engine, Exec, ExecUnit, MachineConfig};
+use lp_interp::{Engine, Exec, ExecUnit, MachineConfig, MeteredSink};
 use lp_ir::builder::FunctionBuilder;
 use lp_ir::{BlockId, FuncId, Global, IcmpPred, Module, Type};
 use lp_runtime::{
-    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs,
+    encode_entry, profile_module, profile_module_witnessed, replay_module_with, Jobs, Profiler,
 };
 use lp_suite::kernels::counted_loop;
-use lp_suite::Scale;
+use lp_suite::{Scale, SuiteId};
 use proptest::prelude::*;
 
 /// Profiles `module` under `engine` and returns the full store-codec
@@ -270,7 +270,60 @@ fn suite_witness_reports_match_across_engines() {
             "{}: witness report diverges between tree and bc",
             b.name
         );
+        if b.suite == SuiteId::Eembc {
+            assert_witnessed_run_is_serial_reference(&module);
+        }
     }
+}
+
+/// Replay uses the witnessed run as its serial reference, so that run
+/// must reproduce a plain run exactly: return value, output and cost
+/// (through `profile_module_witnessed`), and the final memory image
+/// (through the same profiler-and-witness sink with memory kept).
+fn assert_witnessed_run_is_serial_reference(module: &Module) {
+    let analysis = analyze_module(module);
+    let targets = all_loops(module, &analysis);
+    let config = MachineConfig {
+        capture_output: true,
+        ..MachineConfig::default()
+    };
+    let unit = ExecUnit::new(module);
+    let plain = Exec::new(&unit)
+        .config(config.clone())
+        .keep_memory(true)
+        .run(&[])
+        .unwrap();
+    let (_, witnessed, _) =
+        profile_module_witnessed(module, &analysis, &[], config.clone(), &targets).unwrap();
+    assert_eq!(
+        witnessed, plain.result,
+        "{}: witnessed run differs from a plain run",
+        module.name
+    );
+
+    let mut profiler = Profiler::new(module, &analysis);
+    profiler.enable_witness(&targets, Vec::new());
+    let config = MachineConfig {
+        watched_values: profiler.watched_values(),
+        ..config
+    };
+    let mut metered = MeteredSink::new(&mut profiler);
+    let observed = Exec::new(&unit)
+        .sink(&mut metered)
+        .config(config)
+        .keep_memory(true)
+        .run(&[])
+        .unwrap();
+    assert_eq!(observed.result, plain.result, "{}", module.name);
+    assert_eq!(
+        plain
+            .memory
+            .unwrap()
+            .first_difference(&mut observed.memory.unwrap()),
+        None,
+        "{}: witnessed run's memory image differs from a plain run's",
+        module.name
+    );
 }
 
 proptest! {
