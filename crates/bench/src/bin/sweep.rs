@@ -6,7 +6,9 @@
 //! config)` lattice then fans out over `--jobs N` workers (default:
 //! `LP_JOBS` or the machine's available parallelism). The CSV on stdout
 //! is byte-identical for any worker count. `--suite NAME` (repeatable)
-//! restricts the sweep to one or more suites.
+//! restricts the sweep to one or more suites. The rows go out through one
+//! buffered writer inside an `export` span; a reader that closes the pipe
+//! early (`sweep default | head -n 1`) ends the output, not the run.
 //!
 //! ```text
 //! cargo run --release -p lp-bench --bin sweep -- default > results/sweep.csv
@@ -14,10 +16,11 @@
 //! ```
 
 use lp_bench::{run_suites, Cli, SweepTable};
-use lp_obs::lp_info;
+use lp_obs::{lp_info, span};
 use lp_runtime::export::{report_header, report_row};
 use lp_runtime::{Config, ExecModel};
 use lp_suite::SuiteId;
+use std::io::{self, BufWriter, Write};
 
 fn parse_suite(name: &str) -> SuiteId {
     SuiteId::all()
@@ -30,6 +33,18 @@ fn parse_suite(name: &str) -> SuiteId {
             );
             std::process::exit(2);
         })
+}
+
+/// Writes the CSV header and the `runs x rows` table to stdout.
+fn write_csv(table: &SweepTable, runs: usize, rows: usize) -> io::Result<()> {
+    let mut out = BufWriter::new(io::stdout().lock());
+    writeln!(out, "{}", report_header())?;
+    for i in 0..runs {
+        for j in 0..rows {
+            writeln!(out, "{}", report_row(table.report(i, j)))?;
+        }
+    }
+    out.flush()
 }
 
 fn main() {
@@ -72,19 +87,27 @@ fn main() {
         .flat_map(|&m| configs.iter().map(move |&c| (m, c)))
         .collect();
     let table = SweepTable::build(&runs, &rows, jobs);
-    println!("{}", report_header());
-    for i in 0..runs.len() {
-        for j in 0..rows.len() {
-            println!("{}", report_row(table.report(i, j)));
+    let written = {
+        let _export = span!("export");
+        write_csv(&table, runs.len(), rows.len())
+    };
+    match written {
+        Ok(()) => lp_info!(
+            "wrote {} rows ({} benchmarks x {} models x {} configs) on {jobs} worker(s), {:.2}s",
+            runs.len() * rows.len(),
+            runs.len(),
+            models.len(),
+            configs.len(),
+            reg.now_ns().saturating_sub(t0) as f64 / 1e9
+        ),
+        // The reader has all it wanted; the run still finishes normally.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+            lp_info!("stdout closed early; stopped writing rows");
+        }
+        Err(e) => {
+            eprintln!("cannot write CSV to stdout: {e}");
+            std::process::exit(1);
         }
     }
-    lp_info!(
-        "wrote {} rows ({} benchmarks x {} models x {} configs) on {jobs} worker(s), {:.2}s",
-        runs.len() * rows.len(),
-        runs.len(),
-        models.len(),
-        configs.len(),
-        reg.now_ns().saturating_sub(t0) as f64 / 1e9
-    );
     cli.finish("sweep");
 }

@@ -348,3 +348,37 @@ fn invalid_profile_cache_mode_exits_2() {
         "LP_PROFILE_CACHE=\"frobnicate\" is not a store mode (expected off|ro|rw)\n"
     );
 }
+
+#[test]
+fn sweep_into_a_closed_pipe_ends_quietly_and_still_finishes() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let trace = std::env::temp_dir().join(format!("lp-sweep-pipe-{}.json", std::process::id()));
+    let mut child = Command::new(exe("sweep"))
+        .args(["test", "--quiet", "--trace-out", trace.to_str().unwrap()])
+        .env("LP_LOG", "off")
+        .env_remove("LP_PROFILE_CACHE")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sweep");
+    // Read the header, then close the pipe: the rows that follow are far
+    // more than a pipe buffer holds, so the writer must meet EPIPE.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the header");
+    assert!(first.starts_with("program,model,config,"), "{first:?}");
+    let out = child.wait_with_output().expect("wait for sweep");
+    let stderr = stderr_of(&out);
+    assert!(
+        out.status.success(),
+        "sweep exited {}: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    // `cli.finish` still ran: the trace exists and covers the export.
+    let json = std::fs::read_to_string(&trace).expect("--trace-out written");
+    let _ = std::fs::remove_file(&trace);
+    assert!(json.contains("\"name\":\"export\""), "no export span");
+}
