@@ -36,9 +36,9 @@ fn usage() -> ! {
     eprintln!("                | replay [--suite <name>] [--replay-out FILE]");
     eprintln!("                | diff <a.json> <b.json> [--json] [--include-timing]");
     eprintln!("                       [--noise-floor N] | audit <snap.json>]");
-    eprintln!("               [--jobs N] [--profile-cache DIR] [--trace-out FILE]");
-    eprintln!("               [--explain-out FILE] [--flight-out FILE] [--snapshot-out FILE]");
-    eprintln!("               [--quiet]");
+    eprintln!("               [--jobs N] [--engine tree|bc] [--profile-cache DIR]");
+    eprintln!("               [--trace-out FILE] [--explain-out FILE] [--flight-out FILE]");
+    eprintln!("               [--snapshot-out FILE] [--quiet]");
     eprintln!("  <file.lp>          study a textual-IR module");
     eprintln!("  --bench NAME       study a registered benchmark (e.g. 456.hmmer)");
     eprintln!("  --suite NAME       study a whole suite (eembc, cint2000, cfp2000, ...)");
@@ -57,6 +57,8 @@ fn usage() -> ! {
     eprintln!("  (no input)         study a built-in demo kernel ({DEMO_BENCH})");
     eprintln!("  --jobs N           sweep worker count (default: LP_JOBS or all cores;");
     eprintln!("                     the printed output is identical for any value)");
+    eprintln!("  --engine tree|bc   interpreter engine (default bc; tree is the reference");
+    eprintln!("                     walk, and the output is identical for either)");
     eprintln!("  --profile-cache DIR persist profiles under DIR and warm-start from them");
     eprintln!("                     (LP_PROFILE_CACHE=off|ro|rw selects the mode)");
     eprintln!("  --trace-out FILE   write a Chrome trace_event JSON of the run");

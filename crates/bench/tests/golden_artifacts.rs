@@ -68,19 +68,22 @@ fn explain_quickstart_json_regenerates_byte_identically() {
     let _ = std::fs::remove_file(json.with_extension("collapsed"));
 }
 
-/// The bytecode engine pins to the *same* golden file: `--engine bc`
-/// must reproduce `results/explain-quickstart.*` byte-for-byte, because
-/// the engines are observationally identical and the explain pipeline
-/// is deterministic.
+/// The tree walk pins to the *same* golden file: the test above runs
+/// the default bytecode engine, and `--engine tree` must reproduce
+/// `results/explain-quickstart.*` byte-for-byte, because the engines are
+/// observationally identical and the explain pipeline is deterministic.
 #[test]
 fn explain_quickstart_json_is_engine_invariant() {
     let dir = std::env::temp_dir();
-    let json = dir.join(format!("lp-golden-explain-bc-{}.json", std::process::id()));
+    let json = dir.join(format!(
+        "lp-golden-explain-tree-{}.json",
+        std::process::id()
+    ));
     lpstudy(&[
         "explain",
         "--quiet",
         "--engine",
-        "bc",
+        "tree",
         "--explain-out",
         json.to_str().unwrap(),
     ]);
@@ -89,15 +92,15 @@ fn explain_quickstart_json_is_engine_invariant() {
         std::fs::read_to_string(repo_root().join("results/explain-quickstart.json")).unwrap();
     assert_eq!(
         fresh, golden,
-        "explain-quickstart.json differs under --engine bc — the bytecode \
-         engine must be observationally identical to the tree walk"
+        "explain-quickstart.json differs under --engine tree — the tree \
+         walk must be observationally identical to the bytecode engine"
     );
     let fresh_collapsed = std::fs::read_to_string(json.with_extension("collapsed")).unwrap();
     let golden_collapsed =
         std::fs::read_to_string(repo_root().join("results/explain-quickstart.collapsed")).unwrap();
     assert_eq!(
         fresh_collapsed, golden_collapsed,
-        "explain-quickstart.collapsed differs under --engine bc"
+        "explain-quickstart.collapsed differs under --engine tree"
     );
     let _ = std::fs::remove_file(&json);
     let _ = std::fs::remove_file(json.with_extension("collapsed"));
@@ -221,19 +224,20 @@ fn replay_quickstart_has_stable_schema_and_loop_structure() {
     let _ = std::fs::remove_file(&trace);
 }
 
-/// As above, through the bytecode engine: everything but wall clock in
-/// `results/replay-quickstart.json` must match the committed tree-walk
-/// golden when the replay pipeline runs under `--engine bc`.
+/// As above, through the tree walk: everything but wall clock in
+/// `results/replay-quickstart.json` must match the committed golden
+/// when the replay pipeline runs under `--engine tree` (the tests above
+/// run the default bytecode engine).
 #[test]
 fn replay_quickstart_is_engine_invariant() {
     let dir = std::env::temp_dir();
-    let json = dir.join(format!("lp-golden-replay-bc-{}.json", std::process::id()));
+    let json = dir.join(format!("lp-golden-replay-tree-{}.json", std::process::id()));
     lpstudy(&[
         "replay",
         "test",
         "--quiet",
         "--engine",
-        "bc",
+        "tree",
         "--jobs",
         "2",
         "--replay-out",
@@ -245,7 +249,7 @@ fn replay_quickstart_is_engine_invariant() {
     assert_eq!(
         mask_replay_timings(&fresh),
         mask_replay_timings(&golden),
-        "replay-quickstart.json structure differs under --engine bc"
+        "replay-quickstart.json structure differs under --engine tree"
     );
     let _ = std::fs::remove_file(&json);
 }

@@ -45,7 +45,8 @@ fn study_populates_spans_counters_and_valid_chrome_trace() {
     assert_eq!(c.get(Counter::EvalsPerformed), 14);
 
     // Exporters produce strictly valid JSON.
-    lp_obs::validate_json(&lp_obs::to_json(reg)).expect("to_json output");
+    let snapshot = lp_obs::snapshot::capture(reg, "obs_pipeline").to_json();
+    lp_obs::validate_json(&snapshot).expect("snapshot output");
     let trace = lp_obs::chrome_trace(reg, "obs_pipeline");
     lp_obs::validate_json(&trace).expect("chrome trace output");
     for needle in [

@@ -17,15 +17,17 @@
 //! # Hot-path layout
 //!
 //! Every dynamic load and store resolves an address here, so the page
-//! lookup must not hash (see DESIGN.md §10). Pages live in an arena
-//! (`Vec<Box<[u64; 512]>>`) and are located through a **two-level page
-//! directory**: the bounded dense directory covers every page below
-//! [`DIRECT_LIMIT`] — which contains all three allocator regions — with
+//! lookup must not hash (see DESIGN.md §10). A [`PageTable`] keeps its
+//! pages in an arena (`Vec<Box<[T; 512]>>`) and locates them through a
+//! **two-level page directory**: the bounded dense directory covers every
+//! page below 4 GiB — which contains all three allocator regions — with
 //! two array indexes, and a small Fx-hashed fallback map catches
 //! anything above it (e.g. synthetic function-pointer addresses). In
 //! front of both sits a small **direct-mapped page cache**, so loops
 //! that cycle through a few live pages (sequential walks, strided
-//! multi-array kernels) touch no directory at all.
+//! multi-array kernels) touch no directory at all. [`Memory`] is a
+//! `PageTable<u64>`; the profiler's last-writer shadow memory is a
+//! `PageTable` of write stamps with the same geometry.
 
 use crate::{InterpError, Result};
 use lp_ir::fx::FxHashMap;
@@ -57,8 +59,8 @@ const NO_PAGE: u32 = u32::MAX;
 /// Ways in the direct-mapped page cache (indexed by `page % ways`).
 const CACHE_WAYS: usize = 8;
 
-/// Counters of the memory fast path, reported through
-/// [`crate::EventSink::mem_stats`] at the end of a run.
+/// Counters of a page table's fast path, reported for the interpreter
+/// memory through [`crate::EventSink::mem_stats`] at the end of a run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
     /// Accesses served by the direct-mapped page cache.
@@ -69,77 +71,50 @@ pub struct MemStats {
     pub pages_allocated: u64,
 }
 
-/// Paged word memory with region allocators.
+/// A sparse map from 8-byte-aligned addresses to one `T` per word.
+///
+/// Unwritten words read as the `empty` value given to
+/// [`PageTable::new`]; a write allocates its 4 KiB page of address space
+/// on first touch. The table traps nothing: an address names the word
+/// that contains it, and [`Memory`] rejects null and unaligned addresses
+/// before they reach its table.
 #[derive(Debug, Clone)]
-pub struct Memory {
+pub struct PageTable<T: Copy> {
     /// Page arena; directory entries hold indexes into it, so growing
     /// the arena never invalidates a directory entry.
-    pages: Vec<Box<[u64; PAGE_WORDS]>>,
+    pages: Vec<Box<[T; PAGE_WORDS]>>,
     /// First directory level, densely covering pages `0..DIRECT_LIMIT`.
     l1: Vec<Option<Box<[u32; L2_LEN]>>>,
     /// Fallback for pages at or above [`DIRECT_LIMIT`].
     far: FxHashMap<u64, u32>,
     /// Direct-mapped page cache: page numbers and arena indexes of
     /// recently resolved *allocated* pages, indexed by `page % ways`.
+    /// A single entry thrashes on strided multi-array access (e.g.
+    /// matmul rows); a few ways keep every live page of a typical inner
+    /// loop resident.
     cache_page: [u64; CACHE_WAYS],
     cache_idx: [u32; CACHE_WAYS],
-    heap_top: u64,
-    stack_top: u64,
     hits: u64,
     misses: u64,
-    /// When armed, every successful [`Memory::write`] appends
-    /// `(addr, word)` here in program order. Replay workers run on a
-    /// clone of the parent memory with the log enabled, so the log *is*
-    /// the chunk's memory delta and can be re-applied deterministically.
-    write_log: Option<Vec<(u64, u64)>>,
+    empty: T,
 }
 
-impl Default for Memory {
-    fn default() -> Memory {
-        Memory::new()
-    }
-}
-
-impl Memory {
-    /// An empty memory with both allocators at their region bases.
+impl<T: Copy> PageTable<T> {
+    /// An empty table whose every word reads as `empty`.
     #[must_use]
-    pub fn new() -> Memory {
+    pub fn new(empty: T) -> PageTable<T> {
         let mut l1 = Vec::new();
         l1.resize_with(L2_LEN, || None);
-        Memory {
+        PageTable {
             pages: Vec::new(),
             l1,
             far: FxHashMap::default(),
             cache_page: [u64::MAX; CACHE_WAYS],
             cache_idx: [NO_PAGE; CACHE_WAYS],
-            heap_top: HEAP_BASE,
-            stack_top: STACK_BASE,
             hits: 0,
             misses: 0,
-            write_log: None,
+            empty,
         }
-    }
-
-    /// Starts recording every subsequent write into the delta log,
-    /// discarding any previously recorded entries.
-    pub fn enable_write_log(&mut self) {
-        self.write_log = Some(Vec::new());
-    }
-
-    /// Stops logging and returns the recorded `(addr, word)` writes in
-    /// program order. Returns an empty log if logging was never enabled.
-    pub fn take_write_log(&mut self) -> Vec<(u64, u64)> {
-        self.write_log.take().unwrap_or_default()
-    }
-
-    fn check(addr: u64) -> Result<()> {
-        if addr < 0x1000 {
-            return Err(InterpError::NullDeref(addr));
-        }
-        if !addr.is_multiple_of(8) {
-            return Err(InterpError::Unaligned(addr));
-        }
-        Ok(())
     }
 
     /// Resolves `page` to its arena index, or `None` if unallocated.
@@ -168,7 +143,7 @@ impl Memory {
         Some(idx)
     }
 
-    /// As [`Memory::lookup`], allocating the page if absent.
+    /// As [`PageTable::lookup`], allocating the page if absent.
     #[inline]
     fn lookup_or_alloc(&mut self, page: u64) -> u32 {
         if let Some(idx) = self.lookup(page) {
@@ -176,7 +151,7 @@ impl Memory {
         }
         let idx = self.pages.len() as u32;
         assert!(idx != NO_PAGE, "page arena exhausted");
-        self.pages.push(Box::new([0u64; PAGE_WORDS]));
+        self.pages.push(Box::new([self.empty; PAGE_WORDS]));
         if page < DIRECT_LIMIT {
             let l2 = self.l1[(page >> L2_BITS) as usize]
                 .get_or_insert_with(|| Box::new([NO_PAGE; L2_LEN]));
@@ -190,69 +165,28 @@ impl Memory {
         idx
     }
 
-    /// Reads the word at `addr`.
+    /// The word at `addr`, or `empty` if it was never written.
     ///
-    /// Takes `&mut self` to maintain the last-page cache — the logical
-    /// memory state is unchanged.
-    ///
-    /// # Errors
-    /// Traps on unaligned or null-page addresses. Unwritten words read as
-    /// zero.
-    pub fn read(&mut self, addr: u64) -> Result<u64> {
-        Self::check(addr)?;
-        let page = addr / PAGE_BYTES;
+    /// Takes `&mut self` to maintain the page cache — the logical
+    /// contents are unchanged.
+    #[inline]
+    pub fn get(&mut self, addr: u64) -> T {
         let slot = ((addr % PAGE_BYTES) / 8) as usize;
-        Ok(match self.lookup(page) {
+        match self.lookup(addr / PAGE_BYTES) {
             Some(idx) => self.pages[idx as usize][slot],
-            None => 0,
-        })
+            None => self.empty,
+        }
     }
 
-    /// Writes the word at `addr`.
+    /// Stores `v` at `addr`, allocating its page if absent.
     ///
-    /// # Errors
-    /// Traps on unaligned or null-page addresses.
-    pub fn write(&mut self, addr: u64, word: u64) -> Result<()> {
-        Self::check(addr)?;
-        let page = addr / PAGE_BYTES;
+    /// # Panics
+    /// Panics when the arena already holds `u32::MAX` pages.
+    #[inline]
+    pub fn set(&mut self, addr: u64, v: T) {
         let slot = ((addr % PAGE_BYTES) / 8) as usize;
-        let idx = self.lookup_or_alloc(page);
-        self.pages[idx as usize][slot] = word;
-        if let Some(log) = &mut self.write_log {
-            log.push((addr, word));
-        }
-        Ok(())
-    }
-
-    /// Compares the global and heap regions of two memories word by
-    /// word, returning the first differing `(addr, self_word, other_word)`
-    /// in address order, or `None` when byte-identical. Unallocated
-    /// pages read as zero on either side; the stack region is excluded
-    /// (frames are dead after the run and reuse addresses freely).
-    ///
-    /// This is the replay engine's divergence oracle: a parallel replay
-    /// is correct iff its final image is identical to the serial run's.
-    #[must_use]
-    pub fn first_difference(&mut self, other: &mut Memory) -> Option<(u64, u64, u64)> {
-        let mut pages: Vec<u64> = self
-            .allocated_pages()
-            .chain(other.allocated_pages())
-            .filter(|&p| p * PAGE_BYTES < STACK_BASE)
-            .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        for page in pages {
-            let a = self.lookup(page);
-            let b = other.lookup(page);
-            for slot in 0..PAGE_WORDS {
-                let wa = a.map_or(0, |idx| self.pages[idx as usize][slot]);
-                let wb = b.map_or(0, |idx| other.pages[idx as usize][slot]);
-                if wa != wb {
-                    return Some((page * PAGE_BYTES + (slot as u64) * 8, wa, wb));
-                }
-            }
-        }
-        None
+        let idx = self.lookup_or_alloc(addr / PAGE_BYTES);
+        self.pages[idx as usize][slot] = v;
     }
 
     /// Page numbers of every allocated page, in no particular order.
@@ -275,6 +209,124 @@ impl Memory {
             page_cache_misses: self.misses,
             pages_allocated: self.pages.len() as u64,
         }
+    }
+}
+
+/// Paged word memory with region allocators.
+#[derive(Debug, Clone)]
+pub struct Memory {
+    table: PageTable<u64>,
+    heap_top: u64,
+    stack_top: u64,
+    /// When armed, every successful [`Memory::write`] appends
+    /// `(addr, word)` here in program order. Replay workers run on a
+    /// clone of the parent memory with the log enabled, so the log *is*
+    /// the chunk's memory delta and can be re-applied deterministically.
+    write_log: Option<Vec<(u64, u64)>>,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory::new()
+    }
+}
+
+impl Memory {
+    /// An empty memory with both allocators at their region bases.
+    #[must_use]
+    pub fn new() -> Memory {
+        Memory {
+            table: PageTable::new(0),
+            heap_top: HEAP_BASE,
+            stack_top: STACK_BASE,
+            write_log: None,
+        }
+    }
+
+    /// Starts recording every subsequent write into the delta log,
+    /// discarding any previously recorded entries.
+    pub fn enable_write_log(&mut self) {
+        self.write_log = Some(Vec::new());
+    }
+
+    /// Stops logging and returns the recorded `(addr, word)` writes in
+    /// program order. Returns an empty log if logging was never enabled.
+    pub fn take_write_log(&mut self) -> Vec<(u64, u64)> {
+        self.write_log.take().unwrap_or_default()
+    }
+
+    fn check(addr: u64) -> Result<()> {
+        if addr < 0x1000 {
+            return Err(InterpError::NullDeref(addr));
+        }
+        if !addr.is_multiple_of(8) {
+            return Err(InterpError::Unaligned(addr));
+        }
+        Ok(())
+    }
+
+    /// Reads the word at `addr`.
+    ///
+    /// Takes `&mut self` to maintain the page cache — the logical
+    /// memory state is unchanged.
+    ///
+    /// # Errors
+    /// Traps on unaligned or null-page addresses. Unwritten words read as
+    /// zero.
+    pub fn read(&mut self, addr: u64) -> Result<u64> {
+        Self::check(addr)?;
+        Ok(self.table.get(addr))
+    }
+
+    /// Writes the word at `addr`.
+    ///
+    /// # Errors
+    /// Traps on unaligned or null-page addresses.
+    pub fn write(&mut self, addr: u64, word: u64) -> Result<()> {
+        Self::check(addr)?;
+        self.table.set(addr, word);
+        if let Some(log) = &mut self.write_log {
+            log.push((addr, word));
+        }
+        Ok(())
+    }
+
+    /// Compares the global and heap regions of two memories word by
+    /// word, returning the first differing `(addr, self_word, other_word)`
+    /// in address order, or `None` when byte-identical. Unallocated
+    /// pages read as zero on either side; the stack region is excluded
+    /// (frames are dead after the run and reuse addresses freely).
+    ///
+    /// This is the replay engine's divergence oracle: a parallel replay
+    /// is correct iff its final image is identical to the serial run's.
+    #[must_use]
+    pub fn first_difference(&mut self, other: &mut Memory) -> Option<(u64, u64, u64)> {
+        let (a, b) = (&mut self.table, &mut other.table);
+        let mut pages: Vec<u64> = a
+            .allocated_pages()
+            .chain(b.allocated_pages())
+            .filter(|&p| p * PAGE_BYTES < STACK_BASE)
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        for page in pages {
+            let ia = a.lookup(page);
+            let ib = b.lookup(page);
+            for slot in 0..PAGE_WORDS {
+                let wa = ia.map_or(0, |idx| a.pages[idx as usize][slot]);
+                let wb = ib.map_or(0, |idx| b.pages[idx as usize][slot]);
+                if wa != wb {
+                    return Some((page * PAGE_BYTES + (slot as u64) * 8, wa, wb));
+                }
+            }
+        }
+        None
+    }
+
+    /// Fast-path counters for observability exports.
+    #[must_use]
+    pub fn stats(&self) -> MemStats {
+        self.table.stats()
     }
 
     /// Bump-allocates `bytes` on the heap (rounded up to whole words),
@@ -397,21 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn far_pages_round_trip_through_the_fallback_map() {
-        // A synthetic function-pointer-like address, far above the
-        // dense directory's 4 GiB coverage.
-        let mut m = Memory::new();
-        let far = 0xF000_0000_0000u64 | 0x18;
-        m.write(far, 42).unwrap();
-        assert_eq!(m.read(far).unwrap(), 42);
-        assert_eq!(m.read(far + 8).unwrap(), 0);
-        // Near pages still work after a far allocation.
-        m.write(HEAP_BASE, 7).unwrap();
-        assert_eq!(m.read(HEAP_BASE).unwrap(), 7);
-        assert_eq!(m.read(far).unwrap(), 42);
-    }
-
-    #[test]
     fn write_log_records_in_program_order() {
         let mut m = Memory::new();
         m.write(GLOBAL_BASE, 1).unwrap(); // not logged
@@ -457,16 +494,65 @@ mod tests {
         assert_eq!(b.read(HEAP_BASE).unwrap(), 22);
     }
 
+    /// Every `PageTable` contract, checked for one element type: unwritten
+    /// words read `empty`, far pages round-trip through the map, pages
+    /// sharing a cache way keep their values, and `stats` counts exactly.
+    fn exercise_page_table<T: Copy + PartialEq + std::fmt::Debug>(empty: T, val: fn(u64) -> T) {
+        let mut t = PageTable::new(empty);
+        assert_eq!(t.get(GLOBAL_BASE), empty, "unallocated page"); // miss
+        t.set(GLOBAL_BASE, val(3)); // miss (allocates)
+        t.set(GLOBAL_BASE, val(9)); // hit
+        assert_eq!(t.get(GLOBAL_BASE), val(9)); // hit
+        assert_eq!(t.get(GLOBAL_BASE + 8), empty, "unwritten word"); // hit
+        assert_eq!(t.get(GLOBAL_BASE + PAGE_BYTES), empty); // miss
+        assert_eq!(
+            t.stats(),
+            MemStats {
+                page_cache_hits: 3,
+                page_cache_misses: 3,
+                pages_allocated: 1,
+            }
+        );
+
+        // The last dense page, the first far page (4 GiB), and a
+        // synthetic function-pointer-like address far above both.
+        let last_dense = DIRECT_LIMIT * PAGE_BYTES - 8;
+        let first_far = DIRECT_LIMIT * PAGE_BYTES;
+        let fn_ptr = 0xF000_0000_0000u64 | 0x18;
+        t.set(last_dense, val(1));
+        t.set(first_far, val(2));
+        t.set(fn_ptr, val(3));
+        assert_eq!(t.far.len(), 2, "only pages at or above 4 GiB go to the map");
+        assert_eq!(t.get(fn_ptr + 8), empty);
+        assert_eq!(t.get(last_dense), val(1));
+        assert_eq!(t.get(first_far), val(2));
+        assert_eq!(t.get(fn_ptr), val(3));
+
+        // Pages p and p + 8 share a cache way and evict each other on
+        // every switch, so each read misses but both keep their values.
+        let (a, b) = (HEAP_BASE, HEAP_BASE + CACHE_WAYS as u64 * PAGE_BYTES);
+        t.set(a, val(4));
+        t.set(b, val(5));
+        let before = t.stats();
+        for _ in 0..4 {
+            assert_eq!(t.get(a), val(4));
+            assert_eq!(t.get(b), val(5));
+        }
+        let after = t.stats();
+        assert_eq!(after.page_cache_misses - before.page_cache_misses, 8);
+        assert_eq!(after.page_cache_hits, before.page_cache_hits);
+        assert_eq!(after.pages_allocated, 6);
+    }
+
     #[test]
-    fn last_page_cache_counts_hits_and_misses() {
-        let mut m = Memory::new();
-        m.write(HEAP_BASE, 1).unwrap(); // miss (allocates)
-        m.write(HEAP_BASE + 8, 2).unwrap(); // hit
-        m.read(HEAP_BASE + 16).unwrap(); // hit
-        m.read(HEAP_BASE + PAGE_BYTES).unwrap(); // miss (absent page)
-        let s = m.stats();
-        assert_eq!(s.page_cache_hits, 2);
-        assert_eq!(s.page_cache_misses, 2);
-        assert_eq!(s.pages_allocated, 1);
+    fn page_table_of_words() {
+        exercise_page_table(0u64, |i| i + 1);
+    }
+
+    /// The profiler's shadow memory stores a two-word `(time, push)`
+    /// stamp per word, with `u64::MAX` as the never-written time.
+    #[test]
+    fn page_table_of_stamps() {
+        exercise_page_table((u64::MAX, 0u64), |i| (i, 3 * i));
     }
 }

@@ -548,61 +548,6 @@ pub fn summary(reg: &Registry) -> String {
     out
 }
 
-/// Machine-readable JSON snapshot of spans, counters, and histograms.
-#[must_use]
-pub fn to_json(reg: &Registry) -> String {
-    let mut w = JsonWriter::compact();
-    w.begin_object();
-    w.key("spans");
-    w.begin_array();
-    for s in reg.spans().iter() {
-        w.begin_object();
-        w.key("name");
-        w.string(s.name);
-        w.key("start_ns");
-        w.uint(s.start_ns);
-        w.key("end_ns");
-        w.uint(s.end_ns);
-        w.key("depth");
-        w.uint(u64::from(s.depth));
-        w.key("tid");
-        w.uint(s.tid);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("counters");
-    w.begin_object();
-    for (name, value) in reg.counters().snapshot() {
-        w.key(&name);
-        w.uint(value);
-    }
-    w.end_object();
-    w.key("histograms");
-    w.begin_object();
-    for h in Hist::ALL {
-        let hist = reg.hist(h);
-        if hist.count == 0 {
-            continue;
-        }
-        w.key(h.name());
-        w.begin_object();
-        w.key("count");
-        w.uint(hist.count);
-        w.key("sum");
-        w.uint(hist.sum);
-        w.key("min");
-        w.uint(hist.min);
-        w.key("max");
-        w.uint(hist.max);
-        w.key("mean");
-        w.float(hist.mean());
-        w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
 /// Chrome `trace_event` JSON for the registry's spans and counters.
 ///
 /// Timestamps are microseconds since the registry epoch; spans become
@@ -799,7 +744,6 @@ mod tests {
     #[test]
     fn validator_accepts_exports_and_rejects_garbage() {
         let reg = seeded();
-        validate_json(&to_json(&reg)).unwrap();
         validate_json(&chrome_trace(&reg, "t")).unwrap();
         validate_json("  {\"a\": [1, -2.5e3, \"x\\n\", true, null]} ").unwrap();
         assert!(validate_json("{\"a\":}").is_err());
@@ -832,29 +776,24 @@ mod tests {
 
     #[test]
     fn json_value_round_trips_writer_output() {
-        let reg = seeded();
-        let v = JsonValue::parse(&to_json(&reg)).unwrap();
+        let v = JsonValue::parse(&chrome_trace(&seeded(), "t")).unwrap();
         assert_eq!(
-            v.get("counters")
+            v.get("otherData")
                 .and_then(|c| c.get("evals_performed"))
                 .and_then(JsonValue::as_u64),
             Some(14)
         );
-        let spans = v.get("spans").and_then(JsonValue::as_array).unwrap();
+        let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+        let spans: Vec<&JsonValue> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+            .collect();
         assert_eq!(spans.len(), 2);
         assert_eq!(
             spans[0].get("name").and_then(JsonValue::as_str),
             Some("parse")
         );
-    }
-
-    #[test]
-    fn json_has_expected_shape() {
-        let json = to_json(&seeded());
-        assert!(json.starts_with("{\"spans\":["));
-        assert!(json.contains("\"name\":\"parse\""));
-        assert!(json.contains("\"evals_performed\":14"));
-        assert!(json.contains("\"loop_iterations\":{\"count\":1"));
+        assert_eq!(spans[1].get("ts").and_then(JsonValue::as_f64), Some(6.0));
     }
 
     #[test]

@@ -170,18 +170,6 @@ impl Journal {
         push(&mut ring, self.cap, rec);
     }
 
-    /// Appends a batch of records under one lock acquisition (the
-    /// per-worker merge path used by [`crate::LocalStats`]).
-    pub fn record_batch(&self, batch: &[JournalRecord]) {
-        if batch.is_empty() || !self.enabled() {
-            return;
-        }
-        let mut ring = self.ring.lock().expect("journal poisoned");
-        for &rec in batch {
-            push(&mut ring, self.cap, rec);
-        }
-    }
-
     /// `(total_ever_recorded, retained records oldest-first)`.
     #[must_use]
     pub fn snapshot(&self) -> (u64, Vec<JournalRecord>) {
@@ -346,29 +334,10 @@ mod tests {
         let j = Journal::with_capacity(4);
         j.set_enabled(false);
         j.record(JournalRecord::now(EventKind::Mark, 1, 2));
-        j.record_batch(&[JournalRecord::now(EventKind::Mark, 3, 4)]);
         assert_eq!(j.snapshot().0, 0);
         j.set_enabled(true);
         j.record(JournalRecord::now(EventKind::Mark, 1, 2));
         assert_eq!(j.snapshot().0, 1);
-    }
-
-    #[test]
-    fn batch_appends_under_one_lock_and_wraps() {
-        let j = Journal::with_capacity(3);
-        let batch: Vec<JournalRecord> = (0..5)
-            .map(|i| JournalRecord {
-                ms: 0,
-                tid: 1,
-                kind: EventKind::SweepTaskDone,
-                a: i,
-                b: 5,
-            })
-            .collect();
-        j.record_batch(&batch);
-        let (total, recs) = j.snapshot();
-        assert_eq!(total, 5);
-        assert_eq!(recs.iter().map(|r| r.a).collect::<Vec<_>>(), vec![2, 3, 4]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! - **Typed counters & histograms** — events consumed, RAW conflicts,
 //!   cactus-stack filter hits, per-predictor hit/miss, regions created,
 //!   evaluations performed ([`Counter`], [`Hist`]);
-//! - **Per-worker accumulation** — parallel phases give each worker a
-//!   [`LocalStats`] that buffers counters, histograms, and its span
-//!   stream privately and merges everything into the registry in one
-//!   flush, so concurrent workers never race on a shared summary;
-//! - **Exporters** — a human summary for stderr ([`summary`]), plain
-//!   JSON ([`to_json`]), and Chrome `trace_event` JSON ([`chrome_trace`])
-//!   loadable in `chrome://tracing` / Perfetto;
+//! - **One write path** — every thread, sweep workers included, records
+//!   straight into the registry: counters are relaxed atomics, and
+//!   spans and histograms sit behind mutexes, so concurrent adds sum
+//!   exactly with no per-worker buffer to merge;
+//! - **Exporters** — a human summary for stderr ([`summary`]) and Chrome
+//!   `trace_event` JSON ([`chrome_trace`]) loadable in
+//!   `chrome://tracing` / Perfetto;
 //! - **Cross-run layer** — a coherent, serializable registry freeze
 //!   ([`snapshot`], `--snapshot-out`) and a ranked two-snapshot
 //!   comparison ([`diff`], `lpstudy diff`);
@@ -43,7 +43,6 @@
 pub mod diff;
 pub mod export;
 pub mod journal;
-pub mod local;
 pub mod log;
 pub mod metrics;
 pub mod registry;
@@ -52,11 +51,9 @@ pub mod span;
 
 pub use diff::{Diff, DiffOptions};
 pub use export::{
-    chrome_trace, json_escape, summary, to_json, validate_json, write_chrome_trace, JsonValue,
-    JsonWriter,
+    chrome_trace, json_escape, summary, validate_json, write_chrome_trace, JsonValue, JsonWriter,
 };
 pub use journal::{EventKind, Journal, JournalRecord, JOURNAL_CAP};
-pub use local::LocalStats;
 pub use log::Level;
 pub use metrics::{Counter, CounterBank, Hist, Histogram, PredictorKind, COUNTER_SLOTS};
 pub use registry::{Registry, MAX_SPANS};

@@ -73,27 +73,6 @@ impl Registry {
         self.span_len.store(spans.len(), Ordering::Relaxed);
     }
 
-    /// Appends a batch of completed spans under **one** lock acquisition
-    /// (the per-worker stream merge used by [`crate::LocalStats`]).
-    /// Spans beyond the capacity are dropped and counted, exactly as in
-    /// [`Registry::record_span`].
-    pub fn record_spans(&self, batch: Vec<SpanRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut spans = self.spans.lock().expect("span registry poisoned");
-        let room = self.span_cap.saturating_sub(spans.len());
-        let taken = batch.len().min(room);
-        let dropped = batch.len() - taken;
-        spans.extend(batch.into_iter().take(taken));
-        self.span_len.store(spans.len(), Ordering::Relaxed);
-        drop(spans);
-        if dropped > 0 {
-            self.counters
-                .add(crate::Counter::SpansDropped, dropped as u64);
-        }
-    }
-
     /// A copy of the retained spans, in completion order.
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {

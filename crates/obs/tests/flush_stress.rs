@@ -1,39 +1,39 @@
-//! Loom-free stress tests for concurrent metric flushing: N worker
-//! threads, each accumulating M increments/samples/spans into a private
-//! `LocalStats` and flushing once, must sum **exactly** into the shared
-//! registry — no lost updates, no double counts, no racing on a shared
-//! summary. Also hammers the legacy direct-to-registry path to show the
-//! two coexist.
+//! Loom-free stress tests for concurrent recording: N worker threads,
+//! each writing M increments, histogram samples and spans straight into
+//! one shared registry, must sum **exactly** — no lost updates, no
+//! double counts — and spans recorded concurrently past the registry's
+//! capacity must each be either retained or counted as dropped.
 
-use lp_obs::{Counter, Hist, LocalStats, Registry, SpanRecord};
-use std::sync::Arc;
+use lp_obs::{Counter, Hist, Registry, SpanRecord};
 
 const WORKERS: usize = 8;
 const INCREMENTS: u64 = 10_000;
 
+fn span(name: &'static str, i: u64, tid: usize) -> SpanRecord {
+    SpanRecord {
+        name,
+        start_ns: i,
+        end_ns: i + 1,
+        depth: 0,
+        tid: tid as u64,
+    }
+}
+
 #[test]
-fn n_threads_times_m_increments_sum_exactly_via_local_flush() {
-    let reg = Arc::new(Registry::new());
+fn n_threads_times_m_increments_sum_exactly() {
+    let reg = Registry::new();
     std::thread::scope(|scope| {
         for worker in 0..WORKERS {
-            let reg = Arc::clone(&reg);
+            let reg = &reg;
             scope.spawn(move || {
-                let mut local = LocalStats::new();
                 for i in 0..INCREMENTS {
-                    local.add(Counter::EvalsPerformed, 1);
-                    local.add(Counter::SweepTasksStolen, 2);
-                    local.record_hist(Hist::EvalNanos, i % 1024);
+                    reg.counters().add(Counter::EvalsPerformed, 1);
+                    reg.counters().add(Counter::SweepTasksStolen, 2);
+                    reg.record_hist(Hist::EvalNanos, i % 1024);
                     if i % 1000 == 0 {
-                        local.record_span(SpanRecord {
-                            name: "stress",
-                            start_ns: i,
-                            end_ns: i + 1,
-                            depth: 0,
-                            tid: worker as u64,
-                        });
+                        reg.record_span(span("stress", i, worker));
                     }
                 }
-                local.flush(&reg);
             });
         }
     });
@@ -45,113 +45,39 @@ fn n_threads_times_m_increments_sum_exactly_via_local_flush() {
     );
     let hist = reg.hist(Hist::EvalNanos);
     assert_eq!(hist.count, n * INCREMENTS);
-    // Each worker's samples are 0..M mod 1024, so the merged sum is
-    // exactly N times one worker's arithmetic series.
+    // Each worker's samples are 0..M mod 1024, so the total is exactly
+    // N times one worker's arithmetic series.
     let per_worker: u64 = (0..INCREMENTS).map(|i| i % 1024).sum();
     assert_eq!(hist.sum, n * per_worker);
     assert_eq!(hist.min, 0);
     assert_eq!(hist.max, 1023);
     // One span per 1000 increments per worker, all retained.
     assert_eq!(reg.spans().len(), WORKERS * (INCREMENTS as usize / 1000));
+    assert_eq!(reg.span_count(), reg.spans().len());
     assert_eq!(reg.counters().get(Counter::SpansDropped), 0);
 }
 
 #[test]
-fn interleaved_local_and_direct_recording_still_sums_exactly() {
-    let reg = Arc::new(Registry::new());
-    std::thread::scope(|scope| {
-        for _ in 0..WORKERS {
-            let reg = Arc::clone(&reg);
-            scope.spawn(move || {
-                let mut local = LocalStats::new();
-                for i in 0..INCREMENTS {
-                    if i % 2 == 0 {
-                        local.add(Counter::RawConflicts, 1);
-                    } else {
-                        // The legacy path: straight at the shared bank.
-                        reg.counters().add(Counter::RawConflicts, 1);
-                    }
-                }
-                local.flush(&reg);
-            });
-        }
-    });
-    assert_eq!(
-        reg.counters().get(Counter::RawConflicts),
-        WORKERS as u64 * INCREMENTS
-    );
-}
-
-#[test]
-fn concurrent_batch_span_appends_respect_capacity_exactly() {
+fn concurrent_span_records_past_capacity_drop_and_count_exactly() {
     const CAP: usize = 1_000;
-    let reg = Arc::new(Registry::with_capacity(CAP));
-    let per_worker = 300usize;
+    const PER_WORKER: u64 = 300;
+    let reg = Registry::with_capacity(CAP);
     std::thread::scope(|scope| {
         for w in 0..WORKERS {
-            let reg = Arc::clone(&reg);
+            let reg = &reg;
             scope.spawn(move || {
-                let batch: Vec<SpanRecord> = (0..per_worker)
-                    .map(|i| SpanRecord {
-                        name: "batch",
-                        start_ns: i as u64,
-                        end_ns: i as u64 + 1,
-                        depth: 0,
-                        tid: w as u64,
-                    })
-                    .collect();
-                reg.record_spans(batch);
+                for i in 0..PER_WORKER {
+                    reg.record_span(span("capped", i, w));
+                }
             });
         }
     });
-    let total = WORKERS * per_worker;
+    let total = WORKERS * PER_WORKER as usize;
     assert_eq!(reg.spans().len(), CAP, "capacity must bound retention");
+    assert_eq!(reg.span_count(), CAP);
     assert_eq!(
         reg.counters().get(Counter::SpansDropped) as usize,
         total - CAP,
         "every span is either retained or counted dropped"
     );
-}
-
-#[test]
-fn tree_merge_then_single_flush_is_equivalent_to_per_worker_flushes() {
-    let reg_a = Registry::new();
-    let reg_b = Registry::new();
-    let locals: Vec<LocalStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut local = LocalStats::new();
-                    for i in 0..500u64 {
-                        local.add(Counter::SweepProfileCacheHits, 1);
-                        local.record_hist(Hist::ConflictDistance, (w as u64 + 1) * (i % 7));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // Path A: merge everything into one accumulator, flush once.
-    let mut root = LocalStats::new();
-    for l in &locals {
-        root.merge(l);
-    }
-    root.flush(&reg_a);
-    // Path B: flush each worker's accumulator separately.
-    for mut l in locals {
-        l.flush(&reg_b);
-    }
-    assert_eq!(
-        reg_a.counters().get(Counter::SweepProfileCacheHits),
-        reg_b.counters().get(Counter::SweepProfileCacheHits)
-    );
-    let (ha, hb) = (
-        reg_a.hist(Hist::ConflictDistance),
-        reg_b.hist(Hist::ConflictDistance),
-    );
-    assert_eq!(ha.count, hb.count);
-    assert_eq!(ha.sum, hb.sum);
-    assert_eq!((ha.min, ha.max), (hb.min, hb.max));
-    assert_eq!(ha.buckets, hb.buckets);
 }

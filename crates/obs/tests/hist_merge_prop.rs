@@ -1,7 +1,8 @@
 //! Property tests for histogram merging and percentile math — the
-//! invariant the sweep engine's per-worker `LocalStats` single-flush
-//! path relies on: partitioning a sample stream across N workers, each
-//! recording into a private `Histogram`, and merging the parts must be
+//! invariant `Registry::merge_hist` relies on when the profiler records
+//! its per-conflict distances into a private `Histogram` and publishes
+//! it once per run: partitioning a sample stream across N recorders,
+//! each recording into a private `Histogram`, and merging the parts must be
 //! *indistinguishable* from recording every sample into one histogram.
 //! In particular p50/p90/p99 (what every exporter prints) must match
 //! exactly, not just approximately, because the merge adds bucket

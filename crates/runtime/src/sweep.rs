@@ -21,9 +21,10 @@
 //!   hits ([`lp_obs::Counter::SweepProfileCacheHits`]) and tasks claimed
 //!   outside a worker's static shard
 //!   ([`lp_obs::Counter::SweepTasksStolen`]);
-//! - per-worker observability (spans, counters) accumulates in
-//!   [`lp_obs::LocalStats`] and merges into the global registry in one
-//!   flush per worker, so concurrent workers never race on a summary.
+//! - workers write observability straight into the global registry
+//!   (one `sweep-worker` span and one stolen-task add each) and journal
+//!   every finished task as it finishes, so a flight dump cut mid-phase
+//!   still shows how far the phase got.
 //!
 //! `jobs = 1` takes a plain in-order loop on the calling thread — the
 //! exact code path the serial pipeline always took — which is what the
@@ -192,9 +193,10 @@ pub fn grid(units: usize, models: &[ExecModel], configs: &[Config]) -> Vec<Sweep
 ///
 /// Each worker times itself with a `sweep-worker` span and counts tasks
 /// it claimed outside its static `index % workers` shard as
-/// [`lp_obs::Counter::SweepTasksStolen`]; both are accumulated in a
-/// per-worker [`lp_obs::LocalStats`] and merged into the global registry
-/// in one flush per worker.
+/// [`lp_obs::Counter::SweepTasksStolen`], recording both into the global
+/// registry when it runs out of work. Every finished task is journaled
+/// at once as [`lp_obs::EventKind::SweepTaskDone`] `(done, total)`, with
+/// a [`lp_obs::EventKind::SweepEta`] estimate at each quartile.
 ///
 /// # Panics
 /// Propagates a panic from `f` (the scope joins all workers first).
@@ -226,7 +228,6 @@ where
                 let completed = &completed;
                 let f = &f;
                 scope.spawn(move || {
-                    let mut local = lp_obs::LocalStats::new();
                     let mut out: Vec<(usize, R)> = Vec::new();
                     let mut stolen = 0u64;
                     let start_ns = reg.now_ns();
@@ -240,26 +241,30 @@ where
                         }
                         out.push((i, f(i, &items[i])));
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        local.record_journal(
+                        lp_obs::journal::record(
                             lp_obs::EventKind::SweepTaskDone,
                             done as u64,
                             total as u64,
                         );
-                        if done > 0 && milestones.contains(&done) {
+                        if milestones.contains(&done) {
                             let elapsed_ms = reg.now_ns().saturating_sub(start_ns) / 1_000_000;
                             let eta_ms = elapsed_ms * (total - done) as u64 / done as u64;
-                            local.record_journal(lp_obs::EventKind::SweepEta, done as u64, eta_ms);
+                            lp_obs::journal::record(
+                                lp_obs::EventKind::SweepEta,
+                                done as u64,
+                                eta_ms,
+                            );
                         }
                     }
-                    local.record_span(lp_obs::SpanRecord {
+                    reg.record_span(lp_obs::SpanRecord {
                         name: "sweep-worker",
                         start_ns,
                         end_ns: reg.now_ns(),
                         depth: 0,
                         tid: lp_obs::span::thread_tid(),
                     });
-                    local.add(lp_obs::Counter::SweepTasksStolen, stolen);
-                    local.flush(reg);
+                    reg.counters()
+                        .add(lp_obs::Counter::SweepTasksStolen, stolen);
                     out
                 })
             })

@@ -18,15 +18,17 @@
 //!
 //! Every load/store event consults last-writer state, and every block
 //! entry consults the loop tables — so neither may hash (DESIGN.md §10).
-//! Last-writer state lives in **one run-global shadow memory**
-//! ([`ShadowTable`]) stamping each word with its last store's *absolute*
-//! time: a store writes one stamp no matter how deep the loop nest, a
-//! load compares that stamp against each level's instance/iteration start
-//! (two compares; iteration numbers are re-derived by binary search only
-//! on the rare conflict path), and stale stamps die by time comparison,
-//! so loop entry invalidates nothing. The per-`(func, value)` /
-//! per-`(func, block)` side tables are interned into dense vectors indexed
-//! directly by ids, with `u32::MAX` as the "not tracked" sentinel.
+//! Last-writer state lives in **one run-global shadow memory**, a
+//! `PageTable<Stamp>` — the interpreter memory's own page table, with
+//! the same directory, page cache and geometry — stamping each word with
+//! its last store's *absolute* time: a store writes one stamp no matter
+//! how deep the loop nest, a load compares that stamp against each
+//! level's instance/iteration start (two compares; iteration numbers are
+//! re-derived by binary search only on the rare conflict path), and
+//! stale stamps die by time comparison, so loop entry invalidates
+//! nothing. The per-`(func, value)` / per-`(func, block)` side tables
+//! are interned into dense vectors indexed directly by ids, with
+//! `u32::MAX` as the "not tracked" sentinel.
 
 use crate::profile::{
     CallClass, LcdInstance, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind,
@@ -34,9 +36,9 @@ use crate::profile::{
 use crate::witness::{WitnessReport, WitnessState};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, Purity};
 use lp_interp::{
-    EventSink, Exec, ExecUnit, MachineConfig, MemStats, MeteredSink, RunResult, Value, STACK_BASE,
+    EventSink, Exec, ExecUnit, MachineConfig, MemStats, MeteredSink, PageTable, RunResult, Value,
+    STACK_BASE,
 };
-use lp_ir::fx::FxHashMap;
 use lp_ir::{BlockId, Builtin, FuncId, Inst, Module, ValueId, ValueKind};
 use lp_obs::{span, Counter, Hist, Histogram, PredictorKind};
 use lp_predict::HybridPredictor;
@@ -44,24 +46,11 @@ use lp_predict::HybridPredictor;
 /// Sentinel for "no entry" in the dense interning tables.
 const NONE: u32 = u32::MAX;
 
-// Shadow-memory geometry: one stamp per 8-byte word, 512 words (4 KiB of
-// address space) per page, same two-level directory shape as the
-// interpreter's memory.
-const SHADOW_PAGE_WORDS: usize = 512;
-const SHADOW_WORD_BITS: u64 = 3;
-const SHADOW_PAGE_BITS: u64 = 9;
-const SHADOW_PAGE_MASK: u64 = (SHADOW_PAGE_WORDS as u64) - 1;
-const SHADOW_L2_LEN: usize = 1024;
-const SHADOW_L2_BITS: u64 = 10;
-const SHADOW_L2_MASK: u64 = (SHADOW_L2_LEN as u64) - 1;
-const SHADOW_DIRECT_LIMIT: u64 = (SHADOW_L2_LEN as u64) * (SHADOW_L2_LEN as u64);
-const SHADOW_CACHE_WAYS: usize = 8;
-
 /// Last-writer stamp for one 8-byte word: the absolute time of the most
 /// recent store and the push time of the stack frame it wrote through
 /// (0 for non-stack stores). `t == u64::MAX` means "never written" —
 /// always time-excluded, since real stamps satisfy `t <= now`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Stamp {
     t: u64,
     push: u64,
@@ -72,118 +61,9 @@ const EMPTY_STAMP: Stamp = Stamp {
     push: 0,
 };
 
-/// Run-global last-writer shadow memory.
-///
-/// Replaces the per-instance `HashMap<addr, (iter, rel)>`: one table
-/// serves every active loop level, because a stamp records the *absolute*
-/// store time — each level decides by comparing against its own instance
-/// and iteration start stamps whether the store is a cross-iteration
-/// producer, so no per-level state and no invalidation are needed at all.
-/// Address resolution reuses the interpreter memory's two-level page
-/// directory plus a small direct-mapped page cache, so the common case (a
-/// handful of live pages, as in strided array walks) touches no directory
-/// at all.
-#[derive(Debug)]
-struct ShadowTable {
-    /// Stamp-page arena; directory entries hold indexes into it.
-    pages: Vec<Box<[Stamp; SHADOW_PAGE_WORDS]>>,
-    /// First directory level, densely covering pages `0..SHADOW_DIRECT_LIMIT`.
-    l1: Vec<Option<Box<[u32; SHADOW_L2_LEN]>>>,
-    /// Fallback for far pages (synthetic function-pointer addresses).
-    far: FxHashMap<u64, u32>,
-    /// Direct-mapped page cache, indexed by `page % ways`. A single entry
-    /// thrashes on strided multi-array access (e.g. matmul rows); a few
-    /// ways keep every live page of a typical inner loop resident.
-    cache_page: [u64; SHADOW_CACHE_WAYS],
-    cache_idx: [u32; SHADOW_CACHE_WAYS],
-    hits: u64,
-    misses: u64,
-}
-
-impl ShadowTable {
-    fn new() -> ShadowTable {
-        let mut l1 = Vec::new();
-        l1.resize_with(SHADOW_L2_LEN, || None);
-        ShadowTable {
-            pages: Vec::new(),
-            l1,
-            far: FxHashMap::default(),
-            cache_page: [u64::MAX; SHADOW_CACHE_WAYS],
-            cache_idx: [NONE; SHADOW_CACHE_WAYS],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Resolves a stamp page to its arena index, if allocated.
-    #[inline]
-    fn lookup(&mut self, page: u64) -> Option<u32> {
-        let way = (page as usize) & (SHADOW_CACHE_WAYS - 1);
-        if page == self.cache_page[way] {
-            self.hits += 1;
-            return Some(self.cache_idx[way]);
-        }
-        self.misses += 1;
-        let idx = if page < SHADOW_DIRECT_LIMIT {
-            match &self.l1[(page >> SHADOW_L2_BITS) as usize] {
-                Some(l2) => l2[(page & SHADOW_L2_MASK) as usize],
-                None => NONE,
-            }
-        } else {
-            self.far.get(&page).copied().unwrap_or(NONE)
-        };
-        if idx == NONE {
-            return None;
-        }
-        self.cache_page[way] = page;
-        self.cache_idx[way] = idx;
-        Some(idx)
-    }
-
-    /// As [`ShadowTable::lookup`], allocating the page if absent.
-    #[inline]
-    fn lookup_or_alloc(&mut self, page: u64) -> u32 {
-        if let Some(idx) = self.lookup(page) {
-            return idx;
-        }
-        let idx = self.pages.len() as u32;
-        self.pages.push(Box::new([EMPTY_STAMP; SHADOW_PAGE_WORDS]));
-        if page < SHADOW_DIRECT_LIMIT {
-            let l2 = self.l1[(page >> SHADOW_L2_BITS) as usize]
-                .get_or_insert_with(|| Box::new([NONE; SHADOW_L2_LEN]));
-            l2[(page & SHADOW_L2_MASK) as usize] = idx;
-        } else {
-            self.far.insert(page, idx);
-        }
-        let way = (page as usize) & (SHADOW_CACHE_WAYS - 1);
-        self.cache_page[way] = page;
-        self.cache_idx[way] = idx;
-        idx
-    }
-
-    /// Records `addr`'s last writer: store time `t`, owning-frame push
-    /// time `push`.
-    #[inline]
-    fn record_store(&mut self, addr: u64, t: u64, push: u64) {
-        let word = addr >> SHADOW_WORD_BITS;
-        let idx = self.lookup_or_alloc(word >> SHADOW_PAGE_BITS);
-        self.pages[idx as usize][(word & SHADOW_PAGE_MASK) as usize] = Stamp { t, push };
-    }
-
-    /// The last-writer stamp of `addr` ([`EMPTY_STAMP`] if never written).
-    #[inline]
-    fn last_writer(&mut self, addr: u64) -> Stamp {
-        let word = addr >> SHADOW_WORD_BITS;
-        match self.lookup(word >> SHADOW_PAGE_BITS) {
-            Some(idx) => self.pages[idx as usize][(word & SHADOW_PAGE_MASK) as usize],
-            None => EMPTY_STAMP,
-        }
-    }
-}
-
 /// An actively executing loop instance (moved into the region tree when
-/// the loop exits). Last-writer state lives in the run-global
-/// [`ShadowTable`]; this records only per-level iteration stamps and
+/// the loop exits). Last-writer state lives in the run-global shadow
+/// [`PageTable`]; this records only per-level iteration stamps and
 /// conflict tallies.
 #[derive(Debug)]
 struct ActiveLoop {
@@ -262,7 +142,12 @@ pub struct Profiler<'a> {
     region_stack: Vec<RegionId>,
     loop_stack: Vec<ActiveLoop>,
     /// Run-global last-writer shadow memory, shared by all loop levels.
-    shadow: ShadowTable,
+    /// One table serves every active level because a stamp records the
+    /// *absolute* store time: each level decides by comparing against its
+    /// own instance and iteration start stamps whether the store is a
+    /// cross-iteration producer, so no per-level state and no
+    /// invalidation are needed.
+    shadow: PageTable<Stamp>,
     /// Optional independence-witness engine (replay certification);
     /// boxed to keep the common no-witness profiler lean.
     witness: Option<Box<WitnessState>>,
@@ -400,7 +285,7 @@ impl<'a> Profiler<'a> {
             regions: Vec::new(),
             region_stack: Vec::new(),
             loop_stack: Vec::new(),
-            shadow: ShadowTable::new(),
+            shadow: PageTable::new(EMPTY_STAMP),
             witness: None,
             frames: Vec::new(),
             call_depth: 0,
@@ -546,13 +431,13 @@ impl<'a> Profiler<'a> {
             // iteration numbers from the absolute time on the (rare)
             // conflict path.
             let push = self.owner_frame_push(addr);
-            self.shadow.record_store(addr, now, push);
+            self.shadow.set(addr, Stamp { t: now, push });
             return;
         }
         let Some(top) = self.loop_stack.last() else {
             return;
         };
-        let w = self.shadow.last_writer(addr);
+        let w = self.shadow.get(addr);
         // Fast path: last written during the innermost loop's current
         // iteration (or never — EMPTY_STAMP's `t` is `u64::MAX`). Inner
         // iteration starts bound all outer ones, so no level conflicts.
@@ -643,8 +528,9 @@ impl<'a> Profiler<'a> {
             Counter::MemPageCacheMisses,
             self.mem_stats.page_cache_misses,
         );
-        c.add(Counter::ShadowPageCacheHits, self.shadow.hits);
-        c.add(Counter::ShadowPageCacheMisses, self.shadow.misses);
+        let shadow = self.shadow.stats();
+        c.add(Counter::ShadowPageCacheHits, shadow.page_cache_hits);
+        c.add(Counter::ShadowPageCacheMisses, shadow.page_cache_misses);
         lp_obs::merge_hist(Hist::ConflictDistance, &self.conflict_dists);
         let components = [
             PredictorKind::LastValue,
@@ -1146,7 +1032,8 @@ mod tests {
             profiler.mem_stats.page_cache_hits,
             profiler.mem_stats.page_cache_misses,
         );
-        let shadow = (profiler.shadow.hits, profiler.shadow.misses);
+        let shadow = profiler.shadow.stats();
+        let shadow = (shadow.page_cache_hits, shadow.page_cache_misses);
         assert!(mem.0 + mem.1 > 0, "interpreter cache saw no traffic");
         assert!(shadow.0 + shadow.1 > 0, "shadow cache saw no traffic");
         assert_ne!(mem, shadow, "cache counter pairs must diverge");
@@ -1239,8 +1126,7 @@ mod tests {
                 .run(&[])
                 .unwrap();
             let tallies = (
-                profiler.shadow.hits,
-                profiler.shadow.misses,
+                profiler.shadow.stats(),
                 profiler.cactus_filter_hits,
                 profiler.mem_stats,
             );
@@ -1248,9 +1134,12 @@ mod tests {
         };
         let (tree, tree_profile) = run(Engine::Tree);
         let (bc, bc_profile) = run(Engine::Bc);
-        assert!(tree.0 > 0 && tree.1 > 0, "shadow cache saw no traffic");
-        assert!(tree.2 > 0, "cactus-stack filter never fired");
-        assert_eq!(tree, bc, "(shadow hits, misses, cactus hits, mem stats)");
+        assert!(
+            tree.0.page_cache_hits > 0 && tree.0.page_cache_misses > 0,
+            "shadow cache saw no traffic"
+        );
+        assert!(tree.1 > 0, "cactus-stack filter never fired");
+        assert_eq!(tree, bc, "(shadow stats, cactus hits, mem stats)");
         assert_eq!(tree_profile, bc_profile);
     }
 
@@ -1267,30 +1156,6 @@ mod tests {
                 assert!(child.start >= r.start && child.end <= r.end);
             }
         }
-    }
-
-    #[test]
-    fn shadow_table_overwrites_and_reports_empty_words() {
-        let mut t = ShadowTable::new();
-        t.record_store(0x1000_0000, 3, 17);
-        assert_eq!(t.last_writer(0x1000_0000), Stamp { t: 3, push: 17 });
-        assert_eq!(t.last_writer(0x1000_0008), EMPTY_STAMP);
-        // Later store to the same word replaces the stamp.
-        t.record_store(0x1000_0000, 9, 0);
-        assert_eq!(t.last_writer(0x1000_0000), Stamp { t: 9, push: 0 });
-        // An empty stamp's time always fails `t < iter_start` exclusion.
-        assert_eq!(EMPTY_STAMP.t, u64::MAX);
-    }
-
-    #[test]
-    fn shadow_table_far_addresses_round_trip() {
-        // Synthetic function-pointer addresses live above the dense
-        // directory and fall through to the Fx map.
-        let far_addr = 0xF000_0000_0000u64 | 8;
-        let mut t = ShadowTable::new();
-        t.record_store(far_addr, 2, 9);
-        assert_eq!(t.last_writer(far_addr), Stamp { t: 2, push: 9 });
-        assert_eq!(t.last_writer(far_addr + 8), EMPTY_STAMP);
     }
 
     #[test]
