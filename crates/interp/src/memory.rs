@@ -26,8 +26,9 @@
 //! front of both sits a small **direct-mapped page cache**, so loops
 //! that cycle through a few live pages (sequential walks, strided
 //! multi-array kernels) touch no directory at all. [`Memory`] is a
-//! `PageTable<u64>`; the profiler's last-writer shadow memory is a
-//! `PageTable` of write stamps with the same geometry.
+//! `PageTable<u64>`; so are the profiler's last-writer shadow memory (a
+//! store time per word) and its stack-push times, and the independence
+//! witness keeps a `PageTable` of word records per nesting level.
 
 use crate::{InterpError, Result};
 use lp_ir::fx::FxHashMap;

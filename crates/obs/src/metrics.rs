@@ -123,13 +123,24 @@ pub enum Counter {
     /// Replayed runs whose final memory image or observable output
     /// diverged from the serial reference (hard failures).
     ReplayDivergences,
+    /// Pages of last-writer shadow memory the profiler allocated.
+    ShadowPages,
+    /// Pages of stack-store frame push times the profiler allocated (a
+    /// subset of the shadow's pages).
+    StackPushPages,
+    /// Pages of independence-witness word records, over every level.
+    WitnessPages,
+    /// Context entries held by the value predictors' FCM tables when the
+    /// profile finished (at most one per observation).
+    FcmEntries,
 }
 
 /// Number of distinct counter slots (scalar slots 0..=17 plus one
 /// reserved, the per-predictor pairs, then the store slots appended
 /// after the predictor block, then the hot-path cache slots, then the
-/// replay slots — every historical slot stays stable).
-pub const COUNTER_SLOTS: usize = 29 + 2 * PredictorKind::ALL.len();
+/// replay slots, then the footprint slots — every historical slot stays
+/// stable).
+pub const COUNTER_SLOTS: usize = 33 + 2 * PredictorKind::ALL.len();
 
 impl Counter {
     /// Every counter, in export order.
@@ -164,6 +175,10 @@ impl Counter {
             Counter::ReplayLoopsCertified,
             Counter::ReplayWitnessRejected,
             Counter::ReplayDivergences,
+            Counter::ShadowPages,
+            Counter::StackPushPages,
+            Counter::WitnessPages,
+            Counter::FcmEntries,
         ];
         for kind in PredictorKind::ALL {
             out.push(Counter::PredictorHit(kind));
@@ -212,6 +227,11 @@ impl Counter {
             Counter::ReplayLoopsCertified => 36,
             Counter::ReplayWitnessRejected => 37,
             Counter::ReplayDivergences => 38,
+            // Footprint slots, appended after the replay block.
+            Counter::ShadowPages => 39,
+            Counter::StackPushPages => 40,
+            Counter::WitnessPages => 41,
+            Counter::FcmEntries => 42,
         }
     }
 
@@ -247,6 +267,10 @@ impl Counter {
             Counter::ReplayLoopsCertified => "replay_loops_certified".to_string(),
             Counter::ReplayWitnessRejected => "replay_witness_rejected".to_string(),
             Counter::ReplayDivergences => "replay_divergences".to_string(),
+            Counter::ShadowPages => "shadow_pages".to_string(),
+            Counter::StackPushPages => "stack_push_pages".to_string(),
+            Counter::WitnessPages => "witness_pages".to_string(),
+            Counter::FcmEntries => "fcm_entries".to_string(),
             Counter::PredictorHit(kind) => format!("predictor_hit_{}", kind.label()),
             Counter::PredictorMiss(kind) => format!("predictor_miss_{}", kind.label()),
         }

@@ -403,6 +403,13 @@ impl HybridPredictor {
         self.stats
     }
 
+    /// Context entries in the FCM component's table (at most one per
+    /// observation).
+    #[must_use]
+    pub fn fcm_entries(&self) -> usize {
+        self.fcm.table.len()
+    }
+
     /// Per-component statistics in `[last-value, stride, 2-delta, fcm]`
     /// order.
     #[must_use]

@@ -162,6 +162,26 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         format!("shadow={shadow} mem={mem}"),
     ));
 
+    // Footprint gauges. An FCM observation inserts at most one context
+    // entry, so the tables can't hold more entries than the hybrid saw
+    // values. A stack-push time is written only alongside a shadow store
+    // time for the same word, so its pages are a subset of the shadow's.
+    let fcm = c("fcm_entries");
+    let observed = c("predictor_hit_hybrid") + c("predictor_miss_hybrid");
+    checks.push(check(
+        "fcm_entries_within_observations",
+        fcm <= observed,
+        fcm == 0 && observed == 0,
+        format!("fcm_entries={fcm} hybrid hits+misses={observed}"),
+    ));
+    let (push_pages, shadow_pages) = (c("stack_push_pages"), c("shadow_pages"));
+    checks.push(check(
+        "stack_push_pages_within_shadow",
+        push_pages <= shadow_pages,
+        push_pages == 0 && shadow_pages == 0,
+        format!("stack_push_pages={push_pages} shadow_pages={shadow_pages}"),
+    ));
+
     // A sweep evaluation either shares a profile or performs one; the
     // share count can't exceed the evaluations that wanted a profile.
     let shared = c("sweep_profile_cache_hits");
@@ -250,6 +270,9 @@ mod tests {
         }
         reg.record_hist(Hist::ConflictDistance, 1);
         reg.record_hist(Hist::ConflictDistance, 4);
+        c.add(Counter::FcmEntries, 7);
+        c.add(Counter::ShadowPages, 3);
+        c.add(Counter::StackPushPages, 1);
         reg
     }
 
@@ -299,6 +322,34 @@ mod tests {
         assert!(broken("loop_iterations_per_instance"));
         let report = render_audit(&checks);
         assert!(report.contains("2 failed"));
+    }
+
+    #[test]
+    fn footprint_laws_catch_impossible_states() {
+        let verdict = |reg: &Registry, name: &str| {
+            let checks = audit_snapshot(&capture(reg, "audit-footprint"));
+            checks.iter().find(|c| c.name == name).unwrap().verdict
+        };
+        let reg = consistent_registry();
+        assert_eq!(
+            verdict(&reg, "fcm_entries_within_observations"),
+            Verdict::Pass
+        );
+        assert_eq!(
+            verdict(&reg, "stack_push_pages_within_shadow"),
+            Verdict::Pass
+        );
+        // 10 hybrid observations can't leave 11 FCM entries behind.
+        reg.counters().add(Counter::FcmEntries, 4);
+        assert_eq!(
+            verdict(&reg, "fcm_entries_within_observations"),
+            Verdict::Fail
+        );
+        reg.counters().add(Counter::StackPushPages, 3);
+        assert_eq!(
+            verdict(&reg, "stack_push_pages_within_shadow"),
+            Verdict::Fail
+        );
     }
 
     #[test]

@@ -1334,8 +1334,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Serializes the tests that run `gc`: each under-budget call bumps
+    /// the process-global [`Counter::StoreGcSkipped`], which
+    /// `gc_under_budget_is_a_counted_no_op` checks for an exact `+1`.
+    static GC_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn gc_removes_oldest_until_under_budget() {
+        let _gc = GC_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch_dir("gc");
         let store = ProfileStore::open(&dir, StoreMode::ReadWrite).unwrap();
         let profile = sample_profile();
@@ -1354,6 +1362,9 @@ mod tests {
 
     #[test]
     fn gc_under_budget_is_a_counted_no_op() {
+        let _gc = GC_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = scratch_dir("gc-skip");
         let store = ProfileStore::open(&dir, StoreMode::ReadWrite).unwrap();
         let profile = sample_profile();

@@ -26,14 +26,25 @@
 //! and every replayed run is additionally byte-compared against a
 //! serial run, so a witness that slips through still cannot produce a
 //! silently wrong result.
+//!
+//! # Storage
+//!
+//! Every access of an active instance consults its word's record, so
+//! the records must not hash (DESIGN.md §10). Each witness nesting level
+//! owns one [`PageTable`] of 16-byte records, reused by every instance
+//! that runs at that level. A record carries the epoch of the instance
+//! that wrote it; activation hands the level a fresh epoch, which turns
+//! every older record stale at once, so deactivation frees and clears
+//! nothing and `distinct_words` counts the records the current epoch
+//! created. A level that runs out of `u32` epochs drops its table rather
+//! than wrap onto an epoch whose records are still there.
 
 use crate::profile::Profile;
-use crate::tracker::Profiler;
+use crate::tracker::{record_profiling_run, Profiler};
 use lp_analysis::{LoopId, ModuleAnalysis};
 use lp_interp::{
-    Exec, ExecUnit, InterpError, MachineConfig, Memory, MeteredSink, RunResult, Value,
+    Exec, ExecUnit, InterpError, MachineConfig, Memory, MeteredSink, PageTable, RunResult, Value,
 };
-use lp_ir::fx::FxHashMap;
 use lp_ir::{FuncId, Module};
 
 /// Sentinel iteration meaning "no access recorded yet".
@@ -136,31 +147,87 @@ impl WitnessReport {
     }
 }
 
-/// Per-word access record: the iteration that last wrote it, the
-/// iteration that last read it, and whether reads came from more than
-/// one iteration.
+/// Per-word access record: the instance epoch that wrote the record,
+/// the iteration that last wrote the word, the iteration that last read
+/// it, and whether reads came from more than one iteration. A record
+/// whose epoch is not the level's current one belongs to an earlier
+/// instance and reads as [`EMPTY_REC`].
 #[derive(Debug, Clone, Copy)]
 struct AccessRec {
+    epoch: u32,
     writer: u32,
     reader: u32,
     multi_reader: bool,
 }
 
-/// One actively-tracked target loop instance.
+/// A word the current instance has not touched. Epoch 0 is never
+/// current, so never-written words need no special case.
+const EMPTY_REC: AccessRec = AccessRec {
+    epoch: 0,
+    writer: NO_ITER,
+    reader: NO_ITER,
+    multi_reader: false,
+};
+
+/// One witness nesting level: the per-word records every instance at
+/// this level reuses, and the tallies of the instance now using them.
 #[derive(Debug)]
-pub(crate) struct ActiveWitness {
+pub(crate) struct WitnessLevel {
     /// Position of the instance on the profiler's loop stack.
     depth: usize,
     func: u32,
     loop_id: u32,
-    accesses: FxHashMap<u64, AccessRec>,
+    /// Per-word records, tagged with the epoch of the instance that
+    /// wrote them; kept across instances so deactivation frees nothing.
+    words: PageTable<AccessRec>,
+    /// The current instance's epoch (from 1; 0 marks untouched words).
+    epoch: u32,
+    /// Words whose record the current epoch created.
+    distinct_words: u64,
     reads: u64,
     writes: u64,
     cactus_exempt: u64,
     violation: Option<WitnessViolation>,
 }
 
-impl ActiveWitness {
+impl WitnessLevel {
+    fn new() -> WitnessLevel {
+        WitnessLevel {
+            depth: 0,
+            func: 0,
+            loop_id: 0,
+            words: PageTable::new(EMPTY_REC),
+            epoch: 0,
+            distinct_words: 0,
+            reads: 0,
+            writes: 0,
+            cactus_exempt: 0,
+            violation: None,
+        }
+    }
+
+    /// Starts a new instance at this level under a fresh epoch, which
+    /// turns every record of earlier instances stale at once. Should the
+    /// epoch run out, the records are dropped instead of letting an old
+    /// epoch come back.
+    fn begin(&mut self, depth: usize, func: u32, loop_id: u32) {
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(epoch) => epoch,
+            None => {
+                self.words = PageTable::new(EMPTY_REC);
+                1
+            }
+        };
+        self.depth = depth;
+        self.func = func;
+        self.loop_id = loop_id;
+        self.distinct_words = 0;
+        self.reads = 0;
+        self.writes = 0;
+        self.cactus_exempt = 0;
+        self.violation = None;
+    }
+
     /// The instance's loop-stack position.
     pub(crate) fn depth(&self) -> usize {
         self.depth
@@ -182,11 +249,14 @@ impl ActiveWitness {
         if self.violation.is_some() {
             return; // first violation already pinned; stay cheap
         }
-        let rec = self.accesses.entry(addr).or_insert(AccessRec {
-            writer: NO_ITER,
-            reader: NO_ITER,
-            multi_reader: false,
-        });
+        let mut rec = self.words.get(addr);
+        if rec.epoch != self.epoch {
+            rec = AccessRec {
+                epoch: self.epoch,
+                ..EMPTY_REC
+            };
+            self.distinct_words += 1;
+        }
         if is_store {
             if rec.writer != NO_ITER && rec.writer != iter {
                 self.violation = Some(WitnessViolation {
@@ -226,6 +296,7 @@ impl ActiveWitness {
                 rec.reader = iter;
             }
         }
+        self.words.set(addr, rec);
     }
 }
 
@@ -237,9 +308,11 @@ pub(crate) struct WitnessState {
     targets: Vec<(u32, u32)>,
     /// Sorted exempt word addresses ("reduction slots"; normally empty).
     exempt: Vec<u64>,
-    /// Active instances, innermost last (stack discipline mirrors the
-    /// profiler's loop stack).
-    active: Vec<ActiveWitness>,
+    /// Every witness nesting level reached so far, outermost first; the
+    /// first `active` hold the live instances, innermost last (stack
+    /// discipline mirrors the profiler's loop stack).
+    levels: Vec<WitnessLevel>,
+    active: usize,
     done: Vec<IndependenceWitness>,
 }
 
@@ -253,7 +326,8 @@ impl WitnessState {
         WitnessState {
             targets,
             exempt,
-            active: Vec::new(),
+            levels: Vec::new(),
+            active: 0,
             done: Vec::new(),
         }
     }
@@ -268,41 +342,38 @@ impl WitnessState {
 
     /// Whether any instance is currently being tracked (fast-path gate).
     pub(crate) fn any_active(&self) -> bool {
-        !self.active.is_empty()
+        self.active > 0
     }
 
     /// Starts tracking the instance just pushed at `depth`.
     pub(crate) fn activate(&mut self, depth: usize, func: u32, loop_id: u32) {
-        self.active.push(ActiveWitness {
-            depth,
-            func,
-            loop_id,
-            accesses: FxHashMap::default(),
-            reads: 0,
-            writes: 0,
-            cactus_exempt: 0,
-            violation: None,
-        });
+        if self.active == self.levels.len() {
+            self.levels.push(WitnessLevel::new());
+        }
+        self.levels[self.active].begin(depth, func, loop_id);
+        self.active += 1;
     }
 
     /// Mutable view of the active instances (the profiler pairs each
     /// with its loop-stack level when feeding accesses).
-    pub(crate) fn active_mut(&mut self) -> &mut [ActiveWitness] {
-        &mut self.active
+    pub(crate) fn active_mut(&mut self) -> &mut [WitnessLevel] {
+        &mut self.levels[..self.active]
     }
 
     /// Finishes the instance at loop-stack position `depth` (the one the
-    /// profiler just popped), if it was tracked.
+    /// profiler just popped), if it was tracked. Its records stay in
+    /// place: the level's next instance takes a new epoch.
     pub(crate) fn deactivate(&mut self, depth: usize, iterations: u32) {
-        if self.active.last().is_none_or(|aw| aw.depth != depth) {
+        if self.active == 0 || self.levels[self.active - 1].depth != depth {
             return;
         }
-        let aw = self.active.pop().expect("checked above");
+        self.active -= 1;
+        let aw = &self.levels[self.active];
         self.done.push(IndependenceWitness {
             func: FuncId(aw.func),
             loop_id: LoopId(aw.loop_id),
             iterations,
-            distinct_words: aw.accesses.len() as u64,
+            distinct_words: aw.distinct_words,
             reads: aw.reads,
             writes: aw.writes,
             cactus_exempt: aw.cactus_exempt,
@@ -310,8 +381,16 @@ impl WitnessState {
         });
     }
 
+    /// Record pages allocated over the run, summed over every level.
+    pub(crate) fn pages(&self) -> u64 {
+        self.levels
+            .iter()
+            .map(|aw| aw.words.stats().pages_allocated)
+            .sum()
+    }
+
     pub(crate) fn into_report(self) -> WitnessReport {
-        debug_assert!(self.active.is_empty(), "witness instances left open");
+        debug_assert!(self.active == 0, "witness instances left open");
         WitnessReport {
             witnesses: self.done,
         }
@@ -348,6 +427,7 @@ pub(crate) fn witnessed_run(
     mut machine_config: MachineConfig,
     targets: &[(FuncId, LoopId)],
 ) -> Result<(Profile, RunResult, Memory, WitnessReport), InterpError> {
+    let t0 = lp_obs::registry().now_ns();
     let mut profiler = Profiler::new(unit.module(), analysis);
     profiler.enable_witness(targets, Vec::new());
     machine_config.watched_values = profiler.watched_values();
@@ -356,7 +436,9 @@ pub(crate) fn witnessed_run(
         .sink(&mut metered)
         .config(machine_config)
         .keep_memory(true)
-        .run(args)?;
+        .run(args);
+    record_profiling_run(metered.counts(), t0);
+    let out = out?;
     let (profile, report) = profiler.finish_with_witness();
     let memory = out.memory.expect("keep_memory was requested");
     Ok((profile, out.result, memory, report))
@@ -368,6 +450,8 @@ mod tests {
     use lp_analysis::analyze_module;
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{BlockId, Global, IcmpPred, Type};
+
+    const GLOBAL: u64 = lp_interp::GLOBAL_BASE;
 
     /// `for i in 0..n { a[i] = i; extra(i) }` — `extra` injects the
     /// hazard under test.
@@ -477,6 +561,41 @@ mod tests {
         let (_, report) = witness(&m);
         assert!(report.loop_holds(lp_ir::FuncId(0), LoopId(0)));
         assert_eq!(report.witnesses[0].reads, 32);
+    }
+
+    #[test]
+    fn level_records_go_stale_across_instances_and_epoch_exhaustion() {
+        let target = [(lp_ir::FuncId(0), LoopId(0))];
+        let mut state = WitnessState::new(&target, Vec::new());
+        let (a, b, c) = (GLOBAL, GLOBAL + 8, GLOBAL + 16);
+        // One instance at level 0 storing to `words` from iteration 1.
+        let instance = |state: &mut WitnessState, words: &[u64]| {
+            state.activate(0, 0, 0);
+            for &w in words {
+                state.active_mut()[0].observe(w, 1, true);
+            }
+            state.deactivate(0, 2);
+        };
+        // Epoch 1 leaves a record on `a`, epoch 2 one on `b`; the second
+        // instance's store to `a` is a first touch, not a conflict.
+        state.activate(0, 0, 0);
+        state.active_mut()[0].observe(a, 0, true);
+        state.deactivate(0, 1);
+        instance(&mut state, &[a, b]);
+        assert_eq!(state.levels.len(), 1, "the level's table is reused");
+        assert_eq!(state.levels[0].epoch, 2);
+        // Out of epochs: wrapping to 1 would revive `a`'s epoch-1 record
+        // (a write-write conflict with iteration 0), and wrapping to 0
+        // would make the untouched `c` look touched. The level starts
+        // over instead.
+        state.levels[0].epoch = u32::MAX;
+        instance(&mut state, &[a, c]);
+        assert_eq!(state.levels[0].epoch, 1);
+        assert_eq!(state.pages(), 1);
+        let report = state.into_report();
+        let words: Vec<_> = report.witnesses.iter().map(|w| w.distinct_words).collect();
+        assert_eq!(words, [1, 2, 2]);
+        assert!(report.witnesses.iter().all(IndependenceWitness::holds));
     }
 
     #[test]
