@@ -92,12 +92,6 @@ impl Cfg {
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_index(b).is_some()
     }
-
-    /// Number of blocks in the function (including unreachable ones).
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.succs.len()
-    }
 }
 
 #[cfg(test)]

@@ -258,13 +258,6 @@ impl LoopForest {
             .enumerate()
             .map(|(i, l)| (LoopId(i as u32), l))
     }
-
-    /// Top-level (depth-1) loops.
-    pub fn top_level(&self) -> impl Iterator<Item = LoopId> + '_ {
-        self.iter()
-            .filter(|(_, l)| l.parent.is_none())
-            .map(|(id, _)| id)
-    }
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 //! flight-recorder journal disabled; `--check` also fails when the
 //! always-on journaling overhead (`journal_overhead` in `totals`, the
 //! median over per-rep aggregates) exceeds 3% beyond its own MAD-based
-//! noise allowance. Counters of the hot-path caches (`mem_page_cache_*`,
-//! `shadow_page_cache_*`) ride along in the `counters` object.
+//! noise allowance. The process counters (event tallies, shadow and
+//! witness pages, predictor hits) ride along in the `counters` object.
 
 use lp_analysis::analyze_module;
 use lp_bench::{run_benchmarks, Cli, SweepTable};

@@ -334,6 +334,22 @@ fn snapshot_out_names_every_counter_and_hist() {
     }
 }
 
+/// `ablations` profiles with the cactus stack off as well as on, which
+/// the figure binaries never do; its snapshot must satisfy every
+/// conservation law too.
+#[test]
+fn cactus_off_ablations_snapshot_passes_the_audit() {
+    let path = std::env::temp_dir().join(format!("lp-ablations-{}.json", std::process::id()));
+    let path = path.to_str().unwrap();
+    let out = run("ablations", &["test", "--quiet", "--snapshot-out", path]);
+    assert!(out.status.success(), "ablations: {}", stderr_of(&out));
+    let audit = run("lpstudy", &["audit", path]);
+    let _ = std::fs::remove_file(path);
+    let report = String::from_utf8(audit.stdout).expect("audit report is UTF-8");
+    assert_eq!(audit.status.code(), Some(0), "{report}");
+    assert!(report.ends_with(" 0 failed\n"), "{report}");
+}
+
 #[test]
 fn invalid_profile_cache_mode_exits_2() {
     let out = Command::new(exe("table1"))

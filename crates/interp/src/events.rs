@@ -8,7 +8,6 @@
 //! sinks can timestamp producers and consumers at instruction
 //! granularity. All methods have no-op defaults.
 
-use crate::memory::MemStats;
 use crate::value::Value;
 use lp_ir::{BlockId, Builtin, FuncId, ValueId};
 
@@ -60,12 +59,9 @@ pub trait EventSink {
         let _ = (func, value, val, now);
     }
 
-    /// The run completed; `stats` summarizes the memory fast path
-    /// (last-page cache hits/misses, pages allocated). Delivered once,
-    /// after the final instruction, only on successful runs.
-    fn mem_stats(&mut self, stats: MemStats) {
-        let _ = stats;
-    }
+    /// The run completed. Delivered once, after the final instruction,
+    /// only on successful runs.
+    fn run_finished(&mut self) {}
 }
 
 /// Forwarding impl so decorators like `MeteredSink` can borrow a sink
@@ -103,8 +99,8 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
         (**self).value_defined(func, value, val, now);
     }
 
-    fn mem_stats(&mut self, stats: MemStats) {
-        (**self).mem_stats(stats);
+    fn run_finished(&mut self) {
+        (**self).run_finished();
     }
 }
 

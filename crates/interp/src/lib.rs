@@ -56,7 +56,7 @@ pub use bytecode::CompiledModule;
 pub use events::{CountingSink, EventSink, NullSink};
 pub use exec::{Exec, ExecOut, ExecUnit};
 pub use machine::{Engine, Machine, MachineConfig, RunResult};
-pub use memory::{MemStats, Memory, PageTable, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+pub use memory::{Memory, PageTable, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 pub use metered::{EventCounts, MeteredSink};
 pub use replay::{
     run_chunk, ChunkOut, ChunkRequest, ChunkSpec, LoopShape, ParallelExec, PhiKind, ReplayPlan,

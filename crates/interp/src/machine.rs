@@ -253,7 +253,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
             Some(code) => self.call_function_bc(code, entry, args),
             None => self.call_function(entry, args),
         }?;
-        self.sink.mem_stats(self.memory.stats());
+        self.sink.run_finished();
         Ok((
             RunResult {
                 ret,
@@ -1372,7 +1372,7 @@ mod tests {
         m.add_function(fb.finish().unwrap());
 
         let serial_unit = ExecUnit::new(&m);
-        let mut serial_mem = Exec::new(&serial_unit)
+        let serial_mem = Exec::new(&serial_unit)
             .keep_memory(true)
             .run(&[])
             .unwrap()
@@ -1381,18 +1381,14 @@ mod tests {
         for engine in [Engine::Tree, Engine::Bc] {
             let unit = ExecUnit::with_engine(&m, engine);
             let plan = ReplayPlan::new(vec![sum_shape(&m)], 4);
-            let mut replay_mem = Exec::new(&unit)
+            let replay_mem = Exec::new(&unit)
                 .replay(&plan, &SerialExec)
                 .keep_memory(true)
                 .run(&[])
                 .unwrap()
                 .memory
                 .unwrap();
-            assert_eq!(
-                serial_mem.first_difference(&mut replay_mem),
-                None,
-                "{engine:?}"
-            );
+            assert_eq!(serial_mem.first_difference(&replay_mem), None, "{engine:?}");
             assert_eq!(
                 replay_mem
                     .read(crate::memory::GLOBAL_BASE + 8 * 63)

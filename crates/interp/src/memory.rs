@@ -22,13 +22,12 @@
 //! **two-level page directory**: the bounded dense directory covers every
 //! page below 4 GiB — which contains all three allocator regions — with
 //! two array indexes, and a small Fx-hashed fallback map catches
-//! anything above it (e.g. synthetic function-pointer addresses). In
-//! front of both sits a small **direct-mapped page cache**, so loops
-//! that cycle through a few live pages (sequential walks, strided
-//! multi-array kernels) touch no directory at all. [`Memory`] is a
-//! `PageTable<u64>`; so are the profiler's last-writer shadow memory (a
-//! store time per word) and its stack-push times, and the independence
-//! witness keeps a `PageTable` of word records per nesting level.
+//! anything above it (e.g. synthetic function-pointer addresses). Every
+//! lookup walks the directory; lookups mutate nothing, so reads take
+//! `&self`. [`Memory`] is a `PageTable<u64>`; so are the profiler's
+//! last-writer shadow memory (a store time per word) and its stack-push
+//! times, and the independence witness keeps a `PageTable` of word
+//! records per nesting level.
 
 use crate::{InterpError, Result};
 use lp_ir::fx::FxHashMap;
@@ -57,21 +56,6 @@ const DIRECT_LIMIT: u64 = (L2_LEN as u64) * (L2_LEN as u64);
 /// Sentinel directory entry: page not allocated.
 const NO_PAGE: u32 = u32::MAX;
 
-/// Ways in the direct-mapped page cache (indexed by `page % ways`).
-const CACHE_WAYS: usize = 8;
-
-/// Counters of a page table's fast path, reported for the interpreter
-/// memory through [`crate::EventSink::mem_stats`] at the end of a run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MemStats {
-    /// Accesses served by the direct-mapped page cache.
-    pub page_cache_hits: u64,
-    /// Accesses that walked the page directory.
-    pub page_cache_misses: u64,
-    /// Pages allocated over the run.
-    pub pages_allocated: u64,
-}
-
 /// A sparse map from 8-byte-aligned addresses to one `T` per word.
 ///
 /// Unwritten words read as the `empty` value given to
@@ -88,15 +72,6 @@ pub struct PageTable<T: Copy> {
     l1: Vec<Option<Box<[u32; L2_LEN]>>>,
     /// Fallback for pages at or above [`DIRECT_LIMIT`].
     far: FxHashMap<u64, u32>,
-    /// Direct-mapped page cache: page numbers and arena indexes of
-    /// recently resolved *allocated* pages, indexed by `page % ways`.
-    /// A single entry thrashes on strided multi-array access (e.g.
-    /// matmul rows); a few ways keep every live page of a typical inner
-    /// loop resident.
-    cache_page: [u64; CACHE_WAYS],
-    cache_idx: [u32; CACHE_WAYS],
-    hits: u64,
-    misses: u64,
     empty: T,
 }
 
@@ -110,24 +85,13 @@ impl<T: Copy> PageTable<T> {
             pages: Vec::new(),
             l1,
             far: FxHashMap::default(),
-            cache_page: [u64::MAX; CACHE_WAYS],
-            cache_idx: [NO_PAGE; CACHE_WAYS],
-            hits: 0,
-            misses: 0,
             empty,
         }
     }
 
     /// Resolves `page` to its arena index, or `None` if unallocated.
-    /// Updates the page cache on success.
     #[inline]
-    fn lookup(&mut self, page: u64) -> Option<u32> {
-        let way = (page as usize) & (CACHE_WAYS - 1);
-        if page == self.cache_page[way] {
-            self.hits += 1;
-            return Some(self.cache_idx[way]);
-        }
-        self.misses += 1;
+    fn lookup(&self, page: u64) -> Option<u32> {
         let idx = if page < DIRECT_LIMIT {
             match &self.l1[(page >> L2_BITS) as usize] {
                 Some(l2) => l2[(page & L2_MASK) as usize],
@@ -136,12 +100,7 @@ impl<T: Copy> PageTable<T> {
         } else {
             self.far.get(&page).copied().unwrap_or(NO_PAGE)
         };
-        if idx == NO_PAGE {
-            return None;
-        }
-        self.cache_page[way] = page;
-        self.cache_idx[way] = idx;
-        Some(idx)
+        (idx != NO_PAGE).then_some(idx)
     }
 
     /// As [`PageTable::lookup`], allocating the page if absent.
@@ -160,18 +119,12 @@ impl<T: Copy> PageTable<T> {
         } else {
             self.far.insert(page, idx);
         }
-        let way = (page as usize) & (CACHE_WAYS - 1);
-        self.cache_page[way] = page;
-        self.cache_idx[way] = idx;
         idx
     }
 
     /// The word at `addr`, or `empty` if it was never written.
-    ///
-    /// Takes `&mut self` to maintain the page cache — the logical
-    /// contents are unchanged.
     #[inline]
-    pub fn get(&mut self, addr: u64) -> T {
+    pub fn get(&self, addr: u64) -> T {
         let slot = ((addr % PAGE_BYTES) / 8) as usize;
         match self.lookup(addr / PAGE_BYTES) {
             Some(idx) => self.pages[idx as usize][slot],
@@ -202,14 +155,10 @@ impl<T: Copy> PageTable<T> {
         dense.chain(self.far.keys().copied())
     }
 
-    /// Fast-path counters for observability exports.
+    /// Pages allocated so far.
     #[must_use]
-    pub fn stats(&self) -> MemStats {
-        MemStats {
-            page_cache_hits: self.hits,
-            page_cache_misses: self.misses,
-            pages_allocated: self.pages.len() as u64,
-        }
+    pub fn pages(&self) -> u64 {
+        self.pages.len() as u64
     }
 }
 
@@ -268,13 +217,10 @@ impl Memory {
 
     /// Reads the word at `addr`.
     ///
-    /// Takes `&mut self` to maintain the page cache — the logical
-    /// memory state is unchanged.
-    ///
     /// # Errors
     /// Traps on unaligned or null-page addresses. Unwritten words read as
     /// zero.
-    pub fn read(&mut self, addr: u64) -> Result<u64> {
+    pub fn read(&self, addr: u64) -> Result<u64> {
         Self::check(addr)?;
         Ok(self.table.get(addr))
     }
@@ -301,8 +247,8 @@ impl Memory {
     /// This is the replay engine's divergence oracle: a parallel replay
     /// is correct iff its final image is identical to the serial run's.
     #[must_use]
-    pub fn first_difference(&mut self, other: &mut Memory) -> Option<(u64, u64, u64)> {
-        let (a, b) = (&mut self.table, &mut other.table);
+    pub fn first_difference(&self, other: &Memory) -> Option<(u64, u64, u64)> {
+        let (a, b) = (&self.table, &other.table);
         let mut pages: Vec<u64> = a
             .allocated_pages()
             .chain(b.allocated_pages())
@@ -324,10 +270,10 @@ impl Memory {
         None
     }
 
-    /// Fast-path counters for observability exports.
+    /// Pages of memory allocated so far.
     #[must_use]
-    pub fn stats(&self) -> MemStats {
-        self.table.stats()
+    pub fn pages(&self) -> u64 {
+        self.table.pages()
     }
 
     /// Bump-allocates `bytes` on the heap (rounded up to whole words),
@@ -469,11 +415,11 @@ mod tests {
         let mut b = Memory::new();
         a.write(GLOBAL_BASE, 1).unwrap();
         b.write(GLOBAL_BASE, 1).unwrap();
-        assert_eq!(a.first_difference(&mut b), None);
+        assert_eq!(a.first_difference(&b), None);
         b.write(HEAP_BASE + 24, 9).unwrap();
         b.write(GLOBAL_BASE + 8, 5).unwrap();
         assert_eq!(
-            a.first_difference(&mut b),
+            a.first_difference(&b),
             Some((GLOBAL_BASE + 8, 0, 5)),
             "lowest differing address wins even against unallocated pages"
         );
@@ -482,7 +428,7 @@ mod tests {
         c.write(STACK_BASE + 64, 77).unwrap();
         b.write(GLOBAL_BASE + 8, 0).unwrap();
         b.write(HEAP_BASE + 24, 0).unwrap();
-        assert_eq!(a.first_difference(&mut c), None);
+        assert_eq!(a.first_difference(&c), None);
     }
 
     #[test]
@@ -496,24 +442,19 @@ mod tests {
     }
 
     /// Every `PageTable` contract, checked for one element type: unwritten
-    /// words read `empty`, far pages round-trip through the map, pages
-    /// sharing a cache way keep their values, and `stats` counts exactly.
+    /// words read `empty`, reads allocate nothing, far pages round-trip
+    /// through the map, pages `p` and `p + 8` keep their own values, and
+    /// `pages` counts exactly.
     fn exercise_page_table<T: Copy + PartialEq + std::fmt::Debug>(empty: T, val: fn(u64) -> T) {
         let mut t = PageTable::new(empty);
-        assert_eq!(t.get(GLOBAL_BASE), empty, "unallocated page"); // miss
-        t.set(GLOBAL_BASE, val(3)); // miss (allocates)
-        t.set(GLOBAL_BASE, val(9)); // hit
-        assert_eq!(t.get(GLOBAL_BASE), val(9)); // hit
-        assert_eq!(t.get(GLOBAL_BASE + 8), empty, "unwritten word"); // hit
-        assert_eq!(t.get(GLOBAL_BASE + PAGE_BYTES), empty); // miss
-        assert_eq!(
-            t.stats(),
-            MemStats {
-                page_cache_hits: 3,
-                page_cache_misses: 3,
-                pages_allocated: 1,
-            }
-        );
+        assert_eq!(t.get(GLOBAL_BASE), empty, "unallocated page");
+        assert_eq!(t.pages(), 0, "reading an unwritten word allocates no page");
+        t.set(GLOBAL_BASE, val(3));
+        t.set(GLOBAL_BASE, val(9));
+        assert_eq!(t.get(GLOBAL_BASE), val(9));
+        assert_eq!(t.get(GLOBAL_BASE + 8), empty, "unwritten word");
+        assert_eq!(t.get(GLOBAL_BASE + PAGE_BYTES), empty);
+        assert_eq!(t.pages(), 1);
 
         // The last dense page, the first far page (4 GiB), and a
         // synthetic function-pointer-like address far above both.
@@ -528,21 +469,17 @@ mod tests {
         assert_eq!(t.get(last_dense), val(1));
         assert_eq!(t.get(first_far), val(2));
         assert_eq!(t.get(fn_ptr), val(3));
+        assert_eq!(t.pages(), 4);
 
-        // Pages p and p + 8 share a cache way and evict each other on
-        // every switch, so each read misses but both keep their values.
-        let (a, b) = (HEAP_BASE, HEAP_BASE + CACHE_WAYS as u64 * PAGE_BYTES);
+        // Pages p and p + 8, read alternately, keep their own values.
+        let (a, b) = (HEAP_BASE, HEAP_BASE + 8 * PAGE_BYTES);
         t.set(a, val(4));
         t.set(b, val(5));
-        let before = t.stats();
         for _ in 0..4 {
             assert_eq!(t.get(a), val(4));
             assert_eq!(t.get(b), val(5));
         }
-        let after = t.stats();
-        assert_eq!(after.page_cache_misses - before.page_cache_misses, 8);
-        assert_eq!(after.page_cache_hits, before.page_cache_hits);
-        assert_eq!(after.pages_allocated, 6);
+        assert_eq!(t.pages(), 6);
     }
 
     #[test]
@@ -550,8 +487,8 @@ mod tests {
         exercise_page_table(0u64, |i| i + 1);
     }
 
-    /// The profiler's shadow memory stores a two-word `(time, push)`
-    /// stamp per word, with `u64::MAX` as the never-written time.
+    /// A two-word record per word, as the independence witness keeps,
+    /// with `u64::MAX` as the empty time.
     #[test]
     fn page_table_of_stamps() {
         exercise_page_table((u64::MAX, 0u64), |i| (i, 3 * i));

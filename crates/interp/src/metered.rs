@@ -53,7 +53,7 @@ pub struct MeteredSink<S> {
     counts: EventCounts,
     /// Cost at the most recent block entry — the best "how far did the
     /// run get" stamp available when the end-of-run journal record is
-    /// cut in [`EventSink::mem_stats`].
+    /// cut in [`EventSink::run_finished`].
     last_now: u64,
 }
 
@@ -128,16 +128,15 @@ impl<S: EventSink> EventSink for MeteredSink<S> {
         self.inner.value_defined(func, value, val, now);
     }
 
-    fn mem_stats(&mut self, stats: crate::memory::MemStats) {
-        // Delivered once per successful run, so it doubles as the
-        // flight-recorder's end-of-run mark: total events delivered and
-        // the cost reached by the last block entry.
+    fn run_finished(&mut self) {
+        // The flight recorder's end-of-run mark: total events delivered
+        // and the cost reached by the last block entry.
         lp_obs::journal::record(
             lp_obs::EventKind::RunCompleted,
             self.counts.total(),
             self.last_now,
         );
-        self.inner.mem_stats(stats);
+        self.inner.run_finished();
     }
 }
 

@@ -1,18 +1,15 @@
 //! Page-boundary behavior of the paged memory: accesses that land on the
 //! last/first words of adjacent pages, unaligned addresses that would
 //! straddle a boundary, far-region pages behind the fallback map, and
-//! the direct-mapped page cache's hit/miss accounting on cross-page
-//! access patterns.
+//! exact page allocation on cross-page access patterns.
 //!
-//! The geometry constants mirror `memory.rs` (512-word / 4096-byte
-//! pages, an 8-way direct-mapped cache indexed by `page % 8`); the
-//! assertions on cache counters pin that layout on purpose — they are
-//! the contract DESIGN.md §10 documents.
+//! The geometry constant mirrors `memory.rs` (512-word / 4096-byte
+//! pages); the page counts pin that layout on purpose — they are the
+//! contract DESIGN.md §10 documents.
 
 use lp_interp::{InterpError, Memory, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 
 const PAGE_BYTES: u64 = 4096;
-const CACHE_WAYS: u64 = 8;
 
 #[test]
 fn last_and_first_words_of_adjacent_pages_are_distinct() {
@@ -25,7 +22,7 @@ fn last_and_first_words_of_adjacent_pages_are_distinct() {
     assert_eq!(mem.read(boundary - 8).unwrap(), 0xAAAA);
     assert_eq!(mem.read(boundary).unwrap(), 0xBBBB);
     // Two pages were materialized, not one.
-    assert_eq!(mem.stats().pages_allocated, 2);
+    assert_eq!(mem.pages(), 2);
 }
 
 #[test]
@@ -45,7 +42,7 @@ fn unaligned_accesses_trap_including_page_straddlers() {
         assert_eq!(mem.read(addr), Err(InterpError::Unaligned(addr)));
     }
     // Nothing was allocated by the rejected accesses.
-    assert_eq!(mem.stats().pages_allocated, 0);
+    assert_eq!(mem.pages(), 0);
 }
 
 #[test]
@@ -56,60 +53,38 @@ fn unwritten_words_of_a_partially_written_page_read_zero() {
     // without allocating.
     assert_eq!(mem.read(STACK_BASE).unwrap(), 0);
     assert_eq!(mem.read(STACK_BASE + PAGE_BYTES).unwrap(), 0);
-    assert_eq!(mem.stats().pages_allocated, 1);
+    assert_eq!(mem.pages(), 1);
 }
 
 #[test]
-fn sequential_walk_across_pages_misses_once_per_page() {
+fn sequential_walk_allocates_each_page_once() {
     let mut mem = Memory::new();
     let pages = 5u64;
     for w in 0..(pages * PAGE_BYTES / 8) {
         mem.write(HEAP_BASE + w * 8, w).unwrap();
     }
-    let stats = mem.stats();
-    assert_eq!(stats.pages_allocated, pages);
-    // Each page misses exactly once (its allocation); every subsequent
-    // access in the walk hits the cache way it just filled.
-    assert_eq!(stats.page_cache_misses, pages);
-    assert_eq!(stats.page_cache_hits, pages * (PAGE_BYTES / 8) - pages);
+    assert_eq!(mem.pages(), pages);
+    for w in 0..(pages * PAGE_BYTES / 8) {
+        assert_eq!(mem.read(HEAP_BASE + w * 8).unwrap(), w);
+    }
+    assert_eq!(mem.pages(), pages);
 }
 
 #[test]
-fn cross_page_alternation_hits_distinct_cache_ways() {
-    let mut mem = Memory::new();
-    let a = HEAP_BASE; // page p, way p % 8
-    let b = HEAP_BASE + PAGE_BYTES; // page p+1, adjacent way
-    mem.write(a, 1).unwrap(); // miss (alloc)
-    mem.write(b, 2).unwrap(); // miss (alloc)
-    let before = mem.stats();
-    for _ in 0..100 {
-        assert_eq!(mem.read(a).unwrap(), 1);
-        assert_eq!(mem.read(b).unwrap(), 2);
+fn alternating_pages_keep_their_own_values() {
+    // Adjacent pages, and pages p and p+8 with none touched between.
+    for gap in [1, 8] {
+        let mut mem = Memory::new();
+        let a = HEAP_BASE;
+        let b = HEAP_BASE + gap * PAGE_BYTES;
+        mem.write(a, 1).unwrap();
+        mem.write(b, 2).unwrap();
+        for _ in 0..100 {
+            assert_eq!(mem.read(a).unwrap(), 1);
+            assert_eq!(mem.read(b).unwrap(), 2);
+        }
+        assert_eq!(mem.pages(), 2, "gap {gap}");
     }
-    let after = mem.stats();
-    // Adjacent pages map to different ways of the direct-mapped cache,
-    // so the alternation stays resident: all 200 accesses hit.
-    assert_eq!(after.page_cache_hits - before.page_cache_hits, 200);
-    assert_eq!(after.page_cache_misses, before.page_cache_misses);
-}
-
-#[test]
-fn way_colliding_pages_evict_each_other() {
-    let mut mem = Memory::new();
-    let a = HEAP_BASE; // page p
-    let b = HEAP_BASE + CACHE_WAYS * PAGE_BYTES; // page p+8: same way
-    mem.write(a, 1).unwrap();
-    mem.write(b, 2).unwrap(); // evicts a's entry from the shared way
-    let before = mem.stats();
-    for _ in 0..10 {
-        assert_eq!(mem.read(a).unwrap(), 1);
-        assert_eq!(mem.read(b).unwrap(), 2);
-    }
-    let after = mem.stats();
-    // Every access of the ping-pong misses: the two pages contend for
-    // one way. The values themselves stay correct throughout.
-    assert_eq!(after.page_cache_misses - before.page_cache_misses, 20);
-    assert_eq!(after.page_cache_hits, before.page_cache_hits);
 }
 
 #[test]
@@ -126,22 +101,18 @@ fn far_pages_round_trip_through_the_fallback_map() {
     mem.write(far2, 0xBEEF).unwrap();
     assert_eq!(mem.read(far).unwrap(), 0xDEAD);
     assert_eq!(mem.read(far2).unwrap(), 0xBEEF);
-    assert_eq!(mem.stats().pages_allocated, 2);
+    assert_eq!(mem.pages(), 2);
 }
 
 #[test]
-fn cross_page_write_fills_the_cache_for_subsequent_reads() {
-    let mut mem = Memory::new();
+fn reading_unwritten_words_allocates_no_page() {
+    let mem = Memory::new();
+    // Globals, heap, stack, both sides of a page boundary, and a far
+    // function-pointer-region address: every one reads zero.
     let boundary = GLOBAL_BASE + PAGE_BYTES;
-    mem.write(boundary - 8, 1).unwrap(); // miss: allocates page 0
-    mem.write(boundary, 2).unwrap(); // miss: allocates page 1
-    let before = mem.stats();
-    assert_eq!(before.page_cache_misses, 2);
-    // Both pages are now cached in their own ways; re-reading either
-    // side of the boundary never walks the directory again.
-    assert_eq!(mem.read(boundary - 8).unwrap(), 1);
-    assert_eq!(mem.read(boundary).unwrap(), 2);
-    let after = mem.stats();
-    assert_eq!(after.page_cache_hits - before.page_cache_hits, 2);
-    assert_eq!(after.page_cache_misses, before.page_cache_misses);
+    let far = 0xF000_0000_0000u64 | 0x10;
+    for addr in [boundary - 8, boundary, HEAP_BASE, STACK_BASE + 8, far] {
+        assert_eq!(mem.read(addr).unwrap(), 0);
+    }
+    assert_eq!(mem.pages(), 0);
 }

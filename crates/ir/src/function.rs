@@ -67,18 +67,6 @@ pub struct Block {
     pub name: Option<String>,
 }
 
-impl Block {
-    /// Returns instruction ids of the phi prefix.
-    #[must_use]
-    pub fn phi_prefix(&self, func: &Function) -> Vec<InstId> {
-        self.insts
-            .iter()
-            .copied()
-            .take_while(|id| func.inst(*id).inst.is_phi())
-            .collect()
-    }
-}
-
 /// A function: parameters, a value arena, an instruction arena, and blocks.
 ///
 /// Block 0 is always the entry block. The arenas are append-only; the

@@ -391,13 +391,6 @@ impl Builtin {
         }
     }
 
-    /// Returns `true` if the builtin reads or writes program-visible memory
-    /// (so the interpreter must emit access events for it).
-    #[must_use]
-    pub fn touches_memory(self) -> bool {
-        matches!(self, Builtin::Memcpy | Builtin::Memset)
-    }
-
     /// Number of formal parameters.
     #[must_use]
     pub fn arity(self) -> usize {

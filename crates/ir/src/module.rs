@@ -148,12 +148,6 @@ impl Module {
         self.fn_names.get(name).copied()
     }
 
-    /// Looks up a global by name.
-    #[must_use]
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.global_names.get(name).copied()
-    }
-
     /// Returns the function for an id.
     ///
     /// # Panics
@@ -187,12 +181,6 @@ impl Module {
             .iter()
             .enumerate()
             .map(|(i, f)| (FuncId(i as u32), f))
-    }
-
-    /// Total static instruction count across all functions (diagnostics).
-    #[must_use]
-    pub fn static_inst_count(&self) -> usize {
-        self.functions.iter().map(|f| f.insts.len()).sum()
     }
 }
 

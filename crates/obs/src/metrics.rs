@@ -99,17 +99,6 @@ pub enum Counter {
     /// Persistent cache entries discarded because they were corrupt,
     /// truncated, or written by another format version.
     StoreCorruptDiscarded,
-    /// Interpreter memory accesses served by the one-entry last-page
-    /// cache (no directory walk).
-    MemPageCacheHits,
-    /// Interpreter memory accesses that walked the page directory (the
-    /// last-page cache held a different page).
-    MemPageCacheMisses,
-    /// Shadow-memory stamp lookups served by a table's one-entry
-    /// last-page cache.
-    ShadowPageCacheHits,
-    /// Shadow-memory stamp lookups that walked the shadow directory.
-    ShadowPageCacheMisses,
     /// Profile-store garbage collections skipped because the cheap size
     /// pre-scan found the cache already under budget.
     StoreGcSkipped,
@@ -137,10 +126,9 @@ pub enum Counter {
 
 /// Number of distinct counter slots (scalar slots 0..=17 plus one
 /// reserved, the per-predictor pairs, then the store slots appended
-/// after the predictor block, then the hot-path cache slots, then the
-/// replay slots, then the footprint slots — every historical slot stays
-/// stable).
-pub const COUNTER_SLOTS: usize = 33 + 2 * PredictorKind::ALL.len();
+/// after the predictor block, then the replay slots, then the footprint
+/// slots).
+pub const COUNTER_SLOTS: usize = 29 + 2 * PredictorKind::ALL.len();
 
 impl Counter {
     /// Every counter, in export order.
@@ -168,10 +156,6 @@ impl Counter {
             Counter::StoreMisses,
             Counter::StoreCorruptDiscarded,
             Counter::StoreGcSkipped,
-            Counter::MemPageCacheHits,
-            Counter::MemPageCacheMisses,
-            Counter::ShadowPageCacheHits,
-            Counter::ShadowPageCacheMisses,
             Counter::ReplayLoopsCertified,
             Counter::ReplayWitnessRejected,
             Counter::ReplayDivergences,
@@ -217,21 +201,16 @@ impl Counter {
             Counter::StoreHits => 28,
             Counter::StoreMisses => 29,
             Counter::StoreCorruptDiscarded => 30,
-            // Hot-path cache slots, appended after the store block.
-            Counter::MemPageCacheHits => 31,
-            Counter::MemPageCacheMisses => 32,
-            Counter::ShadowPageCacheHits => 33,
-            Counter::ShadowPageCacheMisses => 34,
-            Counter::StoreGcSkipped => 35,
-            // Replay slots, appended after the hot-path cache block.
-            Counter::ReplayLoopsCertified => 36,
-            Counter::ReplayWitnessRejected => 37,
-            Counter::ReplayDivergences => 38,
+            Counter::StoreGcSkipped => 31,
+            // Replay slots, appended after the store block.
+            Counter::ReplayLoopsCertified => 32,
+            Counter::ReplayWitnessRejected => 33,
+            Counter::ReplayDivergences => 34,
             // Footprint slots, appended after the replay block.
-            Counter::ShadowPages => 39,
-            Counter::StackPushPages => 40,
-            Counter::WitnessPages => 41,
-            Counter::FcmEntries => 42,
+            Counter::ShadowPages => 35,
+            Counter::StackPushPages => 36,
+            Counter::WitnessPages => 37,
+            Counter::FcmEntries => 38,
         }
     }
 
@@ -259,10 +238,6 @@ impl Counter {
             Counter::StoreHits => "store_hits".to_string(),
             Counter::StoreMisses => "store_misses".to_string(),
             Counter::StoreCorruptDiscarded => "store_corrupt_discarded".to_string(),
-            Counter::MemPageCacheHits => "mem_page_cache_hits".to_string(),
-            Counter::MemPageCacheMisses => "mem_page_cache_misses".to_string(),
-            Counter::ShadowPageCacheHits => "shadow_page_cache_hits".to_string(),
-            Counter::ShadowPageCacheMisses => "shadow_page_cache_misses".to_string(),
             Counter::StoreGcSkipped => "store_gc_skipped".to_string(),
             Counter::ReplayLoopsCertified => "replay_loops_certified".to_string(),
             Counter::ReplayWitnessRejected => "replay_witness_rejected".to_string(),
@@ -484,6 +459,8 @@ mod tests {
         let slots: std::collections::HashSet<usize> = all.iter().map(|c| c.slot()).collect();
         assert_eq!(slots.len(), all.len());
         assert!(slots.iter().all(|&s| s < COUNTER_SLOTS));
+        // Dense apart from the one reserved slot (17).
+        assert_eq!(all.len(), COUNTER_SLOTS - 1);
     }
 
     #[test]

@@ -150,18 +150,6 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         ),
     ));
 
-    // The shadow table only probes its page cache on stores inside an
-    // active loop; interpreter memory probes on every access — so the
-    // shadow total can never exceed the memory total (the PR-6 fix).
-    let shadow = c("shadow_page_cache_hits") + c("shadow_page_cache_misses");
-    let mem = c("mem_page_cache_hits") + c("mem_page_cache_misses");
-    checks.push(check(
-        "shadow_probes_within_mem_probes",
-        shadow <= mem,
-        shadow == 0 && mem == 0,
-        format!("shadow={shadow} mem={mem}"),
-    ));
-
     // Footprint gauges. An FCM observation inserts at most one context
     // entry, so the tables can't hold more entries than the hybrid saw
     // values. A stack-push time is written only alongside a shadow store

@@ -313,9 +313,9 @@ fn run_with_plan(
 /// first mismatch.
 fn compare(
     serial: &lp_interp::RunResult,
-    serial_mem: &mut lp_interp::Memory,
+    serial_mem: &lp_interp::Memory,
     replay: &lp_interp::RunResult,
-    replay_mem: &mut lp_interp::Memory,
+    replay_mem: &lp_interp::Memory,
 ) -> Option<DivergenceKind> {
     let _s = span!("replay-compare");
     if let Some((addr, expected, actual)) = serial_mem.first_difference(replay_mem) {
@@ -359,14 +359,13 @@ fn bisect_culprit(
     args: &[Value],
     config: &MachineConfig,
     serial: &lp_interp::RunResult,
-    serial_mem: &mut lp_interp::Memory,
+    serial_mem: &lp_interp::Memory,
 ) -> Option<String> {
     for (shape, name) in plans {
-        let Ok((res, mut mem, _)) = run_with_plan(unit, vec![shape.clone()], jobs, args, config)
-        else {
+        let Ok((res, mem, _)) = run_with_plan(unit, vec![shape.clone()], jobs, args, config) else {
             return Some(name.clone());
         };
-        if compare(serial, serial_mem, &res, &mut mem).is_some() {
+        if compare(serial, serial_mem, &res, &mem).is_some() {
             return Some(name.clone());
         }
     }
@@ -425,7 +424,7 @@ pub fn replay_module_with(
     let unit = ExecUnit::with_engine(module, engine);
     // The witnessed run doubles as the serial reference: it is serial and
     // unreplayed, and the profiler sink only observes.
-    let (profile, serial, mut serial_mem, witness) = {
+    let (profile, serial, serial_mem, witness) = {
         let _s = span!("replay-witness");
         witnessed_run(&unit, &analysis, args, base_config.clone(), &targets)?
     };
@@ -471,17 +470,16 @@ pub fn replay_module_with(
         })
         .collect();
     let shapes: Vec<LoopShape> = plans.iter().map(|(s, _)| s.clone()).collect();
-    let (res1, mut mem1, exec1) =
+    let (res1, mem1, exec1) =
         run_with_plan(&unit, shapes.clone(), Jobs::serial(), args, &base_config)?;
-    let (res_n, mut mem_n, exec_n) =
-        run_with_plan(&unit, shapes.clone(), jobs, args, &base_config)?;
+    let (res_n, mem_n, exec_n) = run_with_plan(&unit, shapes.clone(), jobs, args, &base_config)?;
 
     let mut divergence = None;
-    for (run_jobs, res, mem) in [(1usize, &res1, &mut mem1), (jobs.get(), &res_n, &mut mem_n)] {
+    for (run_jobs, res, mem) in [(1usize, &res1, &mem1), (jobs.get(), &res_n, &mem_n)] {
         if divergence.is_some() {
             break;
         }
-        if let Some(kind) = compare(&serial, &mut serial_mem, res, mem) {
+        if let Some(kind) = compare(&serial, &serial_mem, res, mem) {
             let loop_name = bisect_culprit(
                 &unit,
                 &plans,
@@ -489,7 +487,7 @@ pub fn replay_module_with(
                 args,
                 &base_config,
                 &serial,
-                &mut serial_mem,
+                &serial_mem,
             );
             divergence = Some(Divergence {
                 jobs: run_jobs,

@@ -20,7 +20,7 @@
 //! entry consults the loop tables — so neither may hash (DESIGN.md §10).
 //! Last-writer state lives in **one run-global shadow memory**, a
 //! `PageTable<u64>` — the interpreter memory's own page table, with the
-//! same directory, page cache and geometry — holding for each word the
+//! same directory and geometry — holding for each word the
 //! *absolute* time of its last in-loop store (8 bytes a word, `u64::MAX`
 //! for never written): a store writes one time no matter how deep the
 //! loop nest, a load compares it against each level's instance/iteration
@@ -41,8 +41,8 @@ use crate::profile::{
 use crate::witness::{WitnessReport, WitnessState};
 use lp_analysis::{LcdClass, LoopId, ModuleAnalysis, Purity};
 use lp_interp::{
-    EventCounts, EventSink, Exec, ExecUnit, MachineConfig, MemStats, MeteredSink, PageTable,
-    RunResult, Value, STACK_BASE,
+    EventCounts, EventSink, Exec, ExecUnit, MachineConfig, MeteredSink, PageTable, RunResult,
+    Value, STACK_BASE,
 };
 use lp_ir::{BlockId, Builtin, FuncId, Inst, Module, ValueId, ValueKind};
 use lp_obs::{span, Counter, Hist, Histogram, PredictorKind};
@@ -158,8 +158,6 @@ pub struct Profiler<'a> {
     predictors: Vec<HybridPredictor>,
     options: ProfilerOptions,
     cactus_filter_hits: u64,
-    /// Interpreter memory fast-path stats, delivered at end of run.
-    mem_stats: MemStats,
     /// Function names by [`FuncId`] (for the collapsed-stack export).
     func_names: Vec<String>,
     /// Iteration distance of each cross-iteration RAW edge, accumulated
@@ -294,15 +292,12 @@ impl<'a> Profiler<'a> {
             predictors,
             options,
             cactus_filter_hits: 0,
-            mem_stats: MemStats::default(),
         }
     }
 
-    /// Arms the independence-witness engine for `targets`; `exempt`
-    /// lists word addresses excluded from the disjointness check
-    /// (designated reduction slots — normally empty).
-    pub fn enable_witness(&mut self, targets: &[(FuncId, LoopId)], exempt: Vec<u64>) {
-        self.witness = Some(Box::new(WitnessState::new(targets, exempt)));
+    /// Arms the independence-witness engine for `targets`.
+    pub fn enable_witness(&mut self, targets: &[(FuncId, LoopId)]) {
+        self.witness = Some(Box::new(WitnessState::new(targets)));
     }
 
     /// The `(func, value)` pairs the machine must report definitions for.
@@ -391,16 +386,12 @@ impl<'a> Profiler<'a> {
     }
 
     /// Feeds one access to every active witness instance, applying the
-    /// exempt-address and cactus-stack (iteration-local frame) rules per
-    /// level.
+    /// cactus-stack (iteration-local frame) rule per level.
     fn witness_access(&mut self, addr: u64, is_store: bool) {
         let push = self.owner_frame_push(addr);
         let Some(wit) = self.witness.as_deref_mut() else {
             return;
         };
-        if wit.is_exempt(addr) {
-            return;
-        }
         for aw in wit.active_mut() {
             let al = &self.loop_stack[aw.depth()];
             if push > 0 && push >= al.iter_start {
@@ -422,10 +413,7 @@ impl<'a> Profiler<'a> {
             // iteration starts after it, so the `w < iter_starts[0]`
             // exclusion would always discard its time, and an unwritten
             // word takes the same fast path. Skipping the write avoids
-            // paging in shadow memory for init-phase stores and
-            // keeps the shadow cache's reference stream (loop traffic
-            // only) distinct from the interpreter page cache's (every
-            // access).
+            // paging in shadow memory for init-phase stores.
             if self.loop_stack.is_empty() {
                 return;
             }
@@ -519,10 +507,9 @@ impl<'a> Profiler<'a> {
 
     /// Publishes this run's tallies into the process-wide [`lp_obs`]
     /// counter bank: regions/loops built, RAW conflict edges, cactus-stack
-    /// filter hits, per-iteration-count histogram samples, memory and
-    /// shadow last-page cache hit rates, per-kind value-predictor
-    /// hit/miss totals, and the footprint of the growing tables (shadow,
-    /// stack-push and witness pages, FCM entries).
+    /// filter hits, per-iteration-count histogram samples, per-kind
+    /// value-predictor hit/miss totals, and the footprint of the growing
+    /// tables (shadow, stack-push and witness pages, FCM entries).
     fn flush_counters(&self) {
         let c = lp_obs::counters();
         c.add(Counter::RegionsCreated, self.regions.len() as u64);
@@ -538,19 +525,8 @@ impl<'a> Profiler<'a> {
         c.add(Counter::LoopInstances, loops);
         c.add(Counter::RawConflicts, edges);
         c.add(Counter::CactusFilterHits, self.cactus_filter_hits);
-        c.add(Counter::MemPageCacheHits, self.mem_stats.page_cache_hits);
-        c.add(
-            Counter::MemPageCacheMisses,
-            self.mem_stats.page_cache_misses,
-        );
-        let shadow = self.shadow.stats();
-        c.add(Counter::ShadowPageCacheHits, shadow.page_cache_hits);
-        c.add(Counter::ShadowPageCacheMisses, shadow.page_cache_misses);
-        c.add(Counter::ShadowPages, shadow.pages_allocated);
-        c.add(
-            Counter::StackPushPages,
-            self.stack_push.stats().pages_allocated,
-        );
+        c.add(Counter::ShadowPages, self.shadow.pages());
+        c.add(Counter::StackPushPages, self.stack_push.pages());
         if let Some(wit) = &self.witness {
             c.add(Counter::WitnessPages, wit.pages());
         }
@@ -810,10 +786,6 @@ impl EventSink for Profiler<'_> {
             }
         }
     }
-
-    fn mem_stats(&mut self, stats: MemStats) {
-        self.mem_stats = stats;
-    }
 }
 
 /// Runs `module` under the profiler and returns the profile plus the raw
@@ -1005,13 +977,12 @@ mod tests {
     }
 
     #[test]
-    fn shadow_and_mem_cache_counters_diverge_on_store_heavy_kernel() {
-        // Regression: BENCH_profiler.json once reported byte-identical
-        // `mem_page_cache_*` and `shadow_page_cache_*` pairs because the
-        // shadow table replayed the interpreter's full reference stream,
-        // init-phase stores included. The shadow cache must see loop
-        // traffic only, so on a kernel dominated by outside-loop stores
-        // the two pairs diverge.
+    fn stores_outside_loops_never_reach_the_shadow() {
+        // A store made while no loop is active can never be a
+        // cross-iteration producer, so the profiler skips it: the
+        // init-then-scan kernel fills interpreter memory with stores
+        // before its loop, and its loop only loads, so the shadow stays
+        // empty.
         let n = 64i64;
         let mut m = Module::new("init_then_scan");
         let g = m.add_global(Global::zeroed("a", n as u64));
@@ -1053,26 +1024,18 @@ mod tests {
         };
         let mut metered = MeteredSink::new(&mut profiler);
         let unit = ExecUnit::new(&m);
-        Exec::new(&unit)
+        let out = Exec::new(&unit)
             .sink(&mut metered)
             .config(cfg)
+            .keep_memory(true)
             .run(&[])
             .unwrap();
-        let _ = metered;
-
-        let mem = (
-            profiler.mem_stats.page_cache_hits,
-            profiler.mem_stats.page_cache_misses,
-        );
-        let shadow = profiler.shadow.stats();
-        let shadow = (shadow.page_cache_hits, shadow.page_cache_misses);
-        assert!(mem.0 + mem.1 > 0, "interpreter cache saw no traffic");
-        assert!(shadow.0 + shadow.1 > 0, "shadow cache saw no traffic");
-        assert_ne!(mem, shadow, "cache counter pairs must diverge");
-        assert!(
-            shadow.0 + shadow.1 < mem.0 + mem.1,
-            "shadow stream (loop-only) must be a strict subset: {shadow:?} vs {mem:?}"
-        );
+        assert_eq!(metered.counts().stores, n as u64);
+        assert_eq!(metered.counts().loads, n as u64);
+        let memory = out.memory.expect("keep_memory was requested");
+        assert_eq!(memory.pages(), 1, "the stores filled interpreter memory");
+        assert_eq!(profiler.shadow.pages(), 0);
+        assert_eq!(profiler.stack_push.pages(), 0);
     }
 
     /// Nested loops over two arrays with a call per inner iteration: the
@@ -1158,20 +1121,18 @@ mod tests {
                 .run(&[])
                 .unwrap();
             let tallies = (
-                profiler.shadow.stats(),
+                profiler.shadow.pages(),
+                profiler.stack_push.pages(),
                 profiler.cactus_filter_hits,
-                profiler.mem_stats,
             );
             (tallies, format!("{:?}", profiler.finish()))
         };
         let (tree, tree_profile) = run(Engine::Tree);
         let (bc, bc_profile) = run(Engine::Bc);
-        assert!(
-            tree.0.page_cache_hits > 0 && tree.0.page_cache_misses > 0,
-            "shadow cache saw no traffic"
-        );
-        assert!(tree.1 > 0, "cactus-stack filter never fired");
-        assert_eq!(tree, bc, "(shadow stats, cactus hits, mem stats)");
+        assert!(tree.0 > 0, "the shadow holds no page");
+        assert!(tree.1 > 0, "no stack store recorded a push time");
+        assert!(tree.2 > 0, "cactus-stack filter never fired");
+        assert_eq!(tree, bc, "(shadow pages, stack-push pages, cactus hits)");
         assert_eq!(tree_profile, bc_profile);
     }
 

@@ -17,9 +17,7 @@
 //!   `j ≠ k`;
 //! - read–read sharing is allowed (loop-invariant inputs);
 //! - words inside stack frames pushed during the current iteration are
-//!   exempt (the cactus-stack rule of §II-E: iteration-local scratch);
-//! - an explicit, normally empty, exempt set covers designated
-//!   reduction slots.
+//!   exempt (the cactus-stack rule of §II-E: iteration-local scratch).
 //!
 //! The check is exact over the *profiled* execution — the same
 //! profile-once/evaluate-many bargain the limit study itself makes —
@@ -306,8 +304,6 @@ impl WitnessLevel {
 pub(crate) struct WitnessState {
     /// Target loops, sorted for binary search.
     targets: Vec<(u32, u32)>,
-    /// Sorted exempt word addresses ("reduction slots"; normally empty).
-    exempt: Vec<u64>,
     /// Every witness nesting level reached so far, outermost first; the
     /// first `active` hold the live instances, innermost last (stack
     /// discipline mirrors the profiler's loop stack).
@@ -317,15 +313,12 @@ pub(crate) struct WitnessState {
 }
 
 impl WitnessState {
-    pub(crate) fn new(targets: &[(FuncId, LoopId)], mut exempt: Vec<u64>) -> WitnessState {
+    pub(crate) fn new(targets: &[(FuncId, LoopId)]) -> WitnessState {
         let mut targets: Vec<(u32, u32)> = targets.iter().map(|&(f, l)| (f.0, l.0)).collect();
         targets.sort_unstable();
         targets.dedup();
-        exempt.sort_unstable();
-        exempt.dedup();
         WitnessState {
             targets,
-            exempt,
             levels: Vec::new(),
             active: 0,
             done: Vec::new(),
@@ -334,10 +327,6 @@ impl WitnessState {
 
     pub(crate) fn is_target(&self, func: u32, loop_id: u32) -> bool {
         self.targets.binary_search(&(func, loop_id)).is_ok()
-    }
-
-    pub(crate) fn is_exempt(&self, addr: u64) -> bool {
-        self.exempt.binary_search(&addr).is_ok()
     }
 
     /// Whether any instance is currently being tracked (fast-path gate).
@@ -383,10 +372,7 @@ impl WitnessState {
 
     /// Record pages allocated over the run, summed over every level.
     pub(crate) fn pages(&self) -> u64 {
-        self.levels
-            .iter()
-            .map(|aw| aw.words.stats().pages_allocated)
-            .sum()
+        self.levels.iter().map(|aw| aw.words.pages()).sum()
     }
 
     pub(crate) fn into_report(self) -> WitnessReport {
@@ -429,7 +415,7 @@ pub(crate) fn witnessed_run(
 ) -> Result<(Profile, RunResult, Memory, WitnessReport), InterpError> {
     let t0 = lp_obs::registry().now_ns();
     let mut profiler = Profiler::new(unit.module(), analysis);
-    profiler.enable_witness(targets, Vec::new());
+    profiler.enable_witness(targets);
     machine_config.watched_values = profiler.watched_values();
     let mut metered = MeteredSink::new(&mut profiler);
     let out = Exec::new(unit)
@@ -566,7 +552,7 @@ mod tests {
     #[test]
     fn level_records_go_stale_across_instances_and_epoch_exhaustion() {
         let target = [(lp_ir::FuncId(0), LoopId(0))];
-        let mut state = WitnessState::new(&target, Vec::new());
+        let mut state = WitnessState::new(&target);
         let (a, b, c) = (GLOBAL, GLOBAL + 8, GLOBAL + 16);
         // One instance at level 0 storing to `words` from iteration 1.
         let instance = |state: &mut WitnessState, words: &[u64]| {

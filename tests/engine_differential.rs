@@ -302,7 +302,7 @@ fn assert_witnessed_run_is_serial_reference(module: &Module) {
     );
 
     let mut profiler = Profiler::new(module, &analysis);
-    profiler.enable_witness(&targets, Vec::new());
+    profiler.enable_witness(&targets);
     let config = MachineConfig {
         watched_values: profiler.watched_values(),
         ..config
@@ -319,7 +319,7 @@ fn assert_witnessed_run_is_serial_reference(module: &Module) {
         plain
             .memory
             .unwrap()
-            .first_difference(&mut observed.memory.unwrap()),
+            .first_difference(&observed.memory.unwrap()),
         None,
         "{}: witnessed run's memory image differs from a plain run's",
         module.name
