@@ -12,8 +12,9 @@
 //! 2. **Closed-form phis** — every header phi is either an affine
 //!    induction (`phi(k) = phi(0) + k·step`, step loop-invariant;
 //!    [`derive_step`]) or an *integer* reduction whose operator is
-//!    exactly associative (`add/mul/and/or/xor/smin/smax`). Float
-//!    reductions are rejected: chunked reassociation changes `f64` bits.
+//!    exactly associative (`add/mul/and/or/xor/smin/smax`, the operators
+//!    [`reduction_identity`] knows). Float reductions are rejected:
+//!    chunked reassociation changes `f64` bits.
 //! 3. **Pure header** — the header's non-phi instructions are
 //!    register-only (`bin/icmp/fcmp/select/cast/gep`) and independent of
 //!    the reduction phis, so the trip count can be derived by evaluating
@@ -45,10 +46,19 @@ use lp_ir::{BinOp, BlockId, Builtin, Callee, FuncId, Inst, Module, Term, ValueId
 /// How a certified header phi evolves, with everything replay needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertPhi {
-    /// Affine induction with a derivable loop-invariant step.
+    /// Affine induction with a derivable loop-invariant step:
+    /// `phi(k) = phi(0) + k·step`, so any iteration's value can be
+    /// seeded in closed form.
     Affine(StepSpec),
-    /// Integer reduction with an exactly-associative operator.
-    Reduction(BinOp),
+    /// Integer reduction with an exactly-associative operator. Chunk
+    /// partials are folded with `op` in chunk order; every chunk but the
+    /// first starts from `identity` ([`reduction_identity`]).
+    Reduction {
+        /// The combining operator.
+        op: BinOp,
+        /// Its identity element over `i64`.
+        identity: i64,
+    },
 }
 
 /// One loop that passed every static certification check.
@@ -64,19 +74,35 @@ pub struct CertifiedLoop {
     pub latch: BlockId,
     /// All loop blocks, sorted by id.
     pub blocks: Vec<BlockId>,
-    /// Header phis in block order with their certified kinds.
+    /// Header phis in block order with their certified kinds; chunk
+    /// seeding, partial collection and exit-value reconstruction all
+    /// iterate this order.
     pub phis: Vec<(ValueId, CertPhi)>,
 }
 
-/// Reduction operators replay can fold chunk partials with: exactly
-/// associative over `i64`. Floats never qualify (reassociation changes
-/// results bit-for-bit); neither do non-associative ops like `sub`.
+impl CertifiedLoop {
+    /// Whether `block` belongs to the loop.
+    #[must_use]
+    pub fn contains(&self, block: BlockId) -> bool {
+        self.blocks.binary_search(&block).is_ok()
+    }
+}
+
+/// The identity element of a reduction operator replay can fold chunk
+/// partials with, or `None` when `op` is not replayable. Replayable
+/// operators are exactly associative over `i64`; floats never qualify
+/// (reassociation changes results bit-for-bit), and neither do
+/// non-associative ops like `sub`.
 #[must_use]
-pub fn is_replayable_reduction(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::SMin | BinOp::SMax
-    )
+pub fn reduction_identity(op: BinOp) -> Option<i64> {
+    Some(match op {
+        BinOp::Add | BinOp::Or | BinOp::Xor => 0,
+        BinOp::Mul => 1,
+        BinOp::And => -1,
+        BinOp::SMin => i64::MAX,
+        BinOp::SMax => i64::MIN,
+        _ => return None,
+    })
 }
 
 /// Builtins whose presence anywhere in a loop's transitive call closure
@@ -182,11 +208,9 @@ fn certify_loop(
             .find(|(b, _)| *b == latch)
             .map(|(_, v)| *v)?;
         let op = detect_reduction(func, lp, phi, update)?;
-        if !is_replayable_reduction(op) {
-            return None;
-        }
+        let identity = reduction_identity(op)?;
         reduction_phis.push(phi);
-        phis.push((phi, CertPhi::Reduction(op)));
+        phis.push((phi, CertPhi::Reduction { op, identity }));
     }
 
     // 3. Pure header, independent of reduction partials. The branch
@@ -346,10 +370,15 @@ mod tests {
         });
         let certified = certify(&m);
         assert_eq!(certified.len(), 1);
-        assert!(matches!(
+        assert_eq!(
             certified[0].phis[1].1,
-            CertPhi::Reduction(BinOp::Add)
-        ));
+            CertPhi::Reduction {
+                op: BinOp::Add,
+                identity: 0
+            }
+        );
+        assert!(certified[0].contains(certified[0].latch));
+        assert!(!certified[0].contains(BlockId::ENTRY));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod scev;
 pub mod ssa;
 
 pub use callgraph::{CallGraph, Purity};
-pub use certify::{certify_function, certify_module, CertPhi, CertifiedLoop};
+pub use certify::{certify_function, certify_module, reduction_identity, CertPhi, CertifiedLoop};
 pub use cfg::Cfg;
 pub use classify::{LcdClass, LoopLcds, ReductionKind};
 pub use dom::DomTree;

@@ -25,7 +25,7 @@
 use lp_analysis::analyze_module;
 use lp_bench::{run_benchmarks, Cli, SweepTable};
 use lp_interp::{Engine, Exec, ExecUnit, MachineConfig};
-use lp_obs::{lp_info, JsonWriter};
+use lp_obs::{lp_info, JsonValue, JsonWriter};
 use lp_suite::{Benchmark, Scale, SuiteId};
 use std::path::PathBuf;
 
@@ -90,24 +90,8 @@ fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-/// Extracts the flat object following `"key":{` (no nested objects).
-fn json_section<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":{{");
-    let start = text.find(&pat)? + pat.len();
-    let end = text[start..].find('}')? + start;
-    Some(&text[start..end])
-}
-
-/// Extracts the number following `"key":` in a compact JSON fragment.
-fn json_number(fragment: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = fragment.find(&pat)? + pat.len();
-    let rest = &fragment[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// The baseline summary lifted out of a previous lpbench report.
+#[derive(Debug, PartialEq)]
 struct Baseline {
     interp_mips: f64,
     profile_mips: f64,
@@ -116,27 +100,32 @@ struct Baseline {
     per_bench: Vec<(String, f64)>,
 }
 
-fn read_baseline(path: &PathBuf) -> Option<Baseline> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let totals = json_section(&text, "totals")?;
-    let mut per_bench = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(i) = rest.find("{\"name\":\"") {
-        let frag = &rest[i..];
-        let name_start = i + "{\"name\":\"".len();
-        let name_end = rest[name_start..].find('"')? + name_start;
-        let entry_end = frag.find('}').unwrap_or(frag.len());
-        if let Some(pm) = json_number(&frag[..entry_end + 1], "profile_mips") {
-            per_bench.push((rest[name_start..name_end].to_string(), pm));
-        }
-        rest = &rest[name_end..];
-    }
+/// Parses a previous lpbench report; `None` unless it is JSON with the
+/// three totals the gates read.
+fn parse_baseline(text: &str) -> Option<Baseline> {
+    let doc = JsonValue::parse(text).ok()?;
+    let totals = doc.get("totals")?;
+    let total = |key| totals.get(key).and_then(JsonValue::as_f64);
+    let per_bench = doc
+        .get("benchmarks")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|b| {
+            let name = b.get("name")?.as_str()?;
+            Some((name.to_string(), b.get("profile_mips")?.as_f64()?))
+        })
+        .collect();
     Some(Baseline {
-        interp_mips: json_number(totals, "interp_mips")?,
-        profile_mips: json_number(totals, "profile_mips")?,
-        slowdown: json_number(totals, "slowdown")?,
+        interp_mips: total("interp_mips")?,
+        profile_mips: total("profile_mips")?,
+        slowdown: total("slowdown")?,
         per_bench,
     })
+}
+
+fn read_baseline(path: &PathBuf) -> Option<Baseline> {
+    parse_baseline(&std::fs::read_to_string(path).ok()?)
 }
 
 /// Times one closure, returning `(wall_ns, result)`.
@@ -534,5 +523,33 @@ mod tests {
         let m = median(&mut sorted);
         assert_eq!(m, 10.1);
         assert!((mad(&values, m) - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn committed_baselines_parse_to_their_totals() {
+        let tree = parse_baseline(include_str!("../../../../results/BENCH_ci_baseline.json"));
+        assert_eq!(
+            tree,
+            Some(Baseline {
+                interp_mips: 56.863,
+                profile_mips: 41.617,
+                slowdown: 1.366,
+                per_bench: vec![("eembc.matrix01".to_string(), 41.617)],
+            })
+        );
+        let bc = parse_baseline(include_str!(
+            "../../../../results/BENCH_ci_baseline_bc.json"
+        ));
+        assert_eq!(
+            bc,
+            Some(Baseline {
+                interp_mips: 108.720,
+                profile_mips: 56.447,
+                slowdown: 1.926,
+                per_bench: vec![("eembc.matrix01".to_string(), 56.447)],
+            })
+        );
+        assert_eq!(parse_baseline("{\"totals\":{\"slowdown\":1}}"), None);
+        assert_eq!(parse_baseline("not json"), None);
     }
 }

@@ -318,18 +318,16 @@ fn snapshot_out_names_every_counter_and_hist() {
     let snap = lp_obs::RunSnapshot::read(&path).expect("--snapshot-out must be a valid snapshot");
     let _ = std::fs::remove_file(&path);
     assert_eq!(snap.process, "fig1");
-    for counter in lp_obs::Counter::all() {
-        let name = counter.name();
+    for (_, name) in lp_obs::Counter::ALL {
         assert!(
             snap.counters.iter().any(|(n, _)| *n == name),
             "counter {name} missing from snapshot"
         );
     }
-    for hist in lp_obs::Hist::ALL {
+    for (_, name) in lp_obs::Hist::ALL {
         assert!(
-            snap.hist(hist.name()).is_some(),
-            "histogram {} missing from snapshot",
-            hist.name()
+            snap.hist(name).is_some(),
+            "histogram {name} missing from snapshot"
         );
     }
 }

@@ -358,14 +358,14 @@ impl<'a, S: EventSink> Machine<'a, S> {
         regs: &mut [Value],
         cost: &mut u64,
     ) -> std::result::Result<(), Halt> {
-        if let Some(ReplayCtl::Chunk { shape, depth, left }) = &mut self.replay {
+        if let Some(ReplayCtl::Chunk { cert, depth, left }) = &mut self.replay {
             if self.depth != *depth {
                 return Ok(());
             }
-            if !shape.contains(to) {
+            if !cert.contains(to) {
                 return Err(Halt::Trap(ESCAPED));
             }
-            if to == shape.header {
+            if to == cert.header {
                 *left -= 1;
                 if *left == 0 {
                     return Err(Halt::ChunkDone);
@@ -748,17 +748,17 @@ impl From<Halt> for InterpError {
 /// Panics if a chunk register file has the wrong length for the loop's
 /// function (the machine that built the [`ChunkSpec`] guarantees this).
 pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
-    let shape = req.shape;
+    let cert = req.cert;
     let mut regs = spec.regs.clone();
     assert_eq!(
         regs.len(),
-        req.module.function(shape.func).values.len(),
+        req.module.function(cert.func).values.len(),
         "chunk register file length"
     );
-    let pc = req.code.funcs[shape.func.index()]
+    let pc = req.code.funcs[cert.func.index()]
         .edges
         .iter()
-        .find(|e| e.block == shape.header)
+        .find(|e| e.block == cert.header)
         .ok_or(ESCAPED)?
         .target as usize;
     let mut memory = req.memory.clone();
@@ -766,12 +766,12 @@ pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
     let mut sink = NullSink;
     let mut machine = Machine::with_memory(req.module, &mut sink, req.config.clone(), Some(memory));
     machine.replay = Some(ReplayCtl::Chunk {
-        shape,
+        cert,
         depth: machine.depth,
         left: spec.iters,
     });
     let mut cost = 0;
-    match machine.run_blocks(req.code, shape.func, &mut regs, shape.header, pc, &mut cost) {
+    match machine.run_blocks(req.code, cert.func, &mut regs, cert.header, pc, &mut cost) {
         Err(Halt::ChunkDone) => {}
         Err(Halt::Trap(e)) => return Err(e),
         Ok(_) => return Err(ESCAPED),
@@ -780,7 +780,7 @@ pub fn run_chunk(req: &ChunkRequest<'_>, spec: &ChunkSpec) -> Result<ChunkOut> {
         index: spec.index,
         cost,
         log: machine.memory.take_write_log(),
-        phi_out: shape.phis.iter().map(|(v, _)| regs[v.index()]).collect(),
+        phi_out: cert.phis.iter().map(|(v, _)| regs[v.index()]).collect(),
     })
 }
 

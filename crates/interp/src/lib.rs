@@ -49,7 +49,6 @@ pub mod machine;
 pub mod memory;
 pub mod metered;
 pub mod replay;
-pub mod trace;
 pub mod value;
 
 pub use bytecode::CompiledModule;
@@ -59,10 +58,8 @@ pub use machine::{Engine, Machine, MachineConfig, RunResult};
 pub use memory::{Memory, PageTable, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 pub use metered::{EventCounts, MeteredSink};
 pub use replay::{
-    run_chunk, ChunkOut, ChunkRequest, ChunkSpec, LoopShape, ParallelExec, PhiKind, ReplayPlan,
-    SerialExec, StepExpr,
+    run_chunk, ChunkOut, ChunkRequest, ChunkSpec, ParallelExec, ReplayPlan, SerialExec,
 };
-pub use trace::{TraceEvent, TraceSink};
 pub use value::Value;
 
 use std::fmt;

@@ -2,11 +2,10 @@
 
 use crate::events::EventSink;
 use crate::memory::Memory;
-use crate::replay::{
-    reduction_identity, split_iterations, ChunkRequest, ChunkSpec, LoopShape, PhiKind, ReplayCtl,
-};
+use crate::replay::{split_iterations, ChunkRequest, ChunkSpec, ReplayCtl};
 use crate::value::Value;
 use crate::{InterpError, Result};
+use lp_analysis::{CertPhi, CertifiedLoop, StepSpec};
 use lp_ir::{
     BinOp, BlockId, Builtin, Callee, CastKind, FcmpPred, FuncId, IcmpPred, Inst, Module, Term,
     ValueId, ValueKind,
@@ -399,51 +398,49 @@ impl<'a, S: EventSink> Machine<'a, S> {
         let Some(ReplayCtl::Plan { plan, exec, code }) = self.replay else {
             return Ok(());
         };
-        let Some(shape) = plan.shape_at(fid, block) else {
+        let Some(cert) = plan.loop_at(fid, block) else {
             return Ok(());
         };
-        if prev.is_some_and(|p| shape.contains(p)) {
+        if prev.is_some_and(|p| cert.contains(p)) {
             // Latch re-entry: the serial tail of a loop the probe
             // declined to replay (fewer than two iterations).
             return Ok(());
         }
 
         // Loop-invariant step values, evaluated once at entry.
-        let mut steps = Vec::with_capacity(shape.phis.len());
-        for (_, kind) in &shape.phis {
+        let mut steps = Vec::with_capacity(cert.phis.len());
+        for (_, kind) in &cert.phis {
             steps.push(match kind {
-                PhiKind::Affine { step } => step.eval(regs)?,
-                PhiKind::Reduction { .. } => 0,
+                CertPhi::Affine(step) => step_value(step, regs)?,
+                CertPhi::Reduction { .. } => 0,
             });
         }
         let probe_budget = (self.config.max_cost - self.cost) / func.block_cost(block).max(1) + 2;
-        let n = probe_trip_count(func, shape, regs, &steps, probe_budget)?;
+        let n = probe_trip_count(func, cert, regs, &steps, probe_budget)?;
         if n < 2 {
             return Ok(());
         }
 
         // Seed one register file per chunk.
-        let entries: Vec<Value> = shape.phis.iter().map(|(v, _)| regs[v.index()]).collect();
+        let entries: Vec<Value> = cert.phis.iter().map(|(v, _)| regs[v.index()]).collect();
         let ranges = split_iterations(n, plan.jobs());
         let mut chunks = Vec::with_capacity(ranges.len());
         for (ci, range) in ranges.iter().enumerate() {
             let mut cregs = regs.to_vec();
-            for (pi, (v, kind)) in shape.phis.iter().enumerate() {
+            for (pi, (v, kind)) in cert.phis.iter().enumerate() {
                 cregs[v.index()] = match kind {
-                    PhiKind::Affine { .. } => Value::I(
+                    CertPhi::Affine(_) => Value::I(
                         entries[pi]
                             .as_i64()?
                             .wrapping_add((range.start as i64).wrapping_mul(steps[pi])),
                     ),
-                    PhiKind::Reduction { .. } if ci == 0 => {
+                    CertPhi::Reduction { .. } if ci == 0 => {
                         // First chunk carries the live-in value; make
                         // sure it really is an integer before workers
                         // start folding.
                         Value::I(entries[pi].as_i64()?)
                     }
-                    PhiKind::Reduction { op } => Value::I(reduction_identity(*op).ok_or(
-                        InterpError::TypeConfusion("non-integer reduction in replay"),
-                    )?),
+                    CertPhi::Reduction { identity, .. } => Value::I(*identity),
                 };
             }
             chunks.push(ChunkSpec {
@@ -465,7 +462,7 @@ impl<'a, S: EventSink> Machine<'a, S> {
         let request = ChunkRequest {
             module: self.module,
             code,
-            shape,
+            cert,
             memory: &self.memory,
             config: &worker_config,
             chunks,
@@ -496,14 +493,14 @@ impl<'a, S: EventSink> Machine<'a, S> {
         }
         // Exit phi values: affine phis in closed form, reduction phis
         // as the in-chunk-order fold of the partials.
-        for (pi, (v, kind)) in shape.phis.iter().enumerate() {
+        for (pi, (v, kind)) in cert.phis.iter().enumerate() {
             regs[v.index()] = match kind {
-                PhiKind::Affine { .. } => Value::I(
+                CertPhi::Affine(_) => Value::I(
                     entries[pi]
                         .as_i64()?
                         .wrapping_add((n as i64).wrapping_mul(steps[pi])),
                 ),
-                PhiKind::Reduction { op } => {
+                CertPhi::Reduction { op, .. } => {
                     let mut acc = outs[0].phi_out[pi];
                     for out in &outs[1..] {
                         acc = exec_bin(*op, acc, out.phi_out[pi])?;
@@ -746,6 +743,18 @@ fn exec_pure(regs: &[Value], inst: &Inst) -> Result<Value> {
     }
 }
 
+/// Evaluates a certified affine step against a frame register file
+/// (wrapping arithmetic, matching the interpreter's integer semantics).
+/// Every referenced register is loop-invariant by construction, so one
+/// evaluation at loop entry serves the whole loop.
+fn step_value(step: &StepSpec, regs: &[Value]) -> Result<i64> {
+    let mut acc = step.konst;
+    for &(v, c) in &step.terms {
+        acc = acc.wrapping_add(regs[v.index()].as_i64()?.wrapping_mul(c));
+    }
+    Ok(acc)
+}
+
 /// Derives a certified loop's exact trip count by evaluating the
 /// header's pure instructions against closed-form induction values
 /// `entry + k·step` for `k = 0, 1, …` until the header's branch selects
@@ -754,7 +763,7 @@ fn exec_pure(regs: &[Value], inst: &Inst) -> Result<Value> {
 /// serially.
 fn probe_trip_count(
     func: &lp_ir::Function,
-    shape: &LoopShape,
+    cert: &CertifiedLoop,
     regs: &[Value],
     steps: &[i64],
     budget: u64,
@@ -762,18 +771,18 @@ fn probe_trip_count(
     let mut scratch = regs.to_vec();
     // Reduction phis never feed the exit condition (certification
     // guarantees it), so only affine entries matter below.
-    let entries: Vec<i64> = shape
+    let entries: Vec<i64> = cert
         .phis
         .iter()
         .map(|(v, kind)| match kind {
-            PhiKind::Affine { .. } => scratch[v.index()].as_i64(),
-            PhiKind::Reduction { .. } => Ok(0),
+            CertPhi::Affine(_) => scratch[v.index()].as_i64(),
+            CertPhi::Reduction { .. } => Ok(0),
         })
         .collect::<Result<_>>()?;
-    let header = func.block(shape.header);
+    let header = func.block(cert.header);
     for k in 0..=budget {
-        for (pi, (v, kind)) in shape.phis.iter().enumerate() {
-            if matches!(kind, PhiKind::Affine { .. }) {
+        for (pi, (v, kind)) in cert.phis.iter().enumerate() {
+            if matches!(kind, CertPhi::Affine(_)) {
                 scratch[v.index()] =
                     Value::I(entries[pi].wrapping_add((k as i64).wrapping_mul(steps[pi])));
             }
@@ -800,7 +809,7 @@ fn probe_trip_count(
         } else {
             *else_blk
         };
-        if !shape.contains(taken) {
+        if !cert.contains(taken) {
             return Ok(k);
         }
     }
@@ -1156,39 +1165,23 @@ mod tests {
 
     use lp_ir::{BlockId, IcmpPred};
 
-    /// sum_module's loop shape, hand-built: header L1, body/latch L2,
-    /// phi 0 = i (affine, step 1), phi 1 = s (integer add reduction).
-    fn sum_shape(m: &Module) -> crate::replay::LoopShape {
-        use crate::replay::{LoopShape, PhiKind, StepExpr};
-        let func = m.function_by_name("main").unwrap();
-        let f = m.function(func);
-        let header = BlockId(1);
-        let phis: Vec<ValueId> = f
-            .block(header)
-            .insts
-            .iter()
-            .map(|&iid| f.inst(iid))
-            .take_while(|d| d.inst.is_phi())
-            .map(|d| d.result)
-            .collect();
-        // First phi is the induction variable (step 1); a second, if
-        // present, is an integer add reduction.
-        let mut kinds = vec![(
-            phis[0],
-            PhiKind::Affine {
-                step: StepExpr::constant(1),
-            },
-        )];
-        if let Some(&s) = phis.get(1) {
-            kinds.push((s, PhiKind::Reduction { op: BinOp::Add }));
-        }
-        LoopShape {
-            func,
-            header,
-            latch: BlockId(2),
-            blocks: vec![BlockId(1), BlockId(2)],
-            phis: kinds,
-        }
+    /// What certification emits for `m`'s one loop — the machine's
+    /// replay tests plan exactly what the replay pipeline would.
+    fn certified(m: &Module) -> Vec<CertifiedLoop> {
+        let loops = lp_analysis::certify_module(m, &lp_analysis::analyze_module(m));
+        assert_eq!(loops.len(), 1, "the test loop must certify");
+        loops
+    }
+
+    #[test]
+    fn step_value_evaluates_terms() {
+        let step = StepSpec {
+            konst: 3,
+            terms: vec![(ValueId(0), 2), (ValueId(1), -1)],
+        };
+        let regs = [Value::I(10), Value::I(4)];
+        assert_eq!(step_value(&step, &regs).unwrap(), 3 + 20 - 4);
+        assert!(step_value(&step, &[Value::F(1.0), Value::I(4)]).is_err());
     }
 
     #[test]
@@ -1223,7 +1216,7 @@ mod tests {
             for engine in [Engine::Tree, Engine::Bc] {
                 let unit = ExecUnit::with_engine(&m, engine);
                 for jobs in [1usize, 2, 3, 8] {
-                    let plan = ReplayPlan::new(vec![sum_shape(&m)], jobs);
+                    let plan = ReplayPlan::new(certified(&m), jobs);
                     let r = Exec::new(&unit)
                         .replay(&plan, &SerialExec)
                         .run(&[Value::I(n)])
@@ -1256,7 +1249,7 @@ mod tests {
             };
             let serial = run(None);
             for jobs in [1usize, 2] {
-                let plan = ReplayPlan::new(vec![sum_shape(m)], jobs);
+                let plan = ReplayPlan::new(certified(m), jobs);
                 assert_eq!(
                     run(Some(&plan)),
                     serial,
@@ -1380,7 +1373,7 @@ mod tests {
             .unwrap();
         for engine in [Engine::Tree, Engine::Bc] {
             let unit = ExecUnit::with_engine(&m, engine);
-            let plan = ReplayPlan::new(vec![sum_shape(&m)], 4);
+            let plan = ReplayPlan::new(certified(&m), 4);
             let replay_mem = Exec::new(&unit)
                 .replay(&plan, &SerialExec)
                 .keep_memory(true)

@@ -145,10 +145,62 @@ mod tests {
     use super::*;
     use crate::events::CountingSink;
     use crate::machine::{Engine, MachineConfig};
-    use crate::trace::TraceSink;
     use crate::{Exec, ExecUnit};
     use lp_ir::builder::FunctionBuilder;
     use lp_ir::{Global, Module, Type};
+
+    /// Writes every event as one line of text, so two runs' streams
+    /// can be compared byte for byte.
+    #[derive(Debug, Default)]
+    struct Recorder(Vec<String>);
+
+    impl EventSink for Recorder {
+        fn block_entered(&mut self, func: FuncId, block: BlockId, cost: u64, now: u64) {
+            self.0
+                .push(format!("[{now}] block {func} {block} cost {cost}"));
+        }
+
+        fn phi_resolved(
+            &mut self,
+            func: FuncId,
+            block: BlockId,
+            phi: ValueId,
+            value: Value,
+            now: u64,
+        ) {
+            self.0
+                .push(format!("[{now}] phi {func} {block} {phi} = {value:?}"));
+        }
+
+        fn load(&mut self, addr: u64, now: u64) {
+            self.0.push(format!("[{now}] load {addr:#x}"));
+        }
+
+        fn store(&mut self, addr: u64, now: u64) {
+            self.0.push(format!("[{now}] store {addr:#x}"));
+        }
+
+        fn func_entered(&mut self, func: FuncId, frame_base: u64, now: u64) {
+            self.0
+                .push(format!("[{now}] enter {func} frame {frame_base:#x}"));
+        }
+
+        fn func_exited(&mut self, func: FuncId, now: u64) {
+            self.0.push(format!("[{now}] exit {func}"));
+        }
+
+        fn builtin_called(&mut self, caller: FuncId, builtin: Builtin, now: u64) {
+            self.0.push(format!("[{now}] call {caller} {builtin:?}"));
+        }
+
+        fn value_defined(&mut self, func: FuncId, value: ValueId, val: Value, now: u64) {
+            self.0.push(format!("[{now}] def {func} {value} = {val:?}"));
+        }
+
+        fn run_finished(&mut self) {
+            self.0.push("finished".to_string());
+        }
+    }
 
     fn run_with<S: EventSink>(m: &Module, engine: Engine, sink: &mut S) -> crate::RunResult {
         let unit = ExecUnit::with_engine(m, engine);
@@ -169,6 +221,31 @@ mod tests {
         fb.ret(Some(si));
         m.add_function(fb.finish().unwrap());
         m
+    }
+
+    #[test]
+    fn events_arrive_in_program_order_on_both_engines() {
+        let m = sample_module();
+        let mut tree = Recorder::default();
+        run_with(&m, Engine::Tree, &mut tree);
+        let kinds: Vec<&str> = tree
+            .0
+            .iter()
+            .map(|e| e.split(' ').nth(1).unwrap_or(e))
+            .collect();
+        assert_eq!(
+            kinds,
+            ["enter", "block", "store", "load", "call", "exit", "finished"]
+        );
+        let nows: Vec<u64> = tree
+            .0
+            .iter()
+            .filter_map(|e| e.strip_prefix('[')?.split(']').next()?.parse().ok())
+            .collect();
+        assert!(nows.windows(2).all(|w| w[0] <= w[1]), "{nows:?}");
+        let mut bc = Recorder::default();
+        run_with(&m, Engine::Bc, &mut bc);
+        assert_eq!(bc.0, tree.0);
     }
 
     #[test]
@@ -240,7 +317,7 @@ mod tests {
 
         let run = |engine: Engine| {
             let unit = ExecUnit::with_engine(&m, engine);
-            let mut metered = MeteredSink::new(TraceSink::new(64));
+            let mut metered = MeteredSink::new(Recorder::default());
             let result = Exec::new(&unit)
                 .sink(&mut metered)
                 .config(cfg.clone())
@@ -248,7 +325,7 @@ mod tests {
                 .unwrap()
                 .result;
             let counts = metered.counts();
-            let trace = metered.inner().render();
+            let trace = metered.inner().0.join("\n");
             (result, counts, trace)
         };
         let (tree_result, tree_counts, tree_trace) = run(Engine::Tree);

@@ -1,11 +1,12 @@
-//! Parallel DOALL replay: loop shapes, chunk specifications, and the
-//! executor hook.
+//! Parallel DOALL replay: plans over certified loops, chunk
+//! specifications, and the executor hook.
 //!
 //! The limit study predicts speedups; replay *executes* them. A loop
 //! that the static classifier calls DOALL, whose profile shows no
 //! cross-iteration memory flow, and whose independence witness checked
-//! out (see `lp-runtime`) gets a [`LoopShape`] here. When the machine
-//! reaches that loop's header from outside the loop, it
+//! out (see `lp-runtime`) is planned here as its [`CertifiedLoop`],
+//! exactly as certification emitted it. When the machine reaches that
+//! loop's header from outside the loop, it
 //!
 //! 1. derives the trip count `N` by evaluating the header's pure
 //!    instructions against closed-form induction values (no memory, no
@@ -13,7 +14,7 @@
 //! 2. splits `0..N` into balanced chunks via [`split_iterations`],
 //! 3. seeds one register file per chunk — affine phis jump to
 //!    `entry + lo·step`, reduction phis start from the entry value
-//!    (first chunk) or the operator's identity (the rest),
+//!    (first chunk) or the identity certification attached (the rest),
 //! 4. hands the chunks to a [`ParallelExec`] implementation, which runs
 //!    each on a worker machine over a clone of the parent memory with a
 //!    write log armed: [`run_chunk`] enters the run's compiled bytecode
@@ -25,7 +26,7 @@
 //!    run once more so the loop exits through its ordinary compare.
 //!
 //! The split keeps `lp-interp` free of threading policy: the *mechanism*
-//! (shapes, chunk execution, deterministic merge) lives here, next to
+//! (plans, chunk execution, deterministic merge) lives here, next to
 //! the interpreter internals it needs, while the *policy* (worker
 //! fan-out over `parallel_map`, witness gating, timing, export) lives in
 //! `lp-runtime`. [`SerialExec`] is the degenerate in-process executor
@@ -41,67 +42,10 @@ use crate::machine::MachineConfig;
 use crate::memory::Memory;
 use crate::value::Value;
 use crate::Result;
-use lp_ir::{BinOp, BlockId, FuncId, Module, ValueId};
+use lp_analysis::CertifiedLoop;
+use lp_ir::{BlockId, FuncId, Module};
 
 pub use crate::bytecode::run_chunk;
-
-/// A loop-invariant affine step expression: `konst + Σ coeff · reg`.
-///
-/// Certification derives one per affine header phi from the latch
-/// update's affine decomposition; the machine evaluates it once against
-/// the frame registers at loop entry (every referenced register is
-/// loop-invariant by construction).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepExpr {
-    /// Constant term.
-    pub konst: i64,
-    /// `(register, coefficient)` terms, all loop-invariant integers.
-    pub terms: Vec<(ValueId, i64)>,
-}
-
-impl StepExpr {
-    /// A constant step (the common `i += C` case).
-    #[must_use]
-    pub fn constant(konst: i64) -> StepExpr {
-        StepExpr {
-            konst,
-            terms: Vec::new(),
-        }
-    }
-
-    /// Evaluates the step against a frame register file (wrapping
-    /// arithmetic, matching the interpreter's integer semantics).
-    ///
-    /// # Errors
-    /// Fails with a type confusion if a referenced register does not
-    /// hold an integer.
-    pub fn eval(&self, regs: &[Value]) -> Result<i64> {
-        let mut acc = self.konst;
-        for &(v, c) in &self.terms {
-            acc = acc.wrapping_add(regs[v.index()].as_i64()?.wrapping_mul(c));
-        }
-        Ok(acc)
-    }
-}
-
-/// How one certified header phi evolves across iterations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PhiKind {
-    /// `phi(k) = phi(0) + k · step` with a loop-invariant step — the
-    /// machine can seed any iteration's value in closed form.
-    Affine {
-        /// The per-iteration increment.
-        step: StepExpr,
-    },
-    /// An integer reduction: chunk partials are folded with `op` in
-    /// chunk order. Float reductions are deliberately excluded — chunk
-    /// reassociation changes `f64` results bit-for-bit, and replay's
-    /// contract is byte-identity with the serial run.
-    Reduction {
-        /// The (exactly associative) combining operator.
-        op: BinOp,
-    },
-}
 
 /// Splits an iteration space of `total` iterations into at most `parts`
 /// contiguous, balanced, non-overlapping half-open ranges covering
@@ -132,72 +76,31 @@ pub fn split_iterations(total: u64, parts: usize) -> Vec<std::ops::Range<u64>> {
     out
 }
 
-/// Identity element of an exactly-associative integer reduction
-/// operator, or `None` when `op` cannot seed non-first replay chunks
-/// (floats and non-reduction operators).
-#[must_use]
-pub fn reduction_identity(op: BinOp) -> Option<i64> {
-    Some(match op {
-        BinOp::Add => 0,
-        BinOp::Mul => 1,
-        BinOp::And => -1,
-        BinOp::Or | BinOp::Xor => 0,
-        BinOp::SMin => i64::MAX,
-        BinOp::SMax => i64::MIN,
-        _ => return None,
-    })
-}
-
-/// The static shape of one certified loop — everything the machine
-/// needs to probe, split, and replay it without re-running analysis.
-#[derive(Debug, Clone)]
-pub struct LoopShape {
-    /// Function containing the loop.
-    pub func: FuncId,
-    /// Loop header (the only block that may exit the loop).
-    pub header: BlockId,
-    /// The single latch branching back to the header.
-    pub latch: BlockId,
-    /// Every block of the loop, sorted by id.
-    pub blocks: Vec<BlockId>,
-    /// Header phis in a fixed order; chunk seeding, partial collection,
-    /// and exit-value reconstruction all iterate this order.
-    pub phis: Vec<(ValueId, PhiKind)>,
-}
-
-impl LoopShape {
-    /// Whether `block` belongs to the loop.
-    #[must_use]
-    pub fn contains(&self, block: BlockId) -> bool {
-        self.blocks.binary_search(&block).is_ok()
-    }
-}
-
-/// A set of certified loop shapes plus the worker count — the machine
+/// A set of certified loops plus the worker count — the machine
 /// consults this at every header entry.
 #[derive(Debug, Clone)]
 pub struct ReplayPlan {
-    shapes: Vec<LoopShape>,
+    loops: Vec<CertifiedLoop>,
     jobs: usize,
 }
 
 impl ReplayPlan {
-    /// Builds a plan over `shapes` with `jobs` workers (0 is treated
+    /// Builds a plan over `loops` with `jobs` workers (0 is treated
     /// as 1).
     #[must_use]
-    pub fn new(shapes: Vec<LoopShape>, jobs: usize) -> ReplayPlan {
+    pub fn new(loops: Vec<CertifiedLoop>, jobs: usize) -> ReplayPlan {
         ReplayPlan {
-            shapes,
+            loops,
             jobs: jobs.max(1),
         }
     }
 
-    /// The shape planned for `(func, header)`, if any.
+    /// The loop planned at `(func, header)`, if any.
     #[must_use]
-    pub fn shape_at(&self, func: FuncId, header: BlockId) -> Option<&LoopShape> {
-        self.shapes
+    pub fn loop_at(&self, func: FuncId, header: BlockId) -> Option<&CertifiedLoop> {
+        self.loops
             .iter()
-            .find(|s| s.func == func && s.header == header)
+            .find(|c| c.func == func && c.header == header)
     }
 
     /// Requested worker count (≥ 1; the per-loop chunk count is further
@@ -205,12 +108,6 @@ impl ReplayPlan {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// All planned shapes.
-    #[must_use]
-    pub fn shapes(&self) -> &[LoopShape] {
-        &self.shapes
     }
 }
 
@@ -238,7 +135,7 @@ pub struct ChunkOut {
     /// `(addr, word)` writes in program order — the chunk's memory
     /// delta against the loop-entry image.
     pub log: Vec<(u64, u64)>,
-    /// Final value of each header phi, in [`LoopShape::phis`] order.
+    /// Final value of each header phi, in [`CertifiedLoop::phis`] order.
     pub phi_out: Vec<Value>,
 }
 
@@ -253,7 +150,7 @@ pub struct ChunkRequest<'m> {
     /// its dispatch loop.
     pub code: &'m CompiledModule,
     /// The loop being replayed.
-    pub shape: &'m LoopShape,
+    pub cert: &'m CertifiedLoop,
     /// Parent memory image at loop entry; every worker clones it.
     pub memory: &'m Memory,
     /// Worker machine configuration (remaining fuel and call depth).
@@ -297,10 +194,10 @@ pub(crate) enum ReplayCtl<'a> {
         exec: &'a dyn ParallelExec,
         code: &'a CompiledModule,
     },
-    /// The frame at call depth `depth` is running `shape`'s blocks and
+    /// The frame at call depth `depth` is running `cert`'s blocks and
     /// stops after `left` more latch→header arrivals.
     Chunk {
-        shape: &'a LoopShape,
+        cert: &'a CertifiedLoop,
         depth: u32,
         left: u64,
     },
@@ -309,22 +206,9 @@ pub(crate) enum ReplayCtl<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_expr_evaluates_terms() {
-        let step = StepExpr {
-            konst: 3,
-            terms: vec![(ValueId(0), 2), (ValueId(1), -1)],
-        };
-        let regs = [Value::I(10), Value::I(4)];
-        assert_eq!(step.eval(&regs).unwrap(), 3 + 20 - 4);
-        assert_eq!(StepExpr::constant(7).eval(&[]).unwrap(), 7);
-        let bad = StepExpr {
-            konst: 0,
-            terms: vec![(ValueId(0), 1)],
-        };
-        assert!(bad.eval(&[Value::F(1.0)]).is_err());
-    }
+    use crate::machine::exec_bin;
+    use lp_analysis::reduction_identity;
+    use lp_ir::BinOp;
 
     #[test]
     fn split_iterations_covers_and_balances() {
@@ -351,33 +235,76 @@ mod tests {
         }
     }
 
+    /// Every `BinOp`, so a new operator cannot slip past the identity
+    /// check below.
+    const ALL_OPS: [BinOp; 18] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::SDiv,
+        BinOp::SRem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::AShr,
+        BinOp::SMin,
+        BinOp::SMax,
+        BinOp::FAdd,
+        BinOp::FSub,
+        BinOp::FMul,
+        BinOp::FDiv,
+        BinOp::FMin,
+        BinOp::FMax,
+    ];
+
     #[test]
-    fn reduction_identities() {
-        assert_eq!(reduction_identity(BinOp::Add), Some(0));
-        assert_eq!(reduction_identity(BinOp::Mul), Some(1));
-        assert_eq!(reduction_identity(BinOp::And), Some(-1));
-        assert_eq!(reduction_identity(BinOp::SMin), Some(i64::MAX));
-        assert_eq!(reduction_identity(BinOp::SMax), Some(i64::MIN));
-        assert_eq!(reduction_identity(BinOp::FAdd), None, "floats reassociate");
-        assert_eq!(reduction_identity(BinOp::Sub), None);
+    fn certified_reduction_identities_are_identities_under_exec_bin() {
+        let samples = [0, 1, -1, 2, -7, 0x5555, i64::MIN, i64::MAX, i64::MIN + 1];
+        let mut replayable = Vec::new();
+        for op in ALL_OPS {
+            // Adding a variant without listing it above fails to compile.
+            match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::SDiv | BinOp::SRem => {}
+                BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::AShr => {}
+                BinOp::SMin | BinOp::SMax | BinOp::FAdd | BinOp::FSub => {}
+                BinOp::FMul | BinOp::FDiv | BinOp::FMin | BinOp::FMax => {}
+            }
+            let Some(id) = reduction_identity(op) else {
+                continue;
+            };
+            replayable.push(op);
+            for x in samples {
+                let (x, id) = (Value::I(x), Value::I(id));
+                assert_eq!(exec_bin(op, x, id), Ok(x), "{op:?}: x op id");
+                assert_eq!(exec_bin(op, id, x), Ok(x), "{op:?}: id op x");
+            }
+        }
+        assert!(
+            replayable.iter().all(|op| !op.is_float()),
+            "floats reassociate"
+        );
+        assert!(!replayable.contains(&BinOp::Sub));
+        assert_eq!(replayable.len(), 7, "{replayable:?}");
     }
 
     #[test]
     fn plan_lookup_and_jobs_clamp() {
-        let shape = LoopShape {
+        let cert = CertifiedLoop {
             func: FuncId(0),
+            loop_id: lp_analysis::LoopId(0),
             header: BlockId(1),
             latch: BlockId(2),
             blocks: vec![BlockId(1), BlockId(2)],
             phis: Vec::new(),
         };
-        let plan = ReplayPlan::new(vec![shape], 0);
+        let plan = ReplayPlan::new(vec![cert], 0);
         assert_eq!(plan.jobs(), 1);
-        assert!(plan.shape_at(FuncId(0), BlockId(1)).is_some());
-        assert!(plan.shape_at(FuncId(0), BlockId(2)).is_none());
-        assert!(plan.shape_at(FuncId(1), BlockId(1)).is_none());
-        let s = plan.shape_at(FuncId(0), BlockId(1)).unwrap();
-        assert!(s.contains(BlockId(2)));
-        assert!(!s.contains(BlockId(0)));
+        assert!(plan.loop_at(FuncId(0), BlockId(1)).is_some());
+        assert!(plan.loop_at(FuncId(0), BlockId(2)).is_none());
+        assert!(plan.loop_at(FuncId(1), BlockId(1)).is_none());
+        let c = plan.loop_at(FuncId(0), BlockId(1)).unwrap();
+        assert!(c.contains(BlockId(2)));
+        assert!(!c.contains(BlockId(0)));
     }
 }

@@ -7,8 +7,8 @@
 //! A divergence is **significant** only when it clears both the
 //! relative threshold and an absolute noise floor — tiny counters
 //! flapping by one event don't page anyone. Wall-clock histograms
-//! (`*_nanos`) and inherently racy counters (work stealing, span
-//! drops) are reported but never significant unless explicitly
+//! (`*_nanos`) and inherently racy counters (span drops under
+//! concurrent recording) are reported but never significant unless explicitly
 //! included, so same-seed CI diffs converge to zero.
 //!
 //! Surfaced as `lpstudy diff A.json B.json [--json]`.
@@ -21,7 +21,7 @@ pub const DIFF_SCHEMA: &str = "lp-diff-v1";
 
 /// Counters whose values legitimately vary between identical runs
 /// (scheduling races); never significant.
-pub const NOISY_COUNTERS: &[&str] = &["sweep_tasks_stolen", "spans_dropped"];
+pub const NOISY_COUNTERS: &[&str] = &["spans_dropped"];
 
 /// Tuning knobs for significance.
 #[derive(Debug, Clone, Copy)]
@@ -365,11 +365,11 @@ mod tests {
 
     #[test]
     fn noise_floor_and_noisy_counters_stay_quiet() {
-        let a = snap(|r| r.counters().add(Counter::SweepTasksStolen, 4));
-        let b = snap(|r| r.counters().add(Counter::SweepTasksStolen, 900));
+        let a = snap(|r| r.counters().add(Counter::SpansDropped, 4));
+        let b = snap(|r| r.counters().add(Counter::SpansDropped, 900));
         let d = diff(&a, &b, &DiffOptions::default());
         assert_eq!(d.counters.len(), 1);
-        assert!(!d.counters[0].significant, "stealing is declared noisy");
+        assert!(!d.counters[0].significant, "span drops are declared noisy");
 
         let a = snap(|r| r.counters().add(Counter::StoreHits, 2));
         let b = snap(|r| r.counters().add(Counter::StoreHits, 9));

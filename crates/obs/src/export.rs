@@ -530,14 +530,14 @@ pub fn summary(reg: &Registry) -> String {
             let _ = writeln!(out, "  {name:<28} {value}");
         }
     }
-    for h in Hist::ALL {
+    for (h, name) in Hist::ALL {
         let hist = reg.hist(h);
         if hist.count > 0 {
             let (p50, p90, p99) = hist.quantile_summary();
             let _ = writeln!(
                 out,
                 "hist {:<20} n={} mean={:.1} min={} max={} p50<={p50} p90<={p90} p99<={p99}",
-                h.name(),
+                name,
                 hist.count,
                 hist.mean(),
                 hist.min,

@@ -38,26 +38,19 @@ pub enum EventKind {
     SweepTaskDone,
     /// A parallel phase finished (`a` = tasks, `b` = elapsed ms).
     SweepCompleted,
-    /// Estimated time to sweep completion
-    /// (`a` = tasks remaining, `b` = estimated ms remaining).
-    SweepEta,
     /// The process panicked (recorded by the [`arm`] hook just before
     /// the dump is written).
     Panic,
-    /// Free-form marker for callers without a dedicated kind.
-    Mark,
 }
 
 impl EventKind {
     /// Every kind, in wire order.
-    pub const ALL: [EventKind; 7] = [
+    pub const ALL: [EventKind; 5] = [
         EventKind::RunCompleted,
         EventKind::SweepStarted,
         EventKind::SweepTaskDone,
         EventKind::SweepCompleted,
-        EventKind::SweepEta,
         EventKind::Panic,
-        EventKind::Mark,
     ];
 
     /// Stable snake-case name used by the JSON dump.
@@ -68,9 +61,7 @@ impl EventKind {
             EventKind::SweepStarted => "sweep_started",
             EventKind::SweepTaskDone => "sweep_task_done",
             EventKind::SweepCompleted => "sweep_completed",
-            EventKind::SweepEta => "sweep_eta",
             EventKind::Panic => "panic",
-            EventKind::Mark => "mark",
         }
     }
 }
@@ -302,7 +293,7 @@ mod tests {
             j.record(JournalRecord {
                 ms: i as u32,
                 tid: 0,
-                kind: EventKind::Mark,
+                kind: EventKind::SweepTaskDone,
                 a: i,
                 b: 0,
             });
@@ -333,10 +324,10 @@ mod tests {
     fn disabled_journal_records_nothing() {
         let j = Journal::with_capacity(4);
         j.set_enabled(false);
-        j.record(JournalRecord::now(EventKind::Mark, 1, 2));
+        j.record(JournalRecord::now(EventKind::SweepTaskDone, 1, 2));
         assert_eq!(j.snapshot().0, 0);
         j.set_enabled(true);
-        j.record(JournalRecord::now(EventKind::Mark, 1, 2));
+        j.record(JournalRecord::now(EventKind::SweepTaskDone, 1, 2));
         assert_eq!(j.snapshot().0, 1);
     }
 
@@ -368,7 +359,7 @@ mod tests {
     #[test]
     fn write_dump_round_trips_through_fs() {
         let j = Journal::with_capacity(4);
-        j.record(JournalRecord::now(EventKind::Mark, 7, 8));
+        j.record(JournalRecord::now(EventKind::SweepTaskDone, 7, 8));
         let path =
             std::env::temp_dir().join(format!("lp-journal-test-{}.json", std::process::id()));
         j.write_dump(&path).unwrap();

@@ -55,7 +55,7 @@ pub use export::{
 };
 pub use journal::{EventKind, Journal, JournalRecord, JOURNAL_CAP};
 pub use log::Level;
-pub use metrics::{Counter, CounterBank, Hist, Histogram, PredictorKind, COUNTER_SLOTS};
+pub use metrics::{Counter, CounterBank, Hist, Histogram, PredictorKind};
 pub use registry::{Registry, MAX_SPANS};
 pub use snapshot::RunSnapshot;
 pub use span::{SpanGuard, SpanRecord};

@@ -87,9 +87,6 @@ pub enum Counter {
     /// evaluation of a unit beyond its first reuses the `Arc<Profile>`
     /// instead of re-profiling).
     SweepProfileCacheHits,
-    /// Sweep tasks a worker claimed outside its static fair share (the
-    /// work-stealing index handed it another shard's task).
-    SweepTasksStolen,
     /// Profile-store lookups served from the persistent cache (the
     /// interpreter run was skipped entirely).
     StoreHits,
@@ -124,138 +121,102 @@ pub enum Counter {
     FcmEntries,
 }
 
-/// Number of distinct counter slots (scalar slots 0..=17 plus one
-/// reserved, the per-predictor pairs, then the store slots appended
-/// after the predictor block, then the replay slots, then the footprint
-/// slots).
-pub const COUNTER_SLOTS: usize = 29 + 2 * PredictorKind::ALL.len();
-
 impl Counter {
-    /// Every counter, in export order.
-    #[must_use]
-    pub fn all() -> Vec<Counter> {
-        let mut out = vec![
-            Counter::EventsConsumed,
-            Counter::BlocksEntered,
-            Counter::Loads,
-            Counter::Stores,
-            Counter::PhisResolved,
-            Counter::FuncsEntered,
-            Counter::BuiltinCalls,
-            Counter::ValueDefs,
-            Counter::RawConflicts,
-            Counter::CactusFilterHits,
-            Counter::RegionsCreated,
-            Counter::LoopInstances,
-            Counter::ProfilesTaken,
-            Counter::EvalsPerformed,
-            Counter::SpansDropped,
-            Counter::SweepProfileCacheHits,
-            Counter::SweepTasksStolen,
-            Counter::StoreHits,
-            Counter::StoreMisses,
-            Counter::StoreCorruptDiscarded,
-            Counter::StoreGcSkipped,
-            Counter::ReplayLoopsCertified,
-            Counter::ReplayWitnessRejected,
-            Counter::ReplayDivergences,
-            Counter::ShadowPages,
-            Counter::StackPushPages,
-            Counter::WitnessPages,
-            Counter::FcmEntries,
-        ];
-        for kind in PredictorKind::ALL {
-            out.push(Counter::PredictorHit(kind));
-            out.push(Counter::PredictorMiss(kind));
-        }
-        out
-    }
+    /// Every counter and its exported name, in export order: the one
+    /// declaration of both. A counter's slot in [`CounterBank`] is its
+    /// index here. Slots never leave the process (snapshots, the Chrome
+    /// trace and `lpstudy diff` all go by name), so a counter may be
+    /// added or removed anywhere in the list.
+    pub const ALL: [(Counter, &'static str); 37] = [
+        (Counter::EventsConsumed, "events_consumed"),
+        (Counter::BlocksEntered, "blocks_entered"),
+        (Counter::Loads, "loads"),
+        (Counter::Stores, "stores"),
+        (Counter::PhisResolved, "phis_resolved"),
+        (Counter::FuncsEntered, "funcs_entered"),
+        (Counter::BuiltinCalls, "builtin_calls"),
+        (Counter::ValueDefs, "value_defs"),
+        (Counter::RawConflicts, "raw_conflicts"),
+        (Counter::CactusFilterHits, "cactus_filter_hits"),
+        (Counter::RegionsCreated, "regions_created"),
+        (Counter::LoopInstances, "loop_instances"),
+        (Counter::ProfilesTaken, "profiles_taken"),
+        (Counter::EvalsPerformed, "evals_performed"),
+        (Counter::SpansDropped, "spans_dropped"),
+        (Counter::SweepProfileCacheHits, "sweep_profile_cache_hits"),
+        (Counter::StoreHits, "store_hits"),
+        (Counter::StoreMisses, "store_misses"),
+        (Counter::StoreCorruptDiscarded, "store_corrupt_discarded"),
+        (Counter::StoreGcSkipped, "store_gc_skipped"),
+        (Counter::ReplayLoopsCertified, "replay_loops_certified"),
+        (Counter::ReplayWitnessRejected, "replay_witness_rejected"),
+        (Counter::ReplayDivergences, "replay_divergences"),
+        (Counter::ShadowPages, "shadow_pages"),
+        (Counter::StackPushPages, "stack_push_pages"),
+        (Counter::WitnessPages, "witness_pages"),
+        (Counter::FcmEntries, "fcm_entries"),
+        (
+            Counter::PredictorHit(PredictorKind::LastValue),
+            "predictor_hit_last_value",
+        ),
+        (
+            Counter::PredictorMiss(PredictorKind::LastValue),
+            "predictor_miss_last_value",
+        ),
+        (
+            Counter::PredictorHit(PredictorKind::Stride),
+            "predictor_hit_stride",
+        ),
+        (
+            Counter::PredictorMiss(PredictorKind::Stride),
+            "predictor_miss_stride",
+        ),
+        (
+            Counter::PredictorHit(PredictorKind::TwoDeltaStride),
+            "predictor_hit_two_delta_stride",
+        ),
+        (
+            Counter::PredictorMiss(PredictorKind::TwoDeltaStride),
+            "predictor_miss_two_delta_stride",
+        ),
+        (
+            Counter::PredictorHit(PredictorKind::Fcm),
+            "predictor_hit_fcm",
+        ),
+        (
+            Counter::PredictorMiss(PredictorKind::Fcm),
+            "predictor_miss_fcm",
+        ),
+        (
+            Counter::PredictorHit(PredictorKind::Hybrid),
+            "predictor_hit_hybrid",
+        ),
+        (
+            Counter::PredictorMiss(PredictorKind::Hybrid),
+            "predictor_miss_hybrid",
+        ),
+    ];
 
     /// Dense slot index into the registry's atomic array.
     #[must_use]
     pub fn slot(self) -> usize {
-        match self {
-            Counter::EventsConsumed => 0,
-            Counter::BlocksEntered => 1,
-            Counter::Loads => 2,
-            Counter::Stores => 3,
-            Counter::PhisResolved => 4,
-            Counter::FuncsEntered => 5,
-            Counter::BuiltinCalls => 6,
-            Counter::ValueDefs => 7,
-            Counter::RawConflicts => 8,
-            Counter::CactusFilterHits => 9,
-            Counter::RegionsCreated => 10,
-            Counter::LoopInstances => 11,
-            Counter::ProfilesTaken => 12,
-            Counter::EvalsPerformed => 13,
-            Counter::SpansDropped => 14,
-            Counter::SweepProfileCacheHits => 15,
-            Counter::SweepTasksStolen => 16,
-            // Slot 17 is reserved so predictor slots stay stable if a
-            // scalar counter is added.
-            Counter::PredictorHit(kind) => 18 + 2 * kind as usize,
-            Counter::PredictorMiss(kind) => 19 + 2 * kind as usize,
-            // The store slots sit after the predictor block (which ends
-            // at 18 + 2 * 4 + 1 = 27) so older slots never move.
-            Counter::StoreHits => 28,
-            Counter::StoreMisses => 29,
-            Counter::StoreCorruptDiscarded => 30,
-            Counter::StoreGcSkipped => 31,
-            // Replay slots, appended after the store block.
-            Counter::ReplayLoopsCertified => 32,
-            Counter::ReplayWitnessRejected => 33,
-            Counter::ReplayDivergences => 34,
-            // Footprint slots, appended after the replay block.
-            Counter::ShadowPages => 35,
-            Counter::StackPushPages => 36,
-            Counter::WitnessPages => 37,
-            Counter::FcmEntries => 38,
-        }
+        Counter::ALL
+            .iter()
+            .position(|&(c, _)| c == self)
+            .expect("every counter is declared in Counter::ALL")
     }
 
     /// Stable snake-case name used by every exporter.
     #[must_use]
-    pub fn name(self) -> String {
-        match self {
-            Counter::EventsConsumed => "events_consumed".to_string(),
-            Counter::BlocksEntered => "blocks_entered".to_string(),
-            Counter::Loads => "loads".to_string(),
-            Counter::Stores => "stores".to_string(),
-            Counter::PhisResolved => "phis_resolved".to_string(),
-            Counter::FuncsEntered => "funcs_entered".to_string(),
-            Counter::BuiltinCalls => "builtin_calls".to_string(),
-            Counter::ValueDefs => "value_defs".to_string(),
-            Counter::RawConflicts => "raw_conflicts".to_string(),
-            Counter::CactusFilterHits => "cactus_filter_hits".to_string(),
-            Counter::RegionsCreated => "regions_created".to_string(),
-            Counter::LoopInstances => "loop_instances".to_string(),
-            Counter::ProfilesTaken => "profiles_taken".to_string(),
-            Counter::EvalsPerformed => "evals_performed".to_string(),
-            Counter::SpansDropped => "spans_dropped".to_string(),
-            Counter::SweepProfileCacheHits => "sweep_profile_cache_hits".to_string(),
-            Counter::SweepTasksStolen => "sweep_tasks_stolen".to_string(),
-            Counter::StoreHits => "store_hits".to_string(),
-            Counter::StoreMisses => "store_misses".to_string(),
-            Counter::StoreCorruptDiscarded => "store_corrupt_discarded".to_string(),
-            Counter::StoreGcSkipped => "store_gc_skipped".to_string(),
-            Counter::ReplayLoopsCertified => "replay_loops_certified".to_string(),
-            Counter::ReplayWitnessRejected => "replay_witness_rejected".to_string(),
-            Counter::ReplayDivergences => "replay_divergences".to_string(),
-            Counter::ShadowPages => "shadow_pages".to_string(),
-            Counter::StackPushPages => "stack_push_pages".to_string(),
-            Counter::WitnessPages => "witness_pages".to_string(),
-            Counter::FcmEntries => "fcm_entries".to_string(),
-            Counter::PredictorHit(kind) => format!("predictor_hit_{}", kind.label()),
-            Counter::PredictorMiss(kind) => format!("predictor_miss_{}", kind.label()),
-        }
+    pub fn name(self) -> &'static str {
+        Counter::ALL[self.slot()].1
     }
 }
 
 /// The atomic backing store for all counters.
 #[derive(Debug)]
 pub struct CounterBank {
-    slots: [AtomicU64; COUNTER_SLOTS],
+    slots: [AtomicU64; Counter::ALL.len()],
 }
 
 impl Default for CounterBank {
@@ -288,11 +249,12 @@ impl CounterBank {
     /// `(name, value)` for every non-zero counter, in export order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        Counter::all()
-            .into_iter()
-            .filter_map(|c| {
-                let v = self.get(c);
-                (v > 0).then(|| (c.name(), v))
+        Counter::ALL
+            .iter()
+            .zip(&self.slots)
+            .filter_map(|(&(_, name), slot)| {
+                let v = slot.load(Ordering::Relaxed);
+                (v > 0).then(|| (name.to_string(), v))
             })
             .collect()
     }
@@ -418,34 +380,28 @@ pub enum Hist {
 }
 
 impl Hist {
-    /// All histogram slots, in export order.
-    pub const ALL: [Hist; 4] = [
-        Hist::LoopIterations,
-        Hist::ProfileNanos,
-        Hist::EvalNanos,
-        Hist::ConflictDistance,
+    /// Every histogram and its exported name, in export order; a
+    /// histogram's slot in the registry is its index here.
+    pub const ALL: [(Hist, &'static str); 4] = [
+        (Hist::LoopIterations, "loop_iterations"),
+        (Hist::ProfileNanos, "profile_nanos"),
+        (Hist::EvalNanos, "eval_nanos"),
+        (Hist::ConflictDistance, "conflict_distance"),
     ];
-
-    /// Stable snake-case name used by every exporter.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::LoopIterations => "loop_iterations",
-            Hist::ProfileNanos => "profile_nanos",
-            Hist::EvalNanos => "eval_nanos",
-            Hist::ConflictDistance => "conflict_distance",
-        }
-    }
 
     /// Dense index into the registry's histogram array.
     #[must_use]
     pub fn slot(self) -> usize {
-        match self {
-            Hist::LoopIterations => 0,
-            Hist::ProfileNanos => 1,
-            Hist::EvalNanos => 2,
-            Hist::ConflictDistance => 3,
-        }
+        Hist::ALL
+            .iter()
+            .position(|&(h, _)| h == self)
+            .expect("every histogram is declared in Hist::ALL")
+    }
+
+    /// Stable snake-case name used by every exporter.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        Hist::ALL[self.slot()].1
     }
 }
 
@@ -454,20 +410,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_slots_are_unique_and_in_range() {
-        let all = Counter::all();
-        let slots: std::collections::HashSet<usize> = all.iter().map(|c| c.slot()).collect();
-        assert_eq!(slots.len(), all.len());
-        assert!(slots.iter().all(|&s| s < COUNTER_SLOTS));
-        // Dense apart from the one reserved slot (17).
-        assert_eq!(all.len(), COUNTER_SLOTS - 1);
-    }
-
-    #[test]
-    fn counter_names_are_unique() {
-        let all = Counter::all();
-        let names: std::collections::HashSet<String> = all.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), all.len());
+    fn counters_are_declared_once_with_unique_names() {
+        let names: std::collections::HashSet<&str> = Counter::ALL.iter().map(|&(_, n)| n).collect();
+        assert_eq!(names.len(), Counter::ALL.len());
+        for (i, &(c, name)) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c.slot(), i, "{name}");
+            assert_eq!(c.name(), name);
+        }
+        for kind in PredictorKind::ALL {
+            assert_eq!(
+                Counter::PredictorHit(kind).name(),
+                format!("predictor_hit_{}", kind.label())
+            );
+            assert_eq!(
+                Counter::PredictorMiss(kind).name(),
+                format!("predictor_miss_{}", kind.label())
+            );
+        }
     }
 
     #[test]
@@ -562,8 +521,10 @@ mod tests {
 
     #[test]
     fn hist_slots_cover_all() {
-        let slots: std::collections::HashSet<usize> = Hist::ALL.iter().map(|h| h.slot()).collect();
-        assert_eq!(slots.len(), Hist::ALL.len());
-        assert!(Hist::ALL.iter().any(|h| h.name() == "conflict_distance"));
+        for (i, &(h, name)) in Hist::ALL.iter().enumerate() {
+            assert_eq!(h.slot(), i, "{name}");
+            assert_eq!(h.name(), name);
+        }
+        assert!(Hist::ALL.iter().any(|&(_, n)| n == "conflict_distance"));
     }
 }

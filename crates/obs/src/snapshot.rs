@@ -46,14 +46,14 @@ pub struct RunSnapshot {
 /// ([`Registry::hists_snapshot`]), so they all describe the same instant.
 #[must_use]
 pub fn capture(reg: &Registry, process: &str) -> RunSnapshot {
-    let counters = Counter::all()
-        .into_iter()
-        .map(|c| (c.name(), reg.counters().get(c)))
+    let counters = Counter::ALL
+        .iter()
+        .map(|&(c, name)| (name.to_string(), reg.counters().get(c)))
         .collect();
     let hists = Hist::ALL
         .iter()
         .zip(reg.hists_snapshot())
-        .map(|(h, hist)| (h.name().to_string(), hist))
+        .map(|(&(_, name), hist)| (name.to_string(), hist))
         .collect();
     let (journal_total, journal_records) = crate::journal::global().snapshot();
     RunSnapshot {
@@ -281,7 +281,7 @@ mod tests {
     fn capture_covers_every_counter_and_hist() {
         let snap = capture(&seeded(), "test-proc");
         assert_eq!(snap.process, "test-proc");
-        assert_eq!(snap.counters.len(), Counter::all().len());
+        assert_eq!(snap.counters.len(), Counter::ALL.len());
         assert_eq!(snap.hists.len(), Hist::ALL.len());
         assert_eq!(snap.counter("loads"), 1_780_096);
         assert_eq!(snap.counter("store_hits"), 7);

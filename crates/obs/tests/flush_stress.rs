@@ -28,7 +28,7 @@ fn n_threads_times_m_increments_sum_exactly() {
             scope.spawn(move || {
                 for i in 0..INCREMENTS {
                     reg.counters().add(Counter::EvalsPerformed, 1);
-                    reg.counters().add(Counter::SweepTasksStolen, 2);
+                    reg.counters().add(Counter::StoreHits, 2);
                     reg.record_hist(Hist::EvalNanos, i % 1024);
                     if i % 1000 == 0 {
                         reg.record_span(span("stress", i, worker));
@@ -39,10 +39,7 @@ fn n_threads_times_m_increments_sum_exactly() {
     });
     let n = WORKERS as u64;
     assert_eq!(reg.counters().get(Counter::EvalsPerformed), n * INCREMENTS);
-    assert_eq!(
-        reg.counters().get(Counter::SweepTasksStolen),
-        2 * n * INCREMENTS
-    );
+    assert_eq!(reg.counters().get(Counter::StoreHits), 2 * n * INCREMENTS);
     let hist = reg.hist(Hist::EvalNanos);
     assert_eq!(hist.count, n * INCREMENTS);
     // Each worker's samples are 0..M mod 1024, so the total is exactly

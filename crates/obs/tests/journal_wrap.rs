@@ -26,7 +26,7 @@ fn concurrent_writers_past_capacity_keep_the_dump_coherent() {
                     journal.record(JournalRecord {
                         ms: 0,
                         tid: w as u16,
-                        kind: EventKind::Mark,
+                        kind: EventKind::SweepTaskDone,
                         a: seq as u64,
                         b: w as u64,
                     });
@@ -108,7 +108,7 @@ fn exactly_full_ring_reports_every_record_once() {
         journal.record(JournalRecord {
             ms: 0,
             tid: 0,
-            kind: EventKind::Mark,
+            kind: EventKind::SweepTaskDone,
             a: seq as u64,
             b: 0,
         });

@@ -29,7 +29,7 @@ fn hist() -> impl Strategy<Value = Histogram> {
 }
 
 /// Sorts `(name, payload)` pairs and drops duplicate names — the real
-/// capture path guarantees unique names via `Counter::all`.
+/// capture path guarantees unique names via `Counter::ALL`.
 fn dedup<T>(mut pairs: Vec<(String, T)>) -> Vec<(String, T)> {
     pairs.sort_by(|x, y| x.0.cmp(&y.0));
     pairs.dedup_by(|a, b| a.0 == b.0);

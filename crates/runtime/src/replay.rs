@@ -48,35 +48,26 @@ use crate::eval::evaluate;
 use crate::export::Export;
 use crate::sweep::{parallel_map, Jobs};
 use crate::witness::{witnessed_run, WitnessViolation};
-use lp_analysis::{analyze_module, certify_module, CertPhi, CertifiedLoop};
+use lp_analysis::{analyze_module, certify_module, CertifiedLoop};
 use lp_interp::{
-    run_chunk, ChunkOut, ChunkRequest, Engine, Exec, ExecUnit, InterpError, LoopShape,
-    MachineConfig, ParallelExec, PhiKind, ReplayPlan, StepExpr, Value,
+    run_chunk, ChunkOut, ChunkRequest, Engine, Exec, ExecUnit, InterpError, MachineConfig,
+    ParallelExec, ReplayPlan, Value,
 };
 use lp_ir::fx::FxHashMap;
 use lp_ir::{BlockId, Module};
 use lp_obs::{span, Counter, JsonWriter};
 use std::sync::Mutex;
 
-/// Chunk executor backed by [`parallel_map`]: fans a replayed loop's
-/// chunks over scoped worker threads and wall-clocks each replay,
+/// Chunk executor backed by [`parallel_map`]: runs each replayed loop's
+/// chunks on one scoped worker apiece (the machine already carved the
+/// loop into at most `plan.jobs()` chunks) and wall-clocks each replay,
 /// accumulating nanoseconds per `(func, header)`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ThreadedExec {
-    jobs: Jobs,
     elapsed_ns: Mutex<FxHashMap<(u32, u32), u64>>,
 }
 
 impl ThreadedExec {
-    /// An executor fanning chunks over `jobs` workers.
-    #[must_use]
-    pub fn new(jobs: Jobs) -> ThreadedExec {
-        ThreadedExec {
-            jobs,
-            elapsed_ns: Mutex::new(FxHashMap::default()),
-        }
-    }
-
     /// Accumulated wall time spent replaying `(func, header)`, in
     /// nanoseconds (0 if the loop was never replayed).
     #[must_use]
@@ -94,10 +85,11 @@ impl ParallelExec for ThreadedExec {
     fn run_chunks(&self, req: ChunkRequest<'_>) -> Result<Vec<ChunkOut>, InterpError> {
         let reg = lp_obs::registry();
         let t0 = reg.now_ns();
+        let workers = Jobs::new(req.chunks.len());
         let outs: Vec<Result<ChunkOut, InterpError>> =
-            parallel_map(&req.chunks, self.jobs, |_, c| run_chunk(&req, c));
+            parallel_map(&req.chunks, workers, |_, c| run_chunk(&req, c));
         let elapsed = reg.now_ns().saturating_sub(t0);
-        let key = (req.shape.func.0, req.shape.header.index() as u32);
+        let key = (req.cert.func.0, req.cert.header.index() as u32);
         *self
             .elapsed_ns
             .lock()
@@ -264,42 +256,17 @@ pub fn prediction_config() -> Config {
     Config::new(ReducMode::Reduc1, DepMode::Dep0, FnMode::Fn3)
 }
 
-fn shape_of(c: &CertifiedLoop) -> LoopShape {
-    LoopShape {
-        func: c.func,
-        header: c.header,
-        latch: c.latch,
-        blocks: c.blocks.clone(),
-        phis: c
-            .phis
-            .iter()
-            .map(|(v, kind)| {
-                let kind = match kind {
-                    CertPhi::Affine(step) => PhiKind::Affine {
-                        step: StepExpr {
-                            konst: step.konst,
-                            terms: step.terms.clone(),
-                        },
-                    },
-                    CertPhi::Reduction(op) => PhiKind::Reduction { op: *op },
-                };
-                (*v, kind)
-            })
-            .collect(),
-    }
-}
-
-/// One replayed execution with `shapes` armed on `jobs` workers.
+/// One replayed execution with `loops` armed on `jobs` workers.
 fn run_with_plan(
     unit: &ExecUnit<'_>,
-    shapes: Vec<LoopShape>,
-    jobs: Jobs,
+    loops: Vec<CertifiedLoop>,
+    jobs: usize,
     args: &[Value],
     config: &MachineConfig,
 ) -> Result<(lp_interp::RunResult, lp_interp::Memory, ThreadedExec), InterpError> {
     let _s = span!("replay-run");
-    let plan = ReplayPlan::new(shapes, jobs.get());
-    let exec = ThreadedExec::new(jobs);
+    let plan = ReplayPlan::new(loops, jobs);
+    let exec = ThreadedExec::default();
     let out = Exec::new(unit)
         .config(config.clone())
         .keep_memory(true)
@@ -350,19 +317,20 @@ fn compare(
 }
 
 /// Bisects a divergence to a single loop by re-running with one-loop
-/// plans (`plans` pairs each shape with its display name); returns the
+/// plans (`plans` pairs each loop with its display name); returns the
 /// first loop that reproduces a mismatch on its own.
 fn bisect_culprit(
     unit: &ExecUnit<'_>,
-    plans: &[(LoopShape, String)],
-    jobs: Jobs,
+    plans: &[(&CertifiedLoop, String)],
+    jobs: usize,
     args: &[Value],
     config: &MachineConfig,
     serial: &lp_interp::RunResult,
     serial_mem: &lp_interp::Memory,
 ) -> Option<String> {
-    for (shape, name) in plans {
-        let Ok((res, mem, _)) = run_with_plan(unit, vec![shape.clone()], jobs, args, config) else {
+    for (cert, name) in plans {
+        let Ok((res, mem, _)) = run_with_plan(unit, vec![(*cert).clone()], jobs, args, config)
+        else {
             return Some(name.clone());
         };
         if compare(serial, serial_mem, &res, &mem).is_some() {
@@ -431,9 +399,9 @@ pub fn replay_module_with(
 
     // Witness gate: at least one observed instance, all footprints
     // disjoint. Rejected loops never reach a thread.
-    let mut gated: Vec<&CertifiedLoop> = Vec::new();
+    let mut gated: Vec<CertifiedLoop> = Vec::new();
     let mut rejected: Vec<RejectedLoop> = Vec::new();
-    for c in &candidates {
+    for c in candidates {
         let func_name = module.function(c.func).name.clone();
         if witness.loop_holds(c.func, c.loop_id) {
             gated.push(c);
@@ -460,19 +428,13 @@ pub fn replay_module_with(
     );
 
     // Replayed runs: 1 worker (timing baseline), then `jobs` workers.
-    let plans: Vec<(LoopShape, String)> = gated
+    let plans: Vec<(&CertifiedLoop, String)> = gated
         .iter()
-        .map(|c| {
-            (
-                shape_of(c),
-                format!("{}:{}", module.function(c.func).name, c.header),
-            )
-        })
+        .map(|c| (c, format!("{}:{}", module.function(c.func).name, c.header)))
         .collect();
-    let shapes: Vec<LoopShape> = plans.iter().map(|(s, _)| s.clone()).collect();
-    let (res1, mem1, exec1) =
-        run_with_plan(&unit, shapes.clone(), Jobs::serial(), args, &base_config)?;
-    let (res_n, mem_n, exec_n) = run_with_plan(&unit, shapes.clone(), jobs, args, &base_config)?;
+    let (res1, mem1, exec1) = run_with_plan(&unit, gated.clone(), 1, args, &base_config)?;
+    let (res_n, mem_n, exec_n) =
+        run_with_plan(&unit, gated.clone(), jobs.get(), args, &base_config)?;
 
     let mut divergence = None;
     for (run_jobs, res, mem) in [(1usize, &res1, &mem1), (jobs.get(), &res_n, &mem_n)] {
@@ -483,7 +445,7 @@ pub fn replay_module_with(
             let loop_name = bisect_culprit(
                 &unit,
                 &plans,
-                Jobs::new(run_jobs),
+                run_jobs,
                 args,
                 &base_config,
                 &serial,

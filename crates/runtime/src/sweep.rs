@@ -18,13 +18,11 @@
 //!   serial run;
 //! - [`sweep`] / [`sweep_points`] evaluate a work-list of
 //!   [`SweepPoint`]s against shared profiles, counting profile-cache
-//!   hits ([`lp_obs::Counter::SweepProfileCacheHits`]) and tasks claimed
-//!   outside a worker's static shard
-//!   ([`lp_obs::Counter::SweepTasksStolen`]);
+//!   hits ([`lp_obs::Counter::SweepProfileCacheHits`]);
 //! - workers write observability straight into the global registry
-//!   (one `sweep-worker` span and one stolen-task add each) and journal
-//!   every finished task as it finishes, so a flight dump cut mid-phase
-//!   still shows how far the phase got.
+//!   (one `sweep-worker` span each) and journal every finished task as
+//!   it finishes, so a flight dump cut mid-phase still shows how far
+//!   the phase got.
 //!
 //! `jobs = 1` takes a plain in-order loop on the calling thread — the
 //! exact code path the serial pipeline always took — which is what the
@@ -191,12 +189,11 @@ pub fn grid(units: usize, models: &[ExecModel], configs: &[Config]) -> Vec<Sweep
 /// on the calling thread, so the serial path is bit-for-bit the code
 /// the pipeline always ran.
 ///
-/// Each worker times itself with a `sweep-worker` span and counts tasks
-/// it claimed outside its static `index % workers` shard as
-/// [`lp_obs::Counter::SweepTasksStolen`], recording both into the global
-/// registry when it runs out of work. Every finished task is journaled
-/// at once as [`lp_obs::EventKind::SweepTaskDone`] `(done, total)`, with
-/// a [`lp_obs::EventKind::SweepEta`] estimate at each quartile.
+/// Each worker times itself with a `sweep-worker` span, recorded into
+/// the global registry when it runs out of work. Every finished task is
+/// journaled at once as [`lp_obs::EventKind::SweepTaskDone`]
+/// `(done, total)`; the record's timestamp gives the phase's progress
+/// rate.
 ///
 /// # Panics
 /// Propagates a panic from `f` (the scope joins all workers first).
@@ -216,45 +213,29 @@ where
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     let reg = lp_obs::registry();
-    let total = items.len();
-    // Progress/ETA marks at the quartiles (coarse flight-recorder
-    // breadcrumbs, not a live progress bar).
-    let milestones = [total / 4, total / 2, total * 3 / 4];
+    let total = items.len() as u64;
 
     let mut harvests: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|worker| {
+            .map(|_| {
                 let next = &next;
                 let completed = &completed;
                 let f = &f;
                 scope.spawn(move || {
                     let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut stolen = 0u64;
                     let start_ns = reg.now_ns();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        if i % workers != worker {
-                            stolen += 1;
-                        }
                         out.push((i, f(i, &items[i])));
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         lp_obs::journal::record(
                             lp_obs::EventKind::SweepTaskDone,
                             done as u64,
-                            total as u64,
+                            total,
                         );
-                        if milestones.contains(&done) {
-                            let elapsed_ms = reg.now_ns().saturating_sub(start_ns) / 1_000_000;
-                            let eta_ms = elapsed_ms * (total - done) as u64 / done as u64;
-                            lp_obs::journal::record(
-                                lp_obs::EventKind::SweepEta,
-                                done as u64,
-                                eta_ms,
-                            );
-                        }
                     }
                     reg.record_span(lp_obs::SpanRecord {
                         name: "sweep-worker",
@@ -263,8 +244,6 @@ where
                         depth: 0,
                         tid: lp_obs::span::thread_tid(),
                     });
-                    reg.counters()
-                        .add(lp_obs::Counter::SweepTasksStolen, stolen);
                     out
                 })
             })

@@ -18,6 +18,23 @@ use proptest::prelude::*;
 #[path = "../crates/runtime/tests/oracle/mod.rs"]
 mod oracle;
 
+/// Records every resolved phi and its value, in execution order.
+#[derive(Debug, Default)]
+struct PhiRecorder(Vec<(ValueId, lp_interp::Value)>);
+
+impl lp_interp::EventSink for PhiRecorder {
+    fn phi_resolved(
+        &mut self,
+        _func: lp_ir::FuncId,
+        _block: lp_ir::BlockId,
+        phi: ValueId,
+        value: lp_interp::Value,
+        _now: u64,
+    ) {
+        self.0.push((phi, value));
+    }
+}
+
 /// One randomly chosen loop in a generated program.
 #[derive(Debug, Clone)]
 enum LoopSpec {
@@ -405,7 +422,7 @@ proptest! {
         }
 
         // Runtime check: the traced phi stream equals the closed form.
-        let mut sink = lp_interp::TraceSink::new(4096);
+        let mut sink = PhiRecorder::default();
         let unit = ExecUnit::new(&module);
         let r = Exec::new(&unit).sink(&mut sink).run(&[]).unwrap().result;
         prop_assert_eq!(
@@ -413,12 +430,10 @@ proptest! {
             lp_interp::Value::I(start.wrapping_add(step.wrapping_mul(trips)))
         );
         let xs: Vec<i64> = sink
-            .events()
+            .0
             .iter()
-            .filter_map(|e| match e {
-                lp_interp::TraceEvent::Phi(_, phi, lp_interp::Value::I(v), _) if *phi == x => {
-                    Some(*v)
-                }
+            .filter_map(|&(phi, v)| match v {
+                lp_interp::Value::I(v) if phi == x => Some(v),
                 _ => None,
             })
             .collect();
