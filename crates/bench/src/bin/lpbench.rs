@@ -23,7 +23,7 @@
 //! witness pages, predictor hits) ride along in the `counters` object.
 
 use lp_analysis::analyze_module;
-use lp_bench::{run_benchmarks, Cli, SweepTable};
+use lp_bench::{fold_benchmarks, Cli};
 use lp_interp::{Engine, Exec, ExecUnit, MachineConfig};
 use lp_obs::{lp_info, JsonValue, JsonWriter};
 use lp_suite::{Benchmark, Scale, SuiteId};
@@ -257,13 +257,15 @@ fn main() {
         })
         .collect();
 
-    // End-to-end: profile every picked benchmark once, evaluate the full
-    // Table II row lattice against the shared profiles.
+    // End-to-end: profile every picked benchmark once and evaluate the
+    // Table II rows against its profile before the next one starts.
     let (sweep_ns, n_points) = timed(|| {
-        let runs = run_benchmarks(&picked, cli.scale, jobs, None, cli.engine);
         let table_rows = lp_runtime::table2_rows();
-        let table = SweepTable::build(&runs, &table_rows, jobs);
-        runs.len() * table.rows().len()
+        fold_benchmarks(&picked, cli.scale, jobs, None, cli.engine, |run| {
+            run.evaluate_rows(&table_rows).len()
+        })
+        .into_iter()
+        .sum::<usize>()
     });
 
     let t_insts: u64 = rows.iter().map(|r| r.insts).sum();

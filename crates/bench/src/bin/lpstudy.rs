@@ -22,7 +22,10 @@
 //! ```
 
 use loopapalooza::Study;
-use lp_bench::{run_suites, write_explain, Cli, SweepTable};
+use lp_bench::{
+    fold_benchmarks, geomean_coverage, geomean_speedup, suite_benchmarks, write_explain, Cli,
+    RowResults,
+};
 use lp_obs::{lp_info, span};
 use lp_runtime::{best_helix, best_pdoall, geomean, ExecModel, Export, RejectReason};
 use lp_suite::{Scale, SuiteId};
@@ -109,9 +112,9 @@ fn demo_module(doing: &str) -> lp_ir::Module {
 
 /// The `--suite` mode: profile every benchmark of one suite (each
 /// exactly once, fanned over `--jobs` workers), evaluate the 14 paper
-/// rows for all of them through the parallel sweep engine, and print a
-/// per-row GEOMEAN table plus a per-benchmark summary under the best
-/// HELIX configuration. Output is byte-identical for any worker count.
+/// rows for each before its profile is dropped, and print a per-row
+/// GEOMEAN table plus a per-benchmark summary under the best HELIX
+/// configuration. Output is byte-identical for any worker count.
 fn run_suite(cli: &Cli, name: &str) {
     let Some(suite) = SuiteId::all().into_iter().find(|s| s.label() == name) else {
         eprintln!("unknown suite {name:?}; expected one of:");
@@ -122,14 +125,32 @@ fn run_suite(cli: &Cli, name: &str) {
     };
     let jobs = cli.jobs();
     let store = cli.store();
-    let runs = run_suites(&[suite], cli.scale, jobs, store.as_ref(), cli.engine);
     let rows = lp_runtime::table2_rows();
-    let table = SweepTable::build(&runs, &rows, jobs);
+    let (model, config) = best_helix();
+    let hx_row = rows
+        .iter()
+        .position(|&row| row == (model, config))
+        .expect("paper rows include best HELIX");
+    let results = fold_benchmarks(
+        &suite_benchmarks(&[suite]),
+        cli.scale,
+        jobs,
+        store.as_ref(),
+        cli.engine,
+        |run| {
+            let attr = cli
+                .explain_out
+                .as_ref()
+                .map(|_| run.study.explain(model, config).1);
+            (RowResults::of(run, &rows), attr)
+        },
+    );
+    let (results, attrs): (Vec<RowResults>, Vec<_>) = results.into_iter().unzip();
 
     println!(
         "suite {} — {} benchmarks, {} rows each ({:?} scale)\n",
         suite.label(),
-        runs.len(),
+        results.len(),
         rows.len(),
         cli.scale
     );
@@ -142,31 +163,22 @@ fn run_suite(cli: &Cli, name: &str) {
             "{:<14} {:<18} {:>8.2}x {:>8.1}%",
             model.to_string(),
             config.to_string(),
-            table.geomean_speedup(&runs, suite, j),
-            table.geomean_coverage(&runs, suite, j)
+            geomean_speedup(&results, suite, j),
+            geomean_coverage(&results, suite, j)
         );
     }
-    let hx_row = rows
-        .iter()
-        .position(|&row| row == best_helix())
-        .expect("paper rows include best HELIX");
     println!("\nper-benchmark speedup under best HELIX:");
-    let mut speedups = Vec::with_capacity(runs.len());
-    for (i, run) in runs.iter().enumerate() {
-        let r = table.report(i, hx_row);
+    let mut speedups = Vec::with_capacity(results.len());
+    for r in &results {
         println!(
             "  {:<18} {:>8.2}x  coverage {:>5.1}%",
-            run.name, r.speedup, r.coverage
+            r.name, r.speedup[hx_row], r.coverage[hx_row]
         );
-        speedups.push(r.speedup);
+        speedups.push(r.speedup[hx_row]);
     }
     println!("  {:<18} {:>8.2}x  (GEOMEAN)", "all", geomean(&speedups));
     if let Some(path) = &cli.explain_out {
-        let (model, config) = best_helix();
-        let attrs: Vec<_> = runs
-            .iter()
-            .map(|r| r.study.explain(model, config).1)
-            .collect();
+        let attrs: Vec<_> = attrs.into_iter().flatten().collect();
         write_explain(path, &attrs, None);
     }
     cli.finish("lpstudy");

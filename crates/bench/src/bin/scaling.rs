@@ -8,7 +8,7 @@
 //! cargo run --release -p lp-bench --bin scaling [test|small|default]
 //! ```
 
-use lp_bench::{run_suites, Cli, SuiteRun};
+use lp_bench::{fold_benchmarks, suite_benchmarks, Cli};
 use lp_runtime::{best_helix, best_pdoall, geomean, EvalOptions};
 use lp_suite::SuiteId;
 
@@ -22,44 +22,46 @@ const CORES: [Option<u32>; 7] = [
     None,
 ];
 
-fn geomean_at(
-    runs: &[SuiteRun],
-    suite: SuiteId,
-    model: lp_runtime::ExecModel,
-    config: lp_runtime::Config,
-    cores: Option<u32>,
-) -> f64 {
-    let values: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.suite == suite)
-        .map(|r| {
-            lp_runtime::evaluate_with(
-                r.study.profile(),
-                model,
-                config,
-                EvalOptions {
-                    cores,
-                    ..EvalOptions::default()
-                },
-            )
-            .speedup
-        })
-        .collect();
-    geomean(&values)
-}
-
 fn main() {
     let cli = Cli::parse();
     cli.enforce("scaling");
     let scale = cli.scale;
     let store = cli.store();
     let suites = SuiteId::all();
-    let runs = run_suites(&suites, scale, cli.jobs(), store.as_ref(), cli.engine);
-
-    for (label, (model, config)) in [
+    let curves = [
         ("best HELIX (reduc1-dep1-fn2)", best_helix()),
         ("best PDOALL (reduc1-dep2-fn2)", best_pdoall()),
-    ] {
+    ];
+    // Per kernel: its speedup for each curve at each core count.
+    let speedups = fold_benchmarks(
+        &suite_benchmarks(&suites),
+        scale,
+        cli.jobs(),
+        store.as_ref(),
+        cli.engine,
+        |run| {
+            let at: Vec<[f64; CORES.len()]> = curves
+                .iter()
+                .map(|&(_, (model, config))| {
+                    CORES.map(|cores| {
+                        lp_runtime::evaluate_with(
+                            run.study.profile(),
+                            model,
+                            config,
+                            EvalOptions {
+                                cores,
+                                ..EvalOptions::default()
+                            },
+                        )
+                        .speedup
+                    })
+                })
+                .collect();
+            (run.suite, at)
+        },
+    );
+
+    for (curve, (label, _)) in curves.iter().enumerate() {
         println!("GEOMEAN speedup vs core count — {label} ({scale:?} scale)");
         print!("{:<10}", "suite");
         for c in CORES {
@@ -71,8 +73,13 @@ fn main() {
         println!();
         for suite in suites {
             print!("{:<10}", suite.label());
-            for c in CORES {
-                print!(" {:>6.2}x", geomean_at(&runs, suite, model, config, c));
+            for c in 0..CORES.len() {
+                let values: Vec<f64> = speedups
+                    .iter()
+                    .filter(|(s, _)| *s == suite)
+                    .map(|(_, at)| at[curve][c])
+                    .collect();
+                print!(" {:>6.2}x", geomean(&values));
             }
             println!();
         }

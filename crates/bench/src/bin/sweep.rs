@@ -2,10 +2,12 @@
 //! configurations, exported as CSV for external plotting. The
 //! machine-readable superset of Figures 2–4.
 //!
-//! Each benchmark is profiled **once**; the `(benchmark × model ×
-//! config)` lattice then fans out over `--jobs N` workers (default:
-//! `LP_JOBS` or the machine's available parallelism). The CSV on stdout
-//! is byte-identical for any worker count. `--suite NAME` (repeatable)
+//! Benchmarks fan out over `--jobs N` workers (default: `LP_JOBS` or the
+//! machine's available parallelism). Each is profiled **once**, its 96
+//! `(model, config)` points are evaluated and rendered as CSV rows, and
+//! its profile is dropped before the worker takes the next benchmark, so
+//! at most `N` profiles are alive at once. The CSV on stdout is
+//! byte-identical for any worker count. `--suite NAME` (repeatable)
 //! restricts the sweep to one or more suites. The rows go out through one
 //! buffered writer inside an `export` span; a reader that closes the pipe
 //! early (`sweep default | head -n 1`) ends the output, not the run.
@@ -15,7 +17,7 @@
 //! cargo run --release -p lp-bench --bin sweep -- test --suite eembc --jobs 4
 //! ```
 
-use lp_bench::{run_suites, Cli, SweepTable};
+use lp_bench::{fold_benchmarks, suite_benchmarks, Cli};
 use lp_obs::{lp_info, span};
 use lp_runtime::export::{report_header, report_row};
 use lp_runtime::{Config, ExecModel};
@@ -35,14 +37,12 @@ fn parse_suite(name: &str) -> SuiteId {
         })
 }
 
-/// Writes the CSV header and the `runs x rows` table to stdout.
-fn write_csv(table: &SweepTable, runs: usize, rows: usize) -> io::Result<()> {
+/// Writes the CSV header and each benchmark's rendered rows to stdout.
+fn write_csv(kernels: &[String]) -> io::Result<()> {
     let mut out = BufWriter::new(io::stdout().lock());
     writeln!(out, "{}", report_header())?;
-    for i in 0..runs {
-        for j in 0..rows {
-            writeln!(out, "{}", report_row(table.report(i, j)))?;
-        }
+    for rows in kernels {
+        out.write_all(rows.as_bytes())?;
     }
     out.flush()
 }
@@ -76,8 +76,6 @@ fn main() {
     }
     let jobs = cli.jobs();
     let store = cli.store();
-    let runs = run_suites(&suites, cli.scale, jobs, store.as_ref(), cli.engine);
-
     let reg = lp_obs::registry();
     let t0 = reg.now_ns();
     let models = ExecModel::all();
@@ -86,16 +84,30 @@ fn main() {
         .iter()
         .flat_map(|&m| configs.iter().map(move |&c| (m, c)))
         .collect();
-    let table = SweepTable::build(&runs, &rows, jobs);
+    let kernels = fold_benchmarks(
+        &suite_benchmarks(&suites),
+        cli.scale,
+        jobs,
+        store.as_ref(),
+        cli.engine,
+        |run| {
+            let mut csv = String::new();
+            for report in run.evaluate_rows(&rows) {
+                csv.push_str(&report_row(&report));
+                csv.push('\n');
+            }
+            csv
+        },
+    );
     let written = {
         let _export = span!("export");
-        write_csv(&table, runs.len(), rows.len())
+        write_csv(&kernels)
     };
     match written {
         Ok(()) => lp_info!(
             "wrote {} rows ({} benchmarks x {} models x {} configs) on {jobs} worker(s), {:.2}s",
-            runs.len() * rows.len(),
-            runs.len(),
+            kernels.len() * rows.len(),
+            kernels.len(),
             models.len(),
             configs.len(),
             reg.now_ns().saturating_sub(t0) as f64 / 1e9

@@ -32,7 +32,7 @@ use loopapalooza::Study;
 use lp_obs::{lp_debug, lp_info, lp_warn};
 use lp_runtime::{
     Attribution, Config, EvalOptions, EvalReport, ExecModel, Export, Jobs, Profile, ProfileStore,
-    StoreMode, SweepPoint, SweepUnit,
+    StoreMode, SweepPoint,
 };
 use lp_suite::{Benchmark, Scale, SuiteId};
 use std::path::{Path, PathBuf};
@@ -473,26 +473,44 @@ pub struct SuiteRun {
     pub study: Study,
 }
 
-/// Profiles the given benchmarks on `jobs` workers — each benchmark is
-/// profiled exactly once — emitting a per-benchmark heartbeat
-/// (`[i/total] name — elapsed, insts/s`) at `info` level. The returned
-/// runs are in `benchmarks` order regardless of the worker count (the
-/// heartbeats on stderr may interleave; stdout output never does).
-/// When a persistent [`ProfileStore`] is supplied (see [`Cli::store`]),
-/// each benchmark warm-starts from a cached profile when one exists and
-/// persists its fresh profile otherwise.
+/// The benchmarks of the given suites, in registry order.
+#[must_use]
+pub fn suite_benchmarks(ids: &[SuiteId]) -> Vec<Benchmark> {
+    lp_suite::registry()
+        .into_iter()
+        .filter(|b| ids.contains(&b.suite))
+        .collect()
+}
+
+/// Profiles each benchmark on `jobs` workers, hands the profiled
+/// [`SuiteRun`] to `f`, and drops the study before the task returns:
+/// at most `jobs` studies (profile, analysis, run result) are alive at
+/// once, whatever the number of benchmarks, and only what `f` keeps
+/// outlives its kernel. Results come back in `benchmarks` order for any
+/// worker count.
+///
+/// Each benchmark is profiled exactly once, with a heartbeat
+/// (`[i/total] name — elapsed, insts/s`) at `info` level; heartbeats on
+/// stderr may interleave, stdout output never does. When a persistent
+/// [`ProfileStore`] is supplied (see [`Cli::store`]), each benchmark
+/// warm-starts from a cached profile when one exists and persists its
+/// fresh profile otherwise.
 ///
 /// # Panics
 /// Panics if a benchmark fails to build or run — they are fixed program
 /// text, covered by the suite's tests.
-#[must_use]
-pub fn run_benchmarks(
+pub fn fold_benchmarks<T, F>(
     benchmarks: &[Benchmark],
     scale: Scale,
     jobs: Jobs,
     store: Option<&ProfileStore>,
     engine: lp_interp::Engine,
-) -> Vec<SuiteRun> {
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&SuiteRun) -> T + Sync,
+{
     let total = benchmarks.len();
     let reg = lp_obs::registry();
     lp_runtime::parallel_map(benchmarks, jobs, |i, b| {
@@ -505,6 +523,7 @@ pub fn run_benchmarks(
         };
         let study = Study::with_store(&module, config, store)
             .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
+        drop(module);
         let secs = reg.now_ns().saturating_sub(t0) as f64 / 1e9;
         lp_info!(
             "[{}/{}] profiled {:<18} {:>6.2}s  {:>6.1}M insts/s",
@@ -514,106 +533,87 @@ pub fn run_benchmarks(
             secs,
             study.run_result().cost as f64 / 1e6 / secs.max(1e-9)
         );
-        SuiteRun {
+        f(&SuiteRun {
             name: b.name,
             suite: b.suite,
             study,
-        }
+        })
     })
 }
 
-/// Profiles every benchmark of the given suites on `jobs` workers.
-#[must_use]
-pub fn run_suites(
-    ids: &[SuiteId],
-    scale: Scale,
-    jobs: Jobs,
-    store: Option<&ProfileStore>,
-    engine: lp_interp::Engine,
-) -> Vec<SuiteRun> {
-    let benchmarks: Vec<Benchmark> = lp_suite::registry()
-        .into_iter()
-        .filter(|b| ids.contains(&b.suite))
-        .collect();
-    run_benchmarks(&benchmarks, scale, jobs, store, engine)
-}
-
-/// A precomputed `(run × row)` table of evaluation reports, built by one
-/// parallel sweep over every `(benchmark, model, config)` point.
-///
-/// The figure binaries used to call `Study::evaluate` once per cell
-/// while rendering; building the whole table up front through
-/// [`lp_runtime::sweep_points`] lets all cells fan out over `--jobs`
-/// workers against the shared profiles, and the deterministic merge
-/// keeps every lookup — and therefore every rendered figure — identical
-/// for any worker count.
-#[derive(Debug)]
-pub struct SweepTable {
-    rows: Vec<(ExecModel, Config)>,
-    /// `reports[run * rows.len() + row]`, in stable `(run, row)` order.
-    reports: Vec<EvalReport>,
-}
-
-impl SweepTable {
-    /// Evaluates every `(run, row)` cell on `jobs` workers.
+impl SuiteRun {
+    /// Evaluates `rows` against this run's profile, in row order, through
+    /// the serial sweep engine (so the shared-profile evaluations are
+    /// counted as in any sweep).
     #[must_use]
-    pub fn build(runs: &[SuiteRun], rows: &[(ExecModel, Config)], jobs: Jobs) -> SweepTable {
-        let units: Vec<SweepUnit> = runs.iter().map(|r| r.study.sweep_unit()).collect();
-        let points: Vec<SweepPoint> = (0..units.len())
-            .flat_map(|unit| {
-                rows.iter().map(move |&(model, config)| SweepPoint {
-                    unit,
-                    model,
-                    config,
-                })
+    pub fn evaluate_rows(&self, rows: &[(ExecModel, Config)]) -> Vec<EvalReport> {
+        let points: Vec<SweepPoint> = rows
+            .iter()
+            .map(|&(model, config)| SweepPoint {
+                unit: 0,
+                model,
+                config,
             })
             .collect();
-        let reports = lp_runtime::sweep_points(&units, &points, jobs, EvalOptions::default());
-        SweepTable {
-            rows: rows.to_vec(),
-            reports,
+        lp_runtime::sweep_points(
+            &[self.study.sweep_unit()],
+            &points,
+            Jobs::serial(),
+            EvalOptions::default(),
+        )
+    }
+}
+
+/// What a figure keeps of one kernel: its speedup and coverage under
+/// each of the figure's rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowResults {
+    /// Benchmark name.
+    pub name: &'static str,
+    /// Owning suite.
+    pub suite: SuiteId,
+    /// Speedup per row.
+    pub speedup: Vec<f64>,
+    /// Dynamic coverage (percent) per row.
+    pub coverage: Vec<f64>,
+}
+
+impl RowResults {
+    /// Evaluates `rows` for one run and keeps speedup and coverage.
+    #[must_use]
+    pub fn of(run: &SuiteRun, rows: &[(ExecModel, Config)]) -> RowResults {
+        let reports = run.evaluate_rows(rows);
+        RowResults {
+            name: run.name,
+            suite: run.suite,
+            speedup: reports.iter().map(|r| r.speedup).collect(),
+            coverage: reports.iter().map(|r| r.coverage).collect(),
         }
     }
+}
 
-    /// The evaluated rows, in table order.
-    #[must_use]
-    pub fn rows(&self) -> &[(ExecModel, Config)] {
-        &self.rows
-    }
+/// Geometric-mean speedup over the kernels of one suite for one row.
+#[must_use]
+pub fn geomean_speedup(results: &[RowResults], suite: SuiteId, row: usize) -> f64 {
+    let values: Vec<f64> = results
+        .iter()
+        .filter(|r| r.suite == suite)
+        .map(|r| r.speedup[row])
+        .collect();
+    lp_runtime::geomean(&values)
+}
 
-    /// The report for one `(run, row)` cell.
-    ///
-    /// # Panics
-    /// Panics if either index is out of bounds for the built table.
-    #[must_use]
-    pub fn report(&self, run: usize, row: usize) -> &EvalReport {
-        assert!(row < self.rows.len(), "row {row} out of bounds");
-        &self.reports[run * self.rows.len() + row]
-    }
-
-    /// Geometric-mean speedup over the runs of one suite for one row.
-    #[must_use]
-    pub fn geomean_speedup(&self, runs: &[SuiteRun], suite: SuiteId, row: usize) -> f64 {
-        let values: Vec<f64> = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.suite == suite)
-            .map(|(i, _)| self.report(i, row).speedup)
-            .collect();
-        lp_runtime::geomean(&values)
-    }
-
-    /// Geometric-mean coverage over the runs of one suite for one row.
-    #[must_use]
-    pub fn geomean_coverage(&self, runs: &[SuiteRun], suite: SuiteId, row: usize) -> f64 {
-        let values: Vec<f64> = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.suite == suite)
-            .map(|(i, _)| self.report(i, row).coverage.max(0.01))
-            .collect();
-        lp_runtime::geomean(&values)
-    }
+/// Geometric-mean coverage over the kernels of one suite for one row
+/// (each coverage floored at 0.01% so an uncovered kernel does not zero
+/// the mean).
+#[must_use]
+pub fn geomean_coverage(results: &[RowResults], suite: SuiteId, row: usize) -> f64 {
+    let values: Vec<f64> = results
+        .iter()
+        .filter(|r| r.suite == suite)
+        .map(|r| r.coverage[row].max(0.01))
+        .collect();
+    lp_runtime::geomean(&values)
 }
 
 /// Renders a log-scale ASCII bar for a speedup figure (the figures in the
@@ -773,62 +773,116 @@ mod tests {
     }
 
     #[test]
-    fn harness_runs_one_suite() {
-        let runs = run_suites(
-            &[SuiteId::Eembc],
+    fn fold_runs_one_suite() {
+        let benchmarks = suite_benchmarks(&[SuiteId::Eembc]);
+        assert_eq!(benchmarks.len(), 10);
+        let (model, config) = lp_runtime::best_pdoall();
+        let speedups = fold_benchmarks(
+            &benchmarks,
             Scale::Test,
             Jobs::serial(),
             None,
             lp_interp::Engine::Bc,
+            |run| run.study.evaluate(model, config).speedup,
         );
-        assert_eq!(runs.len(), 10);
-        let (model, config) = lp_runtime::best_pdoall();
-        let speedups: Vec<f64> = runs
-            .iter()
-            .map(|r| r.study.evaluate(model, config).speedup)
-            .collect();
+        assert_eq!(speedups.len(), 10);
         assert!(lp_runtime::geomean(&speedups) >= 1.0);
     }
 
     #[test]
-    fn sweep_table_matches_pointwise_evaluation_at_any_job_count() {
+    fn fold_matches_pointwise_evaluation_at_any_job_count() {
         let benchmarks: Vec<Benchmark> = ["eembc.matrix01", "eembc.rspeed01"]
             .iter()
             .map(|n| lp_suite::find(n).unwrap())
             .collect();
-        let runs = run_benchmarks(
+        let rows = lp_runtime::table2_rows();
+        let fold = |jobs: usize| {
+            fold_benchmarks(
+                &benchmarks,
+                Scale::Test,
+                Jobs::new(jobs),
+                None,
+                lp_interp::Engine::default(),
+                |run| {
+                    let pointwise: Vec<EvalReport> = rows
+                        .iter()
+                        .map(|&(model, config)| run.study.evaluate(model, config))
+                        .collect();
+                    (run.name, run.evaluate_rows(&rows), pointwise)
+                },
+            )
+        };
+        let serial = fold(1);
+        let parallel = fold(8);
+        // Results come back in benchmark order at any worker count.
+        assert_eq!(serial[0].0, "eembc.matrix01");
+        assert_eq!(serial[1].0, "eembc.rspeed01");
+        for ((name, reports, pointwise), (par_name, par_reports, _)) in serial.iter().zip(&parallel)
+        {
+            assert_eq!(name, par_name);
+            assert_eq!(reports.len(), rows.len());
+            assert_eq!(
+                format!("{pointwise:?}"),
+                format!("{reports:?}"),
+                "{name} (serial)"
+            );
+            assert_eq!(
+                format!("{reports:?}"),
+                format!("{par_reports:?}"),
+                "{name} (jobs=8)"
+            );
+        }
+        let results = fold_benchmarks(
             &benchmarks,
             Scale::Test,
             Jobs::new(2),
             None,
             lp_interp::Engine::default(),
+            |run| RowResults::of(run, &rows),
         );
-        // Parallel profiling preserves input order.
-        assert_eq!(runs[0].name, "eembc.matrix01");
-        assert_eq!(runs[1].name, "eembc.rspeed01");
-        let rows = lp_runtime::table2_rows();
-        let serial = SweepTable::build(&runs, &rows, Jobs::serial());
-        let parallel = SweepTable::build(&runs, &rows, Jobs::new(8));
-        for (i, run) in runs.iter().enumerate() {
-            for (j, &(model, config)) in rows.iter().enumerate() {
-                let reference = run.study.evaluate(model, config);
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{:?}", serial.report(i, j)),
-                    "{} row {j} (serial)",
-                    run.name
-                );
-                assert_eq!(
-                    format!("{:?}", serial.report(i, j)),
-                    format!("{:?}", parallel.report(i, j)),
-                    "{} row {j} (jobs=8)",
-                    run.name
-                );
-            }
-            let gm = serial.geomean_speedup(&runs, SuiteId::Eembc, 0);
-            assert!(gm >= 1.0);
-            assert!(serial.geomean_coverage(&runs, SuiteId::Eembc, 0) >= 0.0);
+        for (j, _) in rows.iter().enumerate() {
+            let speedups: Vec<f64> = serial.iter().map(|(_, r, _)| r[j].speedup).collect();
+            assert_eq!(
+                geomean_speedup(&results, SuiteId::Eembc, j).to_bits(),
+                lp_runtime::geomean(&speedups).to_bits()
+            );
+            assert!(geomean_coverage(&results, SuiteId::Eembc, j) >= 0.01);
         }
-        assert_eq!(serial.rows().len(), rows.len());
+    }
+
+    /// The fold's memory bound: a kernel's study is gone before the next
+    /// kernel reaches the closure at `--jobs 1`, at most `jobs - 1` other
+    /// studies are alive while a closure runs, and none outlives the fold.
+    #[test]
+    fn fold_drops_each_study_before_the_next_kernel() {
+        let benchmarks = suite_benchmarks(&[SuiteId::Eembc]);
+        for jobs in [1, 2] {
+            let seen: std::sync::Mutex<Vec<std::sync::Weak<Profile>>> =
+                std::sync::Mutex::new(Vec::new());
+            let alive_at_entry = fold_benchmarks(
+                &benchmarks,
+                Scale::Test,
+                Jobs::new(jobs),
+                None,
+                lp_interp::Engine::Bc,
+                |run| {
+                    let mut seen = seen.lock().unwrap();
+                    let alive = seen.iter().filter(|w| w.strong_count() > 0).count();
+                    seen.push(std::sync::Arc::downgrade(&run.study.shared_profile()));
+                    alive
+                },
+            );
+            assert_eq!(alive_at_entry.len(), benchmarks.len());
+            assert!(
+                alive_at_entry.iter().all(|&n| n < jobs),
+                "jobs={jobs}: studies alive at closure entry {alive_at_entry:?}"
+            );
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen.len(), benchmarks.len());
+            assert!(
+                seen.iter().all(|w| w.strong_count() == 0),
+                "jobs={jobs}: a study outlived the fold"
+            );
+        }
     }
 }

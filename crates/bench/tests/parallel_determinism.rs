@@ -1,9 +1,10 @@
-//! Differential determinism tests for the parallel sweep engine at the
-//! binary surface: the same sweep run with `--jobs 1`, `--jobs 2`, and
-//! `--jobs 8` must produce **byte-identical** stdout — CSV from the
-//! `sweep` binary and the human report from `lpstudy --suite` alike.
-//! Worker scheduling may interleave stderr heartbeats, but the
-//! deterministic index-ordered merge keeps every report stable.
+//! Differential determinism tests for the per-kernel fold at the binary
+//! surface: the same run with `--jobs 1`, `--jobs 2`, and `--jobs 8` must
+//! produce **byte-identical** stdout — CSV from the `sweep` binary, the
+//! human report from `lpstudy --suite`, and every figure and table built
+//! on the fold alike — and byte-identical `--explain-out` JSON. Worker
+//! scheduling may interleave stderr heartbeats, but the index-ordered
+//! merge keeps every report stable.
 
 use std::process::{Command, Output};
 
@@ -45,58 +46,95 @@ fn sweep_csv_is_byte_identical_across_job_counts() {
 
 #[test]
 fn lpstudy_suite_report_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_lpstudy");
-    let args = ["--suite", "eembc", "test", "--quiet"];
+    let out = assert_explain_identical_across_job_counts(
+        env!("CARGO_BIN_EXE_lpstudy"),
+        "lpstudy",
+        &["--suite", "eembc"],
+    );
+    assert!(out.contains("suite eembc — 10 benchmarks"));
+    assert!(out.contains("(GEOMEAN)"));
+}
+
+/// Asserts that `bin test --quiet` prints the same bytes at jobs 1, 2
+/// and 8, and returns the serial output.
+fn assert_identical_across_job_counts(bin: &str, name: &str) -> String {
+    let args = ["test", "--quiet"];
     let serial = stdout_for_jobs(bin, &args, "1");
-    assert!(serial.contains("suite eembc — 10 benchmarks"));
-    assert!(serial.contains("(GEOMEAN)"));
     for jobs in ["2", "8"] {
         let parallel = stdout_for_jobs(bin, &args, jobs);
-        assert_eq!(
-            serial, parallel,
-            "lpstudy --suite report diverged at --jobs {jobs}"
-        );
+        assert_eq!(serial, parallel, "{name} diverged at --jobs {jobs}");
     }
+    serial
 }
 
 #[test]
 fn fig2_output_is_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_fig2");
-    let args = ["test", "--quiet"];
-    let serial = stdout_for_jobs(bin, &args, "1");
-    assert!(serial.starts_with("Figure 2"));
-    for jobs in ["2", "8"] {
-        let parallel = stdout_for_jobs(bin, &args, jobs);
-        assert_eq!(serial, parallel, "fig2 diverged at --jobs {jobs}");
-    }
+    let out = assert_identical_across_job_counts(env!("CARGO_BIN_EXE_fig2"), "fig2");
+    assert!(out.starts_with("Figure 2"));
 }
 
 #[test]
-fn fig4_and_explain_json_are_byte_identical_across_job_counts() {
-    let bin = env!("CARGO_BIN_EXE_fig4");
-    let dir = std::env::temp_dir().join(format!("lp-fig4-jobs-{}", std::process::id()));
+fn fig3_output_is_byte_identical_across_job_counts() {
+    let out = assert_identical_across_job_counts(env!("CARGO_BIN_EXE_fig3"), "fig3");
+    assert!(out.starts_with("Figure 3"));
+}
+
+#[test]
+fn table1_output_is_byte_identical_across_job_counts() {
+    let out = assert_identical_across_job_counts(env!("CARGO_BIN_EXE_table1"), "table1");
+    assert!(out.starts_with("Table I"));
+    assert!(out.contains("[all suites]"));
+}
+
+#[test]
+fn scaling_output_is_byte_identical_across_job_counts() {
+    let out = assert_identical_across_job_counts(env!("CARGO_BIN_EXE_scaling"), "scaling");
+    assert!(out.starts_with("GEOMEAN speedup vs core count"));
+}
+
+/// Asserts that `bin test --quiet --explain-out F [extra]` prints the
+/// same bytes and writes the same JSON at jobs 1, 2 and 8, and returns
+/// the serial stdout.
+fn assert_explain_identical_across_job_counts(bin: &str, name: &str, extra: &[&str]) -> String {
+    let dir = std::env::temp_dir().join(format!("lp-{name}-jobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let mut outputs: Vec<(String, Vec<u8>)> = Vec::new();
     for jobs in ["1", "2", "8"] {
         let json = dir.join(format!("explain-{jobs}.json"));
         let json_arg = json.to_str().expect("utf-8 path").to_string();
-        let args = ["test", "--quiet", "--explain-out", &json_arg];
+        let mut args = vec!["test", "--quiet", "--explain-out", &json_arg];
+        args.extend_from_slice(extra);
         let stdout = stdout_for_jobs(bin, &args, jobs);
         let bytes = std::fs::read(&json).expect("explain JSON written");
         outputs.push((stdout, bytes));
     }
+    let _ = std::fs::remove_dir_all(&dir);
     let (serial_stdout, serial_json) = &outputs[0];
-    assert!(serial_stdout.starts_with("Figure 4"));
-    assert!(serial_json.starts_with(b"{"));
+    assert!(serial_json.starts_with(b"{\"attributions\":[{"));
     for (i, jobs) in ["2", "8"].iter().enumerate() {
         let (stdout, json) = &outputs[i + 1];
         assert_eq!(
             stdout, serial_stdout,
-            "fig4 stdout diverged at --jobs {jobs}"
+            "{name} stdout diverged at --jobs {jobs}"
         );
-        assert_eq!(json, serial_json, "explain JSON diverged at --jobs {jobs}");
+        assert_eq!(
+            json, serial_json,
+            "{name} explain JSON diverged at --jobs {jobs}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    outputs.swap_remove(0).0
+}
+
+#[test]
+fn fig4_and_explain_json_are_byte_identical_across_job_counts() {
+    let out = assert_explain_identical_across_job_counts(env!("CARGO_BIN_EXE_fig4"), "fig4", &[]);
+    assert!(out.starts_with("Figure 4"));
+}
+
+#[test]
+fn fig5_and_explain_json_are_byte_identical_across_job_counts() {
+    let out = assert_explain_identical_across_job_counts(env!("CARGO_BIN_EXE_fig5"), "fig5", &[]);
+    assert!(out.starts_with("Figure 5"));
 }
 
 #[test]

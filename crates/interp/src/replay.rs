@@ -28,7 +28,7 @@
 //! The split keeps `lp-interp` free of threading policy: the *mechanism*
 //! (plans, chunk execution, deterministic merge) lives here, next to
 //! the interpreter internals it needs, while the *policy* (worker
-//! fan-out over `parallel_map`, witness gating, timing, export) lives in
+//! fan-out on scoped threads, witness gating, timing, export) lives in
 //! `lp-runtime`. [`SerialExec`] is the degenerate in-process executor
 //! used as the jobs=1 baseline and by unit tests.
 //!
@@ -159,7 +159,7 @@ pub struct ChunkRequest<'m> {
     pub chunks: Vec<ChunkSpec>,
 }
 
-/// Executor hook: `lp-runtime` implements this over `parallel_map`;
+/// Executor hook: `lp-runtime` implements this on scoped threads;
 /// [`SerialExec`] runs chunks inline.
 pub trait ParallelExec: std::fmt::Debug {
     /// Runs every chunk and returns their outputs in chunk order.

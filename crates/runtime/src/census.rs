@@ -134,6 +134,46 @@ impl Census {
     }
 }
 
+/// Counts add up: the census over a set of programs is the sum of the
+/// censuses over any partition of it.
+impl std::ops::AddAssign for Census {
+    fn add_assign(&mut self, other: Census) {
+        let Census {
+            programs,
+            executed_loops,
+            computable,
+            reductions,
+            predictable,
+            unpredictable,
+            frequent_mem_loops,
+            infrequent_mem_loops,
+            no_mem_lcd_loops,
+            loops_with_calls,
+            loops_with_unsafe_calls,
+        } = other;
+        self.programs += programs;
+        self.executed_loops += executed_loops;
+        self.computable += computable;
+        self.reductions += reductions;
+        self.predictable += predictable;
+        self.unpredictable += unpredictable;
+        self.frequent_mem_loops += frequent_mem_loops;
+        self.infrequent_mem_loops += infrequent_mem_loops;
+        self.no_mem_lcd_loops += no_mem_lcd_loops;
+        self.loops_with_calls += loops_with_calls;
+        self.loops_with_unsafe_calls += loops_with_unsafe_calls;
+    }
+}
+
+impl std::iter::Sum for Census {
+    fn sum<I: Iterator<Item = Census>>(iter: I) -> Census {
+        iter.fold(Census::default(), |mut acc, c| {
+            acc += c;
+            acc
+        })
+    }
+}
+
 impl fmt::Display for Census {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -254,6 +294,31 @@ mod tests {
         assert_eq!(census.loops_with_unsafe_calls, 1);
         let text = census.to_string();
         assert!(text.contains("reduction accumulators"));
+    }
+
+    #[test]
+    fn census_over_many_profiles_is_the_sum_of_their_censuses() {
+        let profiles: Vec<Profile> = [30, 3, 0]
+            .into_iter()
+            .map(|n| {
+                let m = kitchen_sink(n);
+                let analysis = analyze_module(&m);
+                profile_module(&m, &analysis, &[], MachineConfig::default())
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let whole = Census::over(&profiles);
+        let summed: Census = profiles.iter().map(|p| Census::over([p])).sum();
+        assert_eq!(summed, whole);
+        assert_eq!(summed.programs, 3);
+        let mut two = Census::over([&profiles[0]]);
+        two += Census::over([&profiles[1]]);
+        assert_eq!(two, Census::over(&profiles[..2]));
+        assert_eq!(
+            std::iter::empty::<Census>().sum::<Census>(),
+            Census::default()
+        );
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!    dynamic cost that the replayed runs must reproduce.
 //! 4. **Replayed runs** — the interpreter re-runs the program twice with
 //!    the surviving loops' [`ReplayPlan`]s armed: once with one worker
-//!    (the timing baseline) and once with `jobs` workers, chunks fanned
-//!    out over [`parallel_map`] by [`ThreadedExec`], which wall-clocks
-//!    every replayed loop.
+//!    (the timing baseline) and once with `jobs` workers, chunks run on
+//!    scoped threads by [`ThreadedExec`], which wall-clocks every
+//!    replayed loop.
 //! 5. **Differential validation** — both replayed runs must match the
 //!    serial reference byte-for-byte: final global/heap memory (first
 //!    differing address reported), captured output, return value, and
@@ -46,7 +46,7 @@
 use crate::config::{Config, DepMode, ExecModel, FnMode, ReducMode};
 use crate::eval::evaluate;
 use crate::export::Export;
-use crate::sweep::{parallel_map, Jobs};
+use crate::sweep::Jobs;
 use crate::witness::{witnessed_run, WitnessViolation};
 use lp_analysis::{analyze_module, certify_module, CertifiedLoop};
 use lp_interp::{
@@ -58,10 +58,11 @@ use lp_ir::{BlockId, Module};
 use lp_obs::{span, Counter, JsonWriter};
 use std::sync::Mutex;
 
-/// Chunk executor backed by [`parallel_map`]: runs each replayed loop's
-/// chunks on one scoped worker apiece (the machine already carved the
-/// loop into at most `plan.jobs()` chunks) and wall-clocks each replay,
-/// accumulating nanoseconds per `(func, header)`.
+/// Chunk executor on scoped threads: runs each replayed loop's chunks one
+/// apiece, the first on the calling thread and the rest on spawned ones
+/// (the machine already carved the loop into at most `plan.jobs()`
+/// chunks), and wall-clocks each replay, accumulating nanoseconds per
+/// `(func, header)`. It journals nothing: a replayed loop is not a sweep.
 #[derive(Debug, Default)]
 pub struct ThreadedExec {
     elapsed_ns: Mutex<FxHashMap<(u32, u32), u64>>,
@@ -85,9 +86,23 @@ impl ParallelExec for ThreadedExec {
     fn run_chunks(&self, req: ChunkRequest<'_>) -> Result<Vec<ChunkOut>, InterpError> {
         let reg = lp_obs::registry();
         let t0 = reg.now_ns();
-        let workers = Jobs::new(req.chunks.len());
-        let outs: Vec<Result<ChunkOut, InterpError>> =
-            parallel_map(&req.chunks, workers, |_, c| run_chunk(&req, c));
+        let outs: Vec<Result<ChunkOut, InterpError>> = match req.chunks.split_first() {
+            None => Vec::new(),
+            Some((first, rest)) => std::thread::scope(|scope| {
+                let req = &req;
+                let spawned: Vec<_> = rest
+                    .iter()
+                    .map(|c| scope.spawn(move || run_chunk(req, c)))
+                    .collect();
+                std::iter::once(run_chunk(req, first))
+                    .chain(
+                        spawned
+                            .into_iter()
+                            .map(|h| h.join().expect("replay chunk worker panicked")),
+                    )
+                    .collect()
+            }),
+        };
         let elapsed = reg.now_ns().saturating_sub(t0);
         let key = (req.cert.func.0, req.cert.header.index() as u32);
         *self

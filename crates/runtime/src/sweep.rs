@@ -95,9 +95,9 @@ impl Jobs {
 
     /// Effective fan-out width for a work-list of `items` tasks: the
     /// worker count clamped so no thread is spawned without work. This
-    /// is the single place every fan-out site ([`parallel_map`], and
-    /// through it the sweep engine and the replay chunk executor)
-    /// computes its width — in particular `items < jobs` narrows the
+    /// is where [`parallel_map`], and through it the sweep engine and
+    /// the per-kernel fold of the figure binaries, computes its width —
+    /// in particular `items < jobs` narrows the
     /// pool to `items` real threads, it does **not** serialize (only
     /// `effective ≤ 1` takes the in-order serial path).
     #[must_use]
