@@ -214,24 +214,14 @@ impl ConflictSet {
     ];
 
     /// The sorted, deduplicated conflicting iterations of `inst` in this
-    /// set. A merged set is built in `buf`; a memory-only one is borrowed
-    /// from the profile.
-    fn iters<'a>(
-        self,
-        meta: &LoopMeta,
-        inst: &'a LoopInstance,
-        buf: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        if !self.reductions && !self.others {
-            return if self.mem {
-                &inst.mem_conflict_iters
-            } else {
-                &[]
-            };
-        }
+    /// set, listed in `buf`.
+    fn iters<'a>(self, meta: &LoopMeta, inst: &LoopInstance, buf: &'a mut Vec<u32>) -> &'a [u32] {
         buf.clear();
         if self.mem {
-            buf.extend_from_slice(&inst.mem_conflict_iters);
+            buf.extend(inst.mem_conflict_iters.iter());
+        }
+        if !self.reductions && !self.others {
+            return buf;
         }
         for ((_, class), lcd) in meta.traced_phis.iter().zip(&inst.lcds) {
             let wanted = if matches!(class, LcdClass::Reduction(_)) {
@@ -240,7 +230,7 @@ impl ConflictSet {
                 self.others
             };
             if wanted {
-                buf.extend_from_slice(&lcd.mispredict_iters);
+                buf.extend(lcd.mispredict_iters.iter());
             }
         }
         buf.sort_unstable();
@@ -280,7 +270,7 @@ struct LeafPlan {
 /// computed once per profile by [`Profile::eval_plan`].
 ///
 /// It holds no per-iteration data: a non-leaf instance's lengths depend
-/// on the configuration and are rebuilt from `iter_starts` on each walk.
+/// on the configuration and are read from its timeline on each walk.
 #[derive(Debug, Clone)]
 pub struct EvalPlan {
     /// Bit `r` is set when region `r`'s subtree, itself included, holds a
@@ -329,7 +319,7 @@ impl EvalPlan {
                 continue;
             }
             lens.clear();
-            lens.extend((0..inst.iterations()).map(|k| inst.iter_len(k, region.end)));
+            lens.extend(inst.timeline.lengths(region.end));
             let meta = &profile.loop_meta[inst.meta];
             let pdoall = ConflictSet::PLANNED.map(|set| {
                 pdoall_cost_bounded(&lens, set.iters(meta, inst, &mut buf), false, None)
@@ -617,8 +607,9 @@ impl<'p> Evaluator<'p> {
             child_covered += ce.covered;
         }
         let mut serial_adj = 0u64;
-        for (k, slot) in self.scratch.lens[base..].iter_mut().enumerate() {
-            *slot = inst.iter_len(k, region.end).saturating_sub(*slot);
+        let lengths = inst.timeline.lengths(region.end);
+        for (slot, len) in self.scratch.lens[base..].iter_mut().zip(lengths) {
+            *slot = len.saturating_sub(*slot);
             serial_adj += *slot;
         }
         let adj = &self.scratch.lens[base..];

@@ -29,6 +29,7 @@ pub mod config;
 pub mod eval;
 pub mod explain;
 pub mod export;
+pub mod iters;
 pub mod model;
 pub mod profile;
 pub mod replay;
@@ -49,6 +50,7 @@ pub use eval::{
 };
 pub use explain::{Attribution, Limiter, LimiterKind, LoopAttribution};
 pub use export::{collapsed_stacks, Export, SweepExport};
+pub use iters::{IterSet, IterTimeline};
 pub use profile::{
     CallClass, LoopInstance, LoopMeta, MetaIndex, Profile, Region, RegionId, RegionKind,
 };

@@ -169,17 +169,19 @@ fn run(
 }
 
 /// Iteration lengths of a loop instance, from its start stamps and the
-/// region end.
+/// region end (stamp by stamp, not through the timeline's own length
+/// iterator).
 fn iter_lengths(region: &Region, inst: &LoopInstance) -> Vec<u64> {
-    let n = inst.iter_starts.len();
+    let t = &inst.timeline;
+    let n = t.len();
     (0..n)
         .map(|k| {
             let end = if k + 1 < n {
-                inst.iter_starts[k + 1]
+                t.start(k + 1)
             } else {
                 region.end
             };
-            end.saturating_sub(inst.iter_starts[k])
+            end.saturating_sub(t.start(k))
         })
         .collect()
 }
@@ -348,7 +350,7 @@ impl Evaluator<'_> {
                     if !lcd.mispredict_iters.is_empty() {
                         blame(&mut causes, true);
                         if !predicted_perfect {
-                            extra_conflicts.extend_from_slice(&lcd.mispredict_iters);
+                            extra_conflicts.extend(lcd.mispredict_iters.iter());
                         }
                     }
                 }
@@ -397,7 +399,7 @@ impl Evaluator<'_> {
                 let mut conflicts = if lift.mem {
                     Vec::new()
                 } else {
-                    inst.mem_conflict_iters.clone()
+                    inst.mem_conflict_iters.iter().collect()
                 };
                 conflicts.extend_from_slice(&extra_conflicts);
                 conflicts.sort_unstable();
