@@ -119,6 +119,12 @@ pub enum Counter {
     /// Context entries held by the value predictors' FCM tables when the
     /// profile finished (at most one per observation).
     FcmEntries,
+    /// Entries of the largest single value predictor's FCM table when its
+    /// profile finished, over every profile (a maximum, not a sum).
+    FcmEntriesMax,
+    /// Runs of equal-length iterations the finished profiles' timelines
+    /// hold (at most one per iteration).
+    TimelineRuns,
 }
 
 impl Counter {
@@ -127,7 +133,7 @@ impl Counter {
     /// index here. Slots never leave the process (snapshots, the Chrome
     /// trace and `lpstudy diff` all go by name), so a counter may be
     /// added or removed anywhere in the list.
-    pub const ALL: [(Counter, &'static str); 37] = [
+    pub const ALL: [(Counter, &'static str); 39] = [
         (Counter::EventsConsumed, "events_consumed"),
         (Counter::BlocksEntered, "blocks_entered"),
         (Counter::Loads, "loads"),
@@ -155,6 +161,8 @@ impl Counter {
         (Counter::StackPushPages, "stack_push_pages"),
         (Counter::WitnessPages, "witness_pages"),
         (Counter::FcmEntries, "fcm_entries"),
+        (Counter::FcmEntriesMax, "fcm_entries_max"),
+        (Counter::TimelineRuns, "timeline_runs"),
         (
             Counter::PredictorHit(PredictorKind::LastValue),
             "predictor_hit_last_value",
@@ -231,6 +239,12 @@ impl CounterBank {
     /// Adds `n` to `counter`.
     pub fn add(&self, counter: Counter, n: u64) {
         self.slots[counter.slot()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raises `counter` to `n` if it is below: for gauges that report a
+    /// maximum.
+    pub fn max(&self, counter: Counter, n: u64) {
+        self.slots[counter.slot()].fetch_max(n, Ordering::Relaxed);
     }
 
     /// Current value of `counter`.

@@ -162,6 +162,22 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         fcm == 0 && observed == 0,
         format!("fcm_entries={fcm} hybrid hits+misses={observed}"),
     ));
+    let fcm_max = c("fcm_entries_max");
+    checks.push(check(
+        "fcm_entries_max_within_fcm_entries",
+        fcm_max <= fcm,
+        fcm_max == 0 && fcm == 0,
+        format!("fcm_entries_max={fcm_max} fcm_entries={fcm}"),
+    ));
+    // Every run of a timeline covers at least one iteration.
+    let runs = c("timeline_runs");
+    let iterations = snap.hist("loop_iterations").map_or(0, |h| h.sum);
+    checks.push(check(
+        "timeline_runs_within_iterations",
+        runs <= iterations,
+        runs == 0 && iterations == 0,
+        format!("timeline_runs={runs} loop_iterations.sum={iterations}"),
+    ));
     let (push_pages, shadow_pages) = (c("stack_push_pages"), c("shadow_pages"));
     checks.push(check(
         "stack_push_pages_within_shadow",
@@ -259,6 +275,8 @@ mod tests {
         reg.record_hist(Hist::ConflictDistance, 1);
         reg.record_hist(Hist::ConflictDistance, 4);
         c.add(Counter::FcmEntries, 7);
+        c.max(Counter::FcmEntriesMax, 4);
+        c.add(Counter::TimelineRuns, 12);
         c.add(Counter::ShadowPages, 3);
         c.add(Counter::StackPushPages, 1);
         reg
@@ -336,6 +354,26 @@ mod tests {
         reg.counters().add(Counter::StackPushPages, 3);
         assert_eq!(
             verdict(&reg, "stack_push_pages_within_shadow"),
+            Verdict::Fail
+        );
+        // One phi's table can't outgrow all of them together (11 now).
+        assert_eq!(
+            verdict(&reg, "fcm_entries_max_within_fcm_entries"),
+            Verdict::Pass
+        );
+        reg.counters().max(Counter::FcmEntriesMax, 12);
+        assert_eq!(
+            verdict(&reg, "fcm_entries_max_within_fcm_entries"),
+            Verdict::Fail
+        );
+        // 30 iterations can't fill 31 runs.
+        assert_eq!(
+            verdict(&reg, "timeline_runs_within_iterations"),
+            Verdict::Pass
+        );
+        reg.counters().add(Counter::TimelineRuns, 19);
+        assert_eq!(
+            verdict(&reg, "timeline_runs_within_iterations"),
             Verdict::Fail
         );
     }
