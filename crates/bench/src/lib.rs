@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 
 use loopapalooza::Study;
-use lp_obs::{lp_debug, lp_info, lp_warn};
+use lp_obs::{lp_debug, lp_info, lp_warn, EventKind};
 use lp_runtime::{
     Attribution, Config, EvalOptions, EvalReport, ExecModel, Export, Jobs, Profile, ProfileStore,
     StoreMode, SweepPoint,
@@ -491,7 +491,9 @@ pub fn suite_benchmarks(ids: &[SuiteId]) -> Vec<Benchmark> {
 ///
 /// Each benchmark is profiled exactly once, with a heartbeat
 /// (`[i/total] name — elapsed, insts/s`) at `info` level; heartbeats on
-/// stderr may interleave, stdout output never does. When a persistent
+/// stderr may interleave, stdout output never does. Each finished
+/// kernel journals a `kernel_folded` record with its index, so a flight
+/// dump says how far the fold got at any `jobs`. When a persistent
 /// [`ProfileStore`] is supplied (see [`Cli::store`]), each benchmark
 /// warm-starts from a cached profile when one exists and persists its
 /// fresh profile otherwise.
@@ -533,11 +535,13 @@ where
             secs,
             study.run_result().cost as f64 / 1e6 / secs.max(1e-9)
         );
-        f(&SuiteRun {
+        let out = f(&SuiteRun {
             name: b.name,
             suite: b.suite,
             study,
-        })
+        });
+        lp_obs::journal::record(EventKind::KernelFolded, i as u64, total as u64);
+        out
     })
 }
 

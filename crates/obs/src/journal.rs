@@ -38,6 +38,9 @@ pub enum EventKind {
     SweepTaskDone,
     /// A parallel phase finished (`a` = tasks, `b` = elapsed ms).
     SweepCompleted,
+    /// A benchmark fold finished one kernel (`a` = the kernel's index,
+    /// `b` = kernels in the fold), at any worker count.
+    KernelFolded,
     /// The process panicked (recorded by the [`arm`] hook just before
     /// the dump is written).
     Panic,
@@ -45,11 +48,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in wire order.
-    pub const ALL: [EventKind; 5] = [
+    pub const ALL: [EventKind; 6] = [
         EventKind::RunCompleted,
         EventKind::SweepStarted,
         EventKind::SweepTaskDone,
         EventKind::SweepCompleted,
+        EventKind::KernelFolded,
         EventKind::Panic,
     ];
 
@@ -61,6 +65,7 @@ impl EventKind {
             EventKind::SweepStarted => "sweep_started",
             EventKind::SweepTaskDone => "sweep_task_done",
             EventKind::SweepCompleted => "sweep_completed",
+            EventKind::KernelFolded => "kernel_folded",
             EventKind::Panic => "panic",
         }
     }
