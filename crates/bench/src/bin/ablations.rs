@@ -18,9 +18,10 @@
 use lp_analysis::analyze_module;
 use lp_bench::Cli;
 use lp_runtime::{
-    evaluate_with, geomean, parallel_map, profile_module_cached, EvalOptions, ProfilerOptions,
+    evaluate_with, geomean, parallel_map, profile_module_cached, EvalOptions, Profile,
+    ProfilerOptions,
 };
-use lp_suite::SuiteId;
+use lp_suite::{Benchmark, SuiteId};
 
 fn main() {
     let cli = Cli::parse();
@@ -29,6 +30,33 @@ fn main() {
     let jobs = cli.jobs();
     let store = cli.store();
     let store = store.as_ref();
+    // The profiler option is part of the ProfileKey, so the two cactus
+    // settings cache under distinct entries.
+    let profile = |b: &Benchmark, cactus_stack: bool| -> Profile {
+        let module = b.build(scale);
+        let analysis = analyze_module(&module);
+        profile_module_cached(
+            &module,
+            &analysis,
+            cli.machine_config(),
+            ProfilerOptions { cactus_stack },
+            store,
+        )
+        .expect("benchmark runs")
+        .0
+    };
+    // Ablation 2's HELIX and classic DOACROSS speedups on one profile.
+    let (hx_model, hx_config) = lp_runtime::best_helix();
+    let helix_vs_doacross = |profile: &Profile| {
+        let speedup = |doacross_single_sync| {
+            let options = EvalOptions {
+                doacross_single_sync,
+                ..EvalOptions::default()
+            };
+            evaluate_with(profile, hx_model, hx_config, options).speedup
+        };
+        (speedup(false), speedup(true))
+    };
 
     // ---- 1. cactus-stack filter --------------------------------------
     println!("Ablation 1 — cactus-stack frame filter (PDOALL reduc1-dep2-fn2)\n");
@@ -37,30 +65,25 @@ fn main() {
         "suite", "with cactus", "without cactus"
     );
     let (model, config) = lp_runtime::best_pdoall();
+    // Ablation 2 needs CINT2000's default (cactus-stack) profiles too, so
+    // it takes its pairs from this pass instead of profiling again.
+    let mut cint2000_helix = Vec::new();
     for suite in [SuiteId::Eembc, SuiteId::Cint2000] {
+        let also_helix = suite == SuiteId::Cint2000;
         // This ablation re-profiles on purpose (the profiler option under
         // test changes the profile), so the benchmarks fan out instead.
-        let pairs = parallel_map(&lp_suite::suite(suite), jobs, |_, b| {
-            let module = b.build(scale);
-            let analysis = analyze_module(&module);
-            // The profiler option under test is part of the ProfileKey,
-            // so the two legs cache under distinct entries.
-            let speedup_with_cactus = |cactus: bool| {
-                let (profile, _) = profile_module_cached(
-                    &module,
-                    &analysis,
-                    cli.machine_config(),
-                    ProfilerOptions {
-                        cactus_stack: cactus,
-                    },
-                    store,
-                )
-                .expect("benchmark runs");
-                evaluate_with(&profile, model, config, EvalOptions::default()).speedup
-            };
-            (speedup_with_cactus(true), speedup_with_cactus(false))
+        let rows = parallel_map(&lp_suite::suite(suite), jobs, |_, b| {
+            let with_cactus = profile(b, true);
+            let with = evaluate_with(&with_cactus, model, config, EvalOptions::default()).speedup;
+            let helix = also_helix.then(|| helix_vs_doacross(&with_cactus));
+            drop(with_cactus);
+            let without =
+                evaluate_with(&profile(b, false), model, config, EvalOptions::default()).speedup;
+            (with, without, helix)
         });
-        let (with, without): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+        let with: Vec<f64> = rows.iter().map(|r| r.0).collect();
+        let without: Vec<f64> = rows.iter().map(|r| r.1).collect();
+        cint2000_helix.extend(rows.iter().filter_map(|r| r.2));
         println!(
             "{:<12} {:>11.2}x {:>13.2}x",
             suite.label(),
@@ -74,33 +97,13 @@ fn main() {
     // ---- 2. HELIX (max) vs classic DOACROSS (sum) ---------------------
     println!("Ablation 2 — HELIX per-LCD sync (max delta) vs DOACROSS chain (sum)\n");
     println!("{:<12} {:>10} {:>12}", "suite", "HELIX", "DOACROSS");
-    let (hx_model, hx_config) = lp_runtime::best_helix();
-    for suite in [SuiteId::Cint2000, SuiteId::Cint2006] {
-        let pairs = parallel_map(&lp_suite::suite(suite), jobs, |_, b| {
-            let module = b.build(scale);
-            let analysis = analyze_module(&module);
-            let (profile, _) = profile_module_cached(
-                &module,
-                &analysis,
-                cli.machine_config(),
-                ProfilerOptions::default(),
-                store,
-            )
-            .expect("benchmark runs");
-            let helix =
-                evaluate_with(&profile, hx_model, hx_config, EvalOptions::default()).speedup;
-            let doacross = evaluate_with(
-                &profile,
-                hx_model,
-                hx_config,
-                EvalOptions {
-                    doacross_single_sync: true,
-                    ..EvalOptions::default()
-                },
-            )
-            .speedup;
-            (helix, doacross)
-        });
+    let cint2006_helix = parallel_map(&lp_suite::suite(SuiteId::Cint2006), jobs, |_, b| {
+        helix_vs_doacross(&profile(b, true))
+    });
+    for (suite, pairs) in [
+        (SuiteId::Cint2000, cint2000_helix),
+        (SuiteId::Cint2006, cint2006_helix),
+    ] {
         let (helix, doacross): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
         println!(
             "{:<12} {:>9.2}x {:>11.2}x",
