@@ -53,14 +53,6 @@ pub struct LoopLcds {
 }
 
 impl LoopLcds {
-    /// Non-computable phis (the set the `dep` flags act upon).
-    pub fn non_computable(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.phis
-            .iter()
-            .filter(|(_, c)| *c == LcdClass::NonComputable)
-            .map(|(v, _)| *v)
-    }
-
     /// Reduction phis (the set the `reduc` flags act upon).
     pub fn reductions(&self) -> impl Iterator<Item = (ValueId, ReductionKind)> + '_ {
         self.phis.iter().filter_map(|(v, c)| match c {
@@ -170,7 +162,6 @@ mod tests {
             LcdClass::Reduction(lp_ir::BinOp::Add)
         ));
         assert_eq!(lcds.phis[2].1, LcdClass::NonComputable);
-        assert_eq!(lcds.non_computable().count(), 1);
         assert_eq!(lcds.reductions().count(), 1);
     }
 

@@ -67,7 +67,7 @@ pub struct FunctionAnalysis {
 pub fn analyze_function(func: &Function) -> FunctionAnalysis {
     let cfg = Cfg::new(func);
     let dom = DomTree::new(func, &cfg);
-    let loops = LoopForest::new(func, &cfg, &dom);
+    let loops = LoopForest::new(&cfg, &dom);
     let scev = ScevInfo::new(func, &loops);
     let lcds = classify::classify_loops(func, &loops, &scev);
     FunctionAnalysis {

@@ -11,7 +11,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use lp_ir::{BlockId, Function};
+use lp_ir::BlockId;
 use std::collections::BTreeSet;
 
 /// Dense index of a loop within a function's [`LoopForest`].
@@ -73,15 +73,12 @@ impl Loop {
 #[derive(Debug, Clone, Default)]
 pub struct LoopForest {
     loops: Vec<Loop>,
-    /// Innermost loop containing each block, if any.
-    innermost: Vec<Option<LoopId>>,
 }
 
 impl LoopForest {
-    /// Detects all natural loops in `func`.
+    /// Detects all natural loops of the function `cfg` describes.
     #[must_use]
-    pub fn new(func: &Function, cfg: &Cfg, dom: &DomTree) -> LoopForest {
-        let n = func.blocks.len();
+    pub fn new(cfg: &Cfg, dom: &DomTree) -> LoopForest {
         // 1. Find back edges grouped by header.
         let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for &b in cfg.rpo() {
@@ -170,16 +167,7 @@ impl LoopForest {
             }
             loops[i].depth = d;
         }
-        // 4. Innermost-loop-of-block map.
-        let mut innermost: Vec<Option<LoopId>> = vec![None; n];
-        // Visit loops from outermost (largest) to innermost (smallest) so
-        // smaller loops overwrite.
-        for &i in order.iter().rev() {
-            for &b in &loops[i].blocks {
-                innermost[b.index()] = Some(LoopId(i as u32));
-            }
-        }
-        // 5. Preheaders and exits.
+        // 4. Preheaders and exits.
         for lp in &mut loops {
             let mut outside_preds: Vec<BlockId> = cfg
                 .preds(lp.header)
@@ -206,7 +194,7 @@ impl LoopForest {
             }
             lp.exit_blocks = exits.into_iter().collect();
         }
-        LoopForest { loops, innermost }
+        LoopForest { loops }
     }
 
     /// All loops (arena order; not nesting order).
@@ -236,12 +224,6 @@ impl LoopForest {
         &self.loops[id.index()]
     }
 
-    /// The innermost loop containing `b`, if any.
-    #[must_use]
-    pub fn innermost_at(&self, b: BlockId) -> Option<LoopId> {
-        self.innermost.get(b.index()).copied().flatten()
-    }
-
     /// The loop whose header is `b`, if any.
     #[must_use]
     pub fn loop_with_header(&self, b: BlockId) -> Option<LoopId> {
@@ -264,7 +246,7 @@ impl LoopForest {
 mod tests {
     use super::*;
     use lp_ir::builder::FunctionBuilder;
-    use lp_ir::{IcmpPred, Type};
+    use lp_ir::{Function, IcmpPred, Type};
 
     /// Builds a canonical 2-deep nest:
     /// entry -> oh; oh -> ob|exit; ob -> ih; ih -> ib|olatch; ib -> ih;
@@ -309,7 +291,7 @@ mod tests {
     fn forest(f: &Function) -> LoopForest {
         let cfg = Cfg::new(f);
         let dom = DomTree::new(f, &cfg);
-        LoopForest::new(f, &cfg, &dom)
+        LoopForest::new(&cfg, &dom)
     }
 
     #[test]
@@ -325,17 +307,6 @@ mod tests {
         assert_eq!(forest.loop_(outer).children, vec![inner]);
         assert!(forest.loop_(outer).contains(BlockId(3)));
         assert!(!forest.loop_(inner).contains(BlockId(1)));
-    }
-
-    #[test]
-    fn innermost_maps_shared_blocks_to_inner_loop() {
-        let f = nested();
-        let forest = forest(&f);
-        let inner = forest.loop_with_header(BlockId(3)).unwrap();
-        let outer = forest.loop_with_header(BlockId(1)).unwrap();
-        assert_eq!(forest.innermost_at(BlockId(4)), Some(inner)); // inner body
-        assert_eq!(forest.innermost_at(BlockId(2)), Some(outer)); // outer body
-        assert_eq!(forest.innermost_at(BlockId(6)), None); // exit
     }
 
     #[test]

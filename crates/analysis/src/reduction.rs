@@ -248,7 +248,7 @@ mod tests {
         let f = fb.finish().unwrap();
         let cfg = Cfg::new(&f);
         let dom = DomTree::new(&f, &cfg);
-        let forest = LoopForest::new(&f, &cfg, &dom);
+        let forest = LoopForest::new(&cfg, &dom);
         (f, forest, acc, update)
     }
 

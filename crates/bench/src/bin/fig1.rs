@@ -29,7 +29,7 @@ fn main() {
     println!("Figure 1 — parallel execution models (toy loop, {N} iterations, LCD at iter 2)\n");
 
     // (a) DOALL: no conflicts assumed — all iterations start together.
-    let cost = doall_cost(&lens, false, false).unwrap();
+    let cost = doall_cost(&lens, false, false, None).unwrap();
     draw(
         "(a) DOALL (conflict-free case): all iterations start at once",
         &[0; N],
@@ -38,7 +38,7 @@ fn main() {
 
     // (b) Partial-DOALL: the conflict at iteration 2 restarts the phase.
     let conflicts = [2u32];
-    let cost = pdoall_cost(&lens, &conflicts, false).unwrap();
+    let cost = pdoall_cost(&lens, &conflicts, false, None).unwrap();
     let mut starts = [0u64; N];
     let mut phase_start = 0;
     let mut ci = 0;
@@ -60,7 +60,7 @@ fn main() {
 
     // (c) HELIX: synchronization skews every iteration by delta.
     let delta = 3u64;
-    let cost = helix_cost(&lens, delta, false).unwrap();
+    let cost = helix_cost(&lens, delta, false, None).unwrap();
     let starts: Vec<u64> = (0..N as u64).map(|k| k * delta).collect();
     draw(
         "(c) DOACROSS / HELIX: per-iteration synchronization (delta = 3)",
@@ -70,9 +70,9 @@ fn main() {
 
     println!(
         "costs: DOALL {}, PDOALL {}, HELIX {}, serial {}",
-        doall_cost(&lens, false, false).unwrap(),
-        pdoall_cost(&lens, &conflicts, false).unwrap(),
-        helix_cost(&lens, delta, false).unwrap(),
+        doall_cost(&lens, false, false, None).unwrap(),
+        pdoall_cost(&lens, &conflicts, false, None).unwrap(),
+        helix_cost(&lens, delta, false, None).unwrap(),
         ITER_LEN * N as u64,
     );
     cli.finish("fig1");

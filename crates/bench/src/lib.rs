@@ -14,7 +14,7 @@
 //! | `ablations` | DESIGN.md ablations (cactus stack, DOACROSS deltas, predictors) |
 //!
 //! Every binary accepts an optional scale argument (`test`, `small`,
-//! `default`), a `--jobs N` worker count for the parallel sweep engine
+//! `default`), a `--jobs N` worker count for the per-kernel fold
 //! (default: `LP_JOBS` or the machine's available parallelism; output is
 //! byte-identical for any value), a `--profile-cache DIR` persistent
 //! profile store (see `lp_runtime::store`; `LP_PROFILE_CACHE=off|ro|rw`
@@ -31,8 +31,7 @@
 use loopapalooza::Study;
 use lp_obs::{lp_debug, lp_info, lp_warn, EventKind};
 use lp_runtime::{
-    Attribution, Config, EvalOptions, EvalReport, ExecModel, Export, Jobs, Profile, ProfileStore,
-    StoreMode, SweepPoint,
+    Attribution, Config, EvalReport, ExecModel, Export, Jobs, Profile, ProfileStore, StoreMode,
 };
 use lp_suite::{Benchmark, Scale, SuiteId};
 use std::path::{Path, PathBuf};
@@ -546,25 +545,12 @@ where
 }
 
 impl SuiteRun {
-    /// Evaluates `rows` against this run's profile, in row order, through
-    /// the serial sweep engine (so the shared-profile evaluations are
-    /// counted as in any sweep).
+    /// Evaluates `rows` against this run's profile, in row order.
     #[must_use]
     pub fn evaluate_rows(&self, rows: &[(ExecModel, Config)]) -> Vec<EvalReport> {
-        let points: Vec<SweepPoint> = rows
-            .iter()
-            .map(|&(model, config)| SweepPoint {
-                unit: 0,
-                model,
-                config,
-            })
-            .collect();
-        lp_runtime::sweep_points(
-            &[self.study.sweep_unit()],
-            &points,
-            Jobs::serial(),
-            EvalOptions::default(),
-        )
+        rows.iter()
+            .map(|&(model, config)| self.study.evaluate(model, config))
+            .collect()
     }
 }
 

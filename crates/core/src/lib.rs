@@ -47,8 +47,8 @@ use lp_analysis::ModuleAnalysis;
 use lp_interp::{MachineConfig, RunResult};
 use lp_ir::Module;
 use lp_runtime::{
-    evaluate, evaluate_explained, Attribution, Census, Config, EvalOptions, EvalReport, ExecModel,
-    Jobs, Profile, ProfileStore, ProfilerOptions, SweepUnit,
+    evaluate, evaluate_explained, Attribution, Census, Config, EvalReport, ExecModel, Profile,
+    ProfileStore, ProfilerOptions,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -105,9 +105,8 @@ impl From<lp_interp::InterpError> for Error {
 /// keeps the [`Profile`]. Every subsequent [`Study::evaluate`] call is a
 /// cheap fold over the recorded region tree — exactly the paper's
 /// "single instrumented run, many configurations" workflow.
-/// The profile is held behind an [`Arc`] so the parallel sweep engine
-/// can evaluate many `(model, config)` pairs concurrently against one
-/// shared, immutable profile (see [`Study::shared_profile`]).
+/// The profile is held behind an [`Arc`] so a caller can keep a handle
+/// to it, or watch when it is freed (see [`Study::shared_profile`]).
 #[derive(Debug)]
 pub struct Study {
     analysis: ModuleAnalysis,
@@ -205,33 +204,12 @@ impl Study {
         &self.profile
     }
 
-    /// A shareable handle to the profile for the parallel sweep engine:
-    /// profile once here, evaluate many `(model, config)` pairs on any
-    /// number of workers without re-profiling.
+    /// A shareable handle to the profile. Holding it keeps the profile
+    /// alive past the study; a `Weak` made from it tells when the last
+    /// owner dropped it.
     #[must_use]
     pub fn shared_profile(&self) -> Arc<Profile> {
         Arc::clone(&self.profile)
-    }
-
-    /// This study as a named [`SweepUnit`] (the unit borrows nothing —
-    /// it shares the profile via [`Study::shared_profile`]).
-    #[must_use]
-    pub fn sweep_unit(&self) -> SweepUnit {
-        SweepUnit::new(self.profile.program.clone(), self.shared_profile())
-    }
-
-    /// Evaluates the full `models × configs` lattice for this program on
-    /// `jobs` workers. Results come back in stable `(model, config)`
-    /// order — byte-identical whatever the worker count.
-    #[must_use]
-    pub fn sweep(&self, models: &[ExecModel], configs: &[Config], jobs: Jobs) -> Vec<EvalReport> {
-        lp_runtime::sweep(
-            &[self.sweep_unit()],
-            models,
-            configs,
-            jobs,
-            EvalOptions::default(),
-        )
     }
 
     /// The compile-time analysis bundle.
@@ -284,33 +262,6 @@ mod tests {
         assert!(hx.speedup > pd.speedup, "hmmer prefers HELIX");
         let census = study.census();
         assert!(census.executed_loops > 0);
-    }
-
-    #[test]
-    fn study_sweep_matches_pointwise_evaluation() {
-        let bench = lp_suite::find("eembc.matrix01").unwrap();
-        let module = bench.build(Scale::Test);
-        let study = Study::of(&module).unwrap();
-        let models = ExecModel::all();
-        let configs = Config::all();
-        let swept = study.sweep(&models, &configs, Jobs::new(4));
-        assert_eq!(swept.len(), models.len() * configs.len());
-        let mut i = 0;
-        for &model in &models {
-            for &config in &configs {
-                let reference = study.evaluate(model, config);
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{:?}", swept[i]),
-                    "{model} {config}"
-                );
-                i += 1;
-            }
-        }
-        // The handle shares, not copies: one profile, two owners.
-        let shared = study.shared_profile();
-        assert_eq!(Arc::strong_count(&shared), 2);
-        assert_eq!(shared.program, study.profile().program);
     }
 
     #[test]

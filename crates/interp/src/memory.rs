@@ -308,29 +308,6 @@ impl Memory {
         debug_assert!(mark <= self.stack_top);
         self.stack_top = mark;
     }
-
-    /// Returns which region an address belongs to.
-    #[must_use]
-    pub fn region_of(addr: u64) -> Region {
-        if addr >= STACK_BASE {
-            Region::Stack
-        } else if addr >= HEAP_BASE {
-            Region::Heap
-        } else {
-            Region::Global
-        }
-    }
-}
-
-/// Memory region classification (drives structural-hazard handling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Region {
-    /// Statically allocated module globals.
-    Global,
-    /// Bump-allocated heap.
-    Heap,
-    /// LIFO call-stack frames.
-    Stack,
 }
 
 #[cfg(test)]
@@ -376,13 +353,6 @@ mod tests {
         let b = m.stack_alloc(4);
         assert_eq!(a, b, "released stack slots are reused");
         assert_eq!(m.read(b).unwrap(), 7, "contents are not cleared");
-    }
-
-    #[test]
-    fn regions() {
-        assert_eq!(Memory::region_of(GLOBAL_BASE), Region::Global);
-        assert_eq!(Memory::region_of(HEAP_BASE + 64), Region::Heap);
-        assert_eq!(Memory::region_of(STACK_BASE + 8), Region::Stack);
     }
 
     #[test]

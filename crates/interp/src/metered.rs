@@ -78,12 +78,6 @@ impl<S> MeteredSink<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Unwraps into the inner sink and the final tallies.
-    #[must_use]
-    pub fn into_parts(self) -> (S, EventCounts) {
-        (self.inner, self.counts)
-    }
 }
 
 impl<S: EventSink> EventSink for MeteredSink<S> {
@@ -259,7 +253,7 @@ mod tests {
 
         assert_eq!(plain_result.ret, metered_result.ret);
         assert_eq!(plain_result.cost, metered_result.cost);
-        let (inner, counts) = metered.into_parts();
+        let (inner, counts) = (metered.inner(), metered.counts());
         assert_eq!(format!("{plain:?}"), format!("{inner:?}"));
         assert_eq!(counts.blocks, inner.blocks);
         assert_eq!(counts.loads, inner.loads);

@@ -20,19 +20,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Zero/default value of a type (registers before definition; never
-    /// observable in verified SSA).
-    #[must_use]
-    pub fn zero_of(ty: Type) -> Value {
-        match ty {
-            Type::I64 => Value::I(0),
-            Type::F64 => Value::F(0.0),
-            Type::Ptr => Value::P(0),
-            Type::I1 => Value::B(false),
-            Type::Void => Value::Unit,
-        }
-    }
-
     /// The dynamic type of this value.
     #[must_use]
     pub fn type_of(&self) -> Type {
@@ -180,13 +167,6 @@ mod tests {
         assert!(Value::F(1.0).as_ptr().is_err());
         assert!(Value::B(true).as_bool().unwrap());
         assert!(Value::Unit.to_bits().is_err());
-    }
-
-    #[test]
-    fn zero_of_matches_type() {
-        for ty in [Type::I64, Type::F64, Type::Ptr, Type::I1, Type::Void] {
-            assert_eq!(Value::zero_of(ty).type_of(), ty);
-        }
     }
 
     #[test]

@@ -586,15 +586,6 @@ impl Inst {
         matches!(self, Inst::Phi { .. })
     }
 
-    /// Returns `true` if the instruction produces a value.
-    ///
-    /// The only value-less instructions are stores and void calls; for
-    /// simplicity void calls still get a `Void`-typed value id.
-    #[must_use]
-    pub fn produces_value(&self) -> bool {
-        !matches!(self, Inst::Store { .. })
-    }
-
     /// Iterates over the operand values of this instruction.
     pub fn operands(&self) -> impl Iterator<Item = ValueId> + '_ {
         let slice: Vec<ValueId> = match self {
@@ -696,20 +687,6 @@ mod tests {
             else_blk: BlockId(2),
         };
         assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-    }
-
-    #[test]
-    fn store_produces_no_value() {
-        let store = Inst::Store {
-            val: ValueId(0),
-            addr: ValueId(1),
-        };
-        assert!(!store.produces_value());
-        let load = Inst::Load {
-            ty: Type::I64,
-            addr: ValueId(1),
-        };
-        assert!(load.produces_value());
     }
 
     #[test]

@@ -49,44 +49,9 @@ pub enum ValueKind {
     Inst(InstId),
 }
 
-impl ValueKind {
-    /// Returns `true` if the value is a compile-time constant (including
-    /// global/function addresses, which are link-time constants).
-    #[must_use]
-    pub fn is_const(&self) -> bool {
-        !matches!(self, ValueKind::Param(_) | ValueKind::Inst(_))
-    }
-
-    /// Returns the defining instruction, if this value is an instruction
-    /// result.
-    #[must_use]
-    pub fn as_inst(&self) -> Option<InstId> {
-        match self {
-            ValueKind::Inst(id) => Some(*id),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn const_classification() {
-        assert!(ValueKind::ConstInt(3).is_const());
-        assert!(ValueKind::ConstFloat(1.5).is_const());
-        assert!(ValueKind::ConstNull.is_const());
-        assert!(ValueKind::GlobalAddr(GlobalId(0)).is_const());
-        assert!(!ValueKind::Param(0).is_const());
-        assert!(!ValueKind::Inst(InstId(0)).is_const());
-    }
-
-    #[test]
-    fn as_inst_extracts_defining_instruction() {
-        assert_eq!(ValueKind::Inst(InstId(7)).as_inst(), Some(InstId(7)));
-        assert_eq!(ValueKind::ConstInt(0).as_inst(), None);
-    }
 
     #[test]
     fn value_id_display() {

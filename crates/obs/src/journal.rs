@@ -32,12 +32,8 @@ pub enum EventKind {
     /// An interpreter run delivered its final event tallies
     /// (`a` = total events consumed, `b` = dynamic cost at the end).
     RunCompleted,
-    /// A parallel phase started (`a` = tasks, `b` = workers).
-    SweepStarted,
     /// One sweep task finished (`a` = tasks done, `b` = total tasks).
     SweepTaskDone,
-    /// A parallel phase finished (`a` = tasks, `b` = elapsed ms).
-    SweepCompleted,
     /// A benchmark fold finished one kernel (`a` = the kernel's index,
     /// `b` = kernels in the fold), at any worker count.
     KernelFolded,
@@ -48,11 +44,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in wire order.
-    pub const ALL: [EventKind; 6] = [
+    pub const ALL: [EventKind; 4] = [
         EventKind::RunCompleted,
-        EventKind::SweepStarted,
         EventKind::SweepTaskDone,
-        EventKind::SweepCompleted,
         EventKind::KernelFolded,
         EventKind::Panic,
     ];
@@ -62,9 +56,7 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::RunCompleted => "run_completed",
-            EventKind::SweepStarted => "sweep_started",
             EventKind::SweepTaskDone => "sweep_task_done",
-            EventKind::SweepCompleted => "sweep_completed",
             EventKind::KernelFolded => "kernel_folded",
             EventKind::Panic => "panic",
         }
@@ -316,12 +308,12 @@ mod tests {
     #[test]
     fn partial_ring_dumps_in_insertion_order() {
         let j = Journal::with_capacity(8);
-        j.record(JournalRecord::now(EventKind::SweepStarted, 3, 2));
-        j.record(JournalRecord::now(EventKind::SweepCompleted, 3, 17));
+        j.record(JournalRecord::now(EventKind::RunCompleted, 3, 2));
+        j.record(JournalRecord::now(EventKind::KernelFolded, 3, 17));
         let (total, recs) = j.snapshot();
         assert_eq!(total, 2);
-        assert_eq!(recs[0].kind, EventKind::SweepStarted);
-        assert_eq!(recs[1].kind, EventKind::SweepCompleted);
+        assert_eq!(recs[0].kind, EventKind::RunCompleted);
+        assert_eq!(recs[1].kind, EventKind::KernelFolded);
         assert_eq!((recs[1].a, recs[1].b), (3, 17));
     }
 

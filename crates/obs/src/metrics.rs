@@ -83,10 +83,6 @@ pub enum Counter {
     EvalsPerformed,
     /// Spans discarded because the registry hit its capacity.
     SpansDropped,
-    /// Sweep evaluations served from an already-shared profile (every
-    /// evaluation of a unit beyond its first reuses the `Arc<Profile>`
-    /// instead of re-profiling).
-    SweepProfileCacheHits,
     /// Profile-store lookups served from the persistent cache (the
     /// interpreter run was skipped entirely).
     StoreHits,
@@ -133,7 +129,7 @@ impl Counter {
     /// index here. Slots never leave the process (snapshots, the Chrome
     /// trace and `lpstudy diff` all go by name), so a counter may be
     /// added or removed anywhere in the list.
-    pub const ALL: [(Counter, &'static str); 39] = [
+    pub const ALL: [(Counter, &'static str); 38] = [
         (Counter::EventsConsumed, "events_consumed"),
         (Counter::BlocksEntered, "blocks_entered"),
         (Counter::Loads, "loads"),
@@ -149,7 +145,6 @@ impl Counter {
         (Counter::ProfilesTaken, "profiles_taken"),
         (Counter::EvalsPerformed, "evals_performed"),
         (Counter::SpansDropped, "spans_dropped"),
-        (Counter::SweepProfileCacheHits, "sweep_profile_cache_hits"),
         (Counter::StoreHits, "store_hits"),
         (Counter::StoreMisses, "store_misses"),
         (Counter::StoreCorruptDiscarded, "store_corrupt_discarded"),

@@ -186,19 +186,6 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         format!("stack_push_pages={push_pages} shadow_pages={shadow_pages}"),
     ));
 
-    // A sweep evaluation either shares a profile or performs one; the
-    // share count can't exceed the evaluations that wanted a profile.
-    let shared = c("sweep_profile_cache_hits");
-    checks.push(check(
-        "sweep_sharing_within_evals",
-        shared <= c("evals_performed"),
-        shared == 0,
-        format!(
-            "sweep_profile_cache_hits={shared} evals_performed={}",
-            c("evals_performed")
-        ),
-    ));
-
     // Journal ring occupancy: retained records can't exceed the ring
     // capacity or the all-time total, and nothing is evicted before
     // the ring fills.

@@ -26,7 +26,7 @@
 
 use crate::config::{Config, DepMode, ExecModel, FnMode, ReducMode};
 use crate::explain::{AttrCollector, Attribution, LimiterKind};
-use crate::model::{doall_cost_bounded, helix_cost_bounded, pdoall_cost_bounded};
+use crate::model::{doall_cost, helix_cost, pdoall_cost};
 use crate::profile::{CallClass, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind};
 use lp_analysis::LcdClass;
 use lp_ir::BlockId;
@@ -321,9 +321,8 @@ impl EvalPlan {
             lens.clear();
             lens.extend(inst.timeline.lengths(region.end));
             let meta = &profile.loop_meta[inst.meta];
-            let pdoall = ConflictSet::PLANNED.map(|set| {
-                pdoall_cost_bounded(&lens, set.iters(meta, inst, &mut buf), false, None)
-            });
+            let pdoall = ConflictSet::PLANNED
+                .map(|set| pdoall_cost(&lens, set.iters(meta, inst, &mut buf), false, None));
             plan.leaves.push(LeafPlan {
                 region: r.0,
                 max_len: lens.iter().copied().max().unwrap_or(0),
@@ -717,13 +716,13 @@ impl Point {
         match self.model {
             ExecModel::Doall => {
                 let has_conflicts = !lift.mem && !inst.mem_conflict_iters.is_empty();
-                doall_cost_bounded(adj, has_conflicts, v.forced, cores)
+                doall_cost(adj, has_conflicts, v.forced, cores)
             }
             ExecModel::PartialDoall if v.forced => None,
             ExecModel::PartialDoall => {
-                pdoall_cost_bounded(adj, v.conflicts.iters(meta, inst, buf), false, cores)
+                pdoall_cost(adj, v.conflicts.iters(meta, inst, buf), false, cores)
             }
-            ExecModel::Helix => helix_cost_bounded(adj, v.delta, v.forced, cores),
+            ExecModel::Helix => helix_cost(adj, v.delta, v.forced, cores),
         }
     }
 

@@ -71,54 +71,6 @@ pub fn report_row(report: &EvalReport) -> String {
     )
 }
 
-/// Renders many reports as a full CSV document.
-#[must_use]
-pub fn reports_to_csv(reports: &[EvalReport]) -> String {
-    let mut out = report_header();
-    out.push('\n');
-    for r in reports {
-        out.push_str(&report_row(r));
-        out.push('\n');
-    }
-    out
-}
-
-/// A sweep result set as an exportable document: one object per
-/// evaluation point, in the order given (the sweep engine's
-/// deterministic `(unit, model, config)` order), so the document is
-/// byte-identical for any worker count. Validates against
-/// [`lp_obs::validate_json`].
-#[derive(Debug, Clone, Copy)]
-pub struct SweepExport<'a>(pub &'a [EvalReport]);
-
-impl Export for SweepExport<'_> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("sweep");
-        w.begin_array();
-        for r in self.0 {
-            w.begin_object();
-            w.key("program");
-            w.string(&r.program);
-            w.key("model");
-            w.string(&r.model.to_string());
-            w.key("config");
-            w.string(&r.config.to_string());
-            w.key("total_cost");
-            w.uint(r.total_cost);
-            w.key("best_cost");
-            w.uint(r.best_cost);
-            w.key("speedup");
-            w.fixed(r.speedup, 6);
-            w.key("coverage_pct");
-            w.fixed(r.coverage, 3);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-    }
-}
-
 fn write_limiter(w: &mut JsonWriter, lim: &Limiter, best: u64) {
     w.begin_object();
     w.key("kind");
@@ -307,25 +259,12 @@ mod tests {
     #[test]
     fn csv_rows_have_matching_column_counts() {
         let r = tiny_report();
-        let csv = reports_to_csv(std::slice::from_ref(&r));
-        let mut lines = csv.lines();
-        let header_cols = lines.next().unwrap().split(',').count();
         // The quoted program name contains a comma; count naive splits on
         // the header only and check the data row by parsing quotes.
-        assert_eq!(header_cols, 7);
-        let row = lines.next().unwrap();
+        assert_eq!(report_header().split(',').count(), 7);
+        let row = report_row(&r);
         assert!(row.starts_with("\"csv,program\""), "{row}");
         assert!(row.contains("DOALL"));
-    }
-
-    #[test]
-    fn sweep_json_is_valid_and_ordered() {
-        let r = tiny_report();
-        let json = SweepExport(&[r.clone(), r]).to_json();
-        lp_obs::validate_json(&json).expect("sweep.json must be valid");
-        assert!(json.starts_with("{\"sweep\":["), "{json}");
-        assert_eq!(json.matches("\"program\"").count(), 2);
-        assert!(json.contains("\"coverage_pct\""));
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //!   `(model, config)` pair — one profile run serves all configurations;
 //! - [`census`] quantifies Table I; [`report`] provides the GEOMEAN
 //!   aggregation used by Figures 2–5;
-//! - [`sweep`] fans the `(benchmark × model × config)` lattice over
-//!   scoped worker threads — profile once, evaluate many on a shared
-//!   [`std::sync::Arc`]`<Profile>` — with a deterministic merge so the
-//!   output is byte-identical for any `--jobs` count.
+//! - [`sweep`] fans work out over scoped worker threads with a
+//!   deterministic merge, so the output is byte-identical for any
+//!   `--jobs` count.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +48,7 @@ pub use eval::{
     LoopSummary,
 };
 pub use explain::{Attribution, Limiter, LimiterKind, LoopAttribution};
-pub use export::{collapsed_stacks, Export, SweepExport};
+pub use export::{collapsed_stacks, Export};
 pub use iters::{IterSet, IterTimeline};
 pub use profile::{
     CallClass, LoopInstance, LoopMeta, MetaIndex, Profile, Region, RegionId, RegionKind,
@@ -63,7 +62,7 @@ pub use store::{
     decode_entry, encode_entry, profile_module_cached, CodecError, ProfileKey, ProfileStore,
     StoreMode, PROFILE_FORMAT_VERSION,
 };
-pub use sweep::{grid, parallel_map, sweep, sweep_points, Jobs, SweepPoint, SweepUnit};
+pub use sweep::{parallel_map, sweep_points, Jobs, SweepPoint, SweepUnit};
 pub use tracker::{profile_module, profile_module_with, Profiler, ProfilerOptions};
 pub use witness::{
     profile_module_witnessed, ConflictKind, IndependenceWitness, WitnessReport, WitnessViolation,

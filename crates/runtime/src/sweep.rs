@@ -1,13 +1,12 @@
-//! The parallel sweep engine: profile-once / evaluate-many across
-//! worker threads, with deterministic merging.
+//! The parallel fan-out: deterministic work-sharing across worker
+//! threads.
 //!
-//! The paper's headline figures need up to `3 models × 32 configs = 96`
-//! evaluations per benchmark (Figs 2–5, Table II). Profiling — the
-//! instrumented interpreter run — is the expensive step and depends only
-//! on the program, so the engine profiles each benchmark **once**, wraps
-//! the immutable [`Profile`] in an [`Arc`], and fans the
-//! `(benchmark × model × config)` work-list out over scoped worker
-//! threads pulling from an atomic work-stealing index:
+//! Profiling — the instrumented interpreter run — is the expensive step
+//! of the limit study; evaluating one `(model, config)` pair against a
+//! finished profile is a cheap fold. The figure binaries therefore fold
+//! the suite kernel by kernel (`lp_bench::fold_benchmarks`): each task
+//! profiles one kernel, evaluates its rows and drops the profile. This
+//! module supplies the fan-out under that fold:
 //!
 //! - [`Jobs`] resolves the worker count (`--jobs N` flag, then the
 //!   `LP_JOBS` environment variable, then the machine's available
@@ -16,9 +15,8 @@
 //!   come back **in input order** no matter which worker finished which
 //!   task when, so every downstream report is byte-identical to the
 //!   serial run;
-//! - [`sweep`] / [`sweep_points`] evaluate a work-list of
-//!   [`SweepPoint`]s against shared profiles, counting profile-cache
-//!   hits ([`lp_obs::Counter::SweepProfileCacheHits`]);
+//! - [`sweep_points`] evaluates an explicit work-list of
+//!   [`SweepPoint`]s against already-taken profiles ([`SweepUnit`]s);
 //! - workers write observability straight into the global registry
 //!   (one `sweep-worker` span each) and journal every finished task as
 //!   it finishes, so a flight dump cut mid-phase still shows how far
@@ -32,9 +30,8 @@ use crate::config::{Config, ExecModel};
 use crate::eval::{evaluate_with, EvalOptions, EvalReport};
 use crate::profile::Profile;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-/// Worker-count knob for the sweep engine.
+/// Worker-count knob for [`parallel_map`].
 ///
 /// The engine never spawns more workers than tasks, so over-asking is
 /// harmless; `Jobs::new(0)` clamps to 1.
@@ -95,7 +92,7 @@ impl Jobs {
 
     /// Effective fan-out width for a work-list of `items` tasks: the
     /// worker count clamped so no thread is spawned without work. This
-    /// is where [`parallel_map`], and through it the sweep engine and
+    /// is where [`parallel_map`], and through it [`sweep_points`] and
     /// the per-kernel fold of the figure binaries, computes its width —
     /// in particular `items < jobs` narrows the
     /// pool to `items` real threads, it does **not** serialize (only
@@ -118,33 +115,24 @@ impl std::fmt::Display for Jobs {
     }
 }
 
-/// One named program in a sweep: a profile taken once and shared by
-/// every `(model, config)` evaluation via [`Arc`].
+/// One named program in a sweep: a profile taken once and evaluated at
+/// every point that names it.
 #[derive(Debug, Clone)]
 pub struct SweepUnit {
     /// Display name (usually the benchmark name, e.g. `429.mcf`).
     pub name: String,
-    /// The shared immutable profile.
-    pub profile: Arc<Profile>,
+    /// The profile every point of this unit is evaluated against.
+    pub profile: Profile,
 }
 
 impl SweepUnit {
-    /// Wraps an already-shared profile.
-    #[must_use]
-    pub fn new(name: impl Into<String>, profile: Arc<Profile>) -> SweepUnit {
-        SweepUnit {
-            name: name.into(),
-            profile,
-        }
-    }
-
     /// Takes ownership of a freshly-taken profile, naming the unit after
     /// the profiled program.
     #[must_use]
     pub fn from_profile(profile: Profile) -> SweepUnit {
         SweepUnit {
             name: profile.program.clone(),
-            profile: Arc::new(profile),
+            profile,
         }
     }
 }
@@ -158,26 +146,6 @@ pub struct SweepPoint {
     pub model: ExecModel,
     /// Configuration to evaluate.
     pub config: Config,
-}
-
-/// The full cross-product work-list in stable `(unit, model, config)`
-/// order — the deterministic merge key: results are always reported in
-/// this order regardless of which worker computed what.
-#[must_use]
-pub fn grid(units: usize, models: &[ExecModel], configs: &[Config]) -> Vec<SweepPoint> {
-    let mut points = Vec::with_capacity(units * models.len() * configs.len());
-    for unit in 0..units {
-        for &model in models {
-            for &config in configs {
-                points.push(SweepPoint {
-                    unit,
-                    model,
-                    config,
-                });
-            }
-        }
-    }
-    points
 }
 
 /// Deterministic parallel map: applies `f` to every item using `jobs`
@@ -268,13 +236,9 @@ where
         .collect()
 }
 
-/// Evaluates an explicit work-list of [`SweepPoint`]s against shared
-/// profiles on `jobs` workers. Results come back in `points` order —
-/// byte-identical whatever the worker count.
-///
-/// Every evaluation of a unit beyond its first is a profile-cache hit
-/// (the profile is shared, not re-taken); the engine credits them to
-/// [`lp_obs::Counter::SweepProfileCacheHits`].
+/// Evaluates an explicit work-list of [`SweepPoint`]s against their
+/// units' profiles on `jobs` workers. Results come back in `points`
+/// order — byte-identical whatever the worker count.
 ///
 /// # Panics
 /// Panics if a point's `unit` index is out of bounds for `units`.
@@ -286,44 +250,14 @@ pub fn sweep_points(
     options: EvalOptions,
 ) -> Vec<EvalReport> {
     let _span = lp_obs::span!("sweep");
-    lp_obs::journal::record(
-        lp_obs::EventKind::SweepStarted,
-        points.len() as u64,
-        jobs.get() as u64,
-    );
-    let reports = parallel_map(points, jobs, |_, p| {
+    parallel_map(points, jobs, |_, p| {
         evaluate_with(&units[p.unit].profile, p.model, p.config, options)
-    });
-    let distinct: std::collections::HashSet<usize> = points.iter().map(|p| p.unit).collect();
-    lp_obs::counters().add(
-        lp_obs::Counter::SweepProfileCacheHits,
-        (points.len() - distinct.len()) as u64,
-    );
-    lp_obs::journal::record(
-        lp_obs::EventKind::SweepCompleted,
-        points.len() as u64,
-        distinct.len() as u64,
-    );
-    reports
-}
-
-/// Evaluates the full `units × models × configs` lattice on `jobs`
-/// workers (the [`grid`] order: unit-major, then model, then config).
-#[must_use]
-pub fn sweep(
-    units: &[SweepUnit],
-    models: &[ExecModel],
-    configs: &[Config],
-    jobs: Jobs,
-    options: EvalOptions,
-) -> Vec<EvalReport> {
-    sweep_points(units, &grid(units.len(), models, configs), jobs, options)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DepMode, FnMode, ReducMode};
     use crate::eval::evaluate;
     use crate::tracker::profile_module;
     use lp_analysis::analyze_module;
@@ -368,6 +302,21 @@ mod tests {
         SweepUnit::from_profile(p)
     }
 
+    /// Every `(unit, model, config)` point over `units` units, unit-major.
+    fn all_points(units: usize) -> Vec<SweepPoint> {
+        (0..units)
+            .flat_map(|unit| {
+                ExecModel::all().into_iter().flat_map(move |model| {
+                    Config::all().into_iter().map(move |config| SweepPoint {
+                        unit,
+                        model,
+                        config,
+                    })
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn jobs_resolution_precedence() {
         assert_eq!(Jobs::new(0).get(), 1);
@@ -384,22 +333,6 @@ mod tests {
         assert!(Jobs::resolve(None).get() >= 1);
         assert_eq!(Jobs::default().get(), Jobs::available().get());
         assert_eq!(Jobs::new(4).to_string(), "4");
-    }
-
-    #[test]
-    fn grid_is_unit_major_and_complete() {
-        let models = [ExecModel::Doall, ExecModel::Helix];
-        let configs = Config::all();
-        let points = grid(3, &models, &configs);
-        assert_eq!(points.len(), 3 * 2 * 32);
-        // Stable lexicographic order over (unit, model, config).
-        assert_eq!(points[0].unit, 0);
-        assert_eq!(points[0].model, ExecModel::Doall);
-        assert_eq!(points.last().unwrap().unit, 2);
-        assert_eq!(points.last().unwrap().model, ExecModel::Helix);
-        for w in points.windows(2) {
-            assert!(w[0].unit <= w[1].unit);
-        }
     }
 
     #[test]
@@ -464,9 +397,7 @@ mod tests {
     #[test]
     fn sweep_matches_serial_evaluate_for_every_point() {
         let units = [unit_of("alpha", 40), unit_of("beta", 25)];
-        let models = ExecModel::all();
-        let configs = Config::all();
-        let points = grid(units.len(), &models, &configs);
+        let points = all_points(units.len());
         let parallel = sweep_points(&units, &points, Jobs::new(8), EvalOptions::default());
         assert_eq!(parallel.len(), points.len());
         for (p, report) in points.iter().zip(&parallel) {
@@ -485,23 +416,10 @@ mod tests {
     #[test]
     fn sweep_output_is_identical_across_job_counts() {
         let units = [unit_of("a", 30), unit_of("b", 20), unit_of("c", 10)];
-        let models = ExecModel::all();
-        let configs = Config::all();
-        let serial = sweep(
-            &units,
-            &models,
-            &configs,
-            Jobs::serial(),
-            EvalOptions::default(),
-        );
+        let points = all_points(units.len());
+        let serial = sweep_points(&units, &points, Jobs::serial(), EvalOptions::default());
         for jobs in [2, 4, 8] {
-            let par = sweep(
-                &units,
-                &models,
-                &configs,
-                Jobs::new(jobs),
-                EvalOptions::default(),
-            );
+            let par = sweep_points(&units, &points, Jobs::new(jobs), EvalOptions::default());
             assert_eq!(
                 format!("{serial:?}"),
                 format!("{par:?}"),
@@ -513,15 +431,13 @@ mod tests {
     #[test]
     fn sweep_journals_progress_breadcrumbs() {
         let units = [unit_of("bread", 12)];
-        let points = grid(1, &ExecModel::all(), &Config::all());
+        let points = all_points(1);
         let journal = lp_obs::journal::global();
         let (before, _) = journal.snapshot();
         let _ = sweep_points(&units, &points, Jobs::new(4), EvalOptions::default());
         let (after, records) = journal.snapshot();
         assert!(after > before);
         let kinds: Vec<lp_obs::EventKind> = records.iter().map(|r| r.kind).collect();
-        assert!(kinds.contains(&lp_obs::EventKind::SweepStarted));
-        assert!(kinds.contains(&lp_obs::EventKind::SweepCompleted));
         assert!(kinds.contains(&lp_obs::EventKind::SweepTaskDone));
         // Per-task breadcrumbs carry (done, total) with done <= total.
         let done_recs: Vec<_> = records
@@ -532,25 +448,5 @@ mod tests {
         assert!(done_recs
             .iter()
             .any(|r| r.b == points.len() as u64 && r.a == r.b));
-    }
-
-    #[test]
-    fn sweep_counts_profile_cache_hits() {
-        let units = [unit_of("solo", 15)];
-        let before = lp_obs::counters().get(lp_obs::Counter::SweepProfileCacheHits);
-        let cfg = Config::new(ReducMode::Reduc0, DepMode::Dep0, FnMode::Fn0);
-        let points: Vec<SweepPoint> = ExecModel::all()
-            .into_iter()
-            .map(|model| SweepPoint {
-                unit: 0,
-                model,
-                config: cfg,
-            })
-            .collect();
-        let reports = sweep_points(&units, &points, Jobs::serial(), EvalOptions::default());
-        assert_eq!(reports.len(), 3);
-        let after = lp_obs::counters().get(lp_obs::Counter::SweepProfileCacheHits);
-        // Three evaluations of one shared profile: two cache hits.
-        assert_eq!(after - before, 2);
     }
 }

@@ -35,7 +35,7 @@
 //! into dense vectors indexed directly by ids, with `u32::MAX` as the
 //! "not tracked" sentinel.
 
-use crate::iters::{IterSet, IterTimeline};
+use crate::iters::IterSet;
 use crate::profile::{
     CallClass, LcdInstance, LoopInstance, LoopMeta, Profile, Region, RegionId, RegionKind,
 };
@@ -56,30 +56,23 @@ const NONE: u32 = u32::MAX;
 /// since real store times satisfy `t <= now`.
 const NEVER_WRITTEN: u64 = u64::MAX;
 
-/// An actively executing loop instance (moved into the region tree when
-/// the loop exits). Last-writer state lives in the run-global shadow
-/// [`PageTable`]s; this records only per-level iteration stamps and
-/// conflict tallies.
+/// An actively executing loop instance. Last-writer state lives in the
+/// run-global shadow [`PageTable`]s; this holds the per-level iteration
+/// stamps and the [`LoopInstance`] being recorded, which moves into the
+/// region tree when the loop exits.
 #[derive(Debug)]
 struct ActiveLoop {
     region: RegionId,
     func: u32,
     loop_id: u32,
-    /// Index into [`Profiler::loop_meta`] (and `loop_blocks`).
-    meta: usize,
     frame_depth: u32,
     cur_iter: u32,
     /// Start stamp of the instance (of its iteration 0).
     start: u64,
     iter_start: u64,
-    timeline: IterTimeline,
-    conflicts: IterSet,
-    max_skew: u64,
-    max_producer_rel: u64,
-    min_consumer_rel: u64,
-    edges: u64,
-    lcds: Vec<LcdInstance>,
-    call_class: CallClass,
+    /// The record so far; `inst.meta` indexes [`Profiler::loop_meta`]
+    /// (and `loop_blocks`).
+    inst: LoopInstance,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -349,26 +342,13 @@ impl<'a> Profiler<'a> {
         debug_assert_eq!(rid, al.region, "region stack out of sync");
         let region = &mut self.regions[rid.index()];
         region.end = stamp;
-        let RegionKind::Loop(inst) = &mut region.kind else {
-            unreachable!("an active loop's region is a loop region");
-        };
-        **inst = LoopInstance {
-            meta: al.meta,
-            timeline: al.timeline,
-            mem_conflict_iters: al.conflicts,
-            mem_max_skew: al.max_skew,
-            mem_max_producer_rel: al.max_producer_rel,
-            mem_min_consumer_rel: al.min_consumer_rel,
-            mem_edges: al.edges,
-            lcds: al.lcds,
-            call_class: al.call_class,
-        };
+        region.kind = RegionKind::Loop(Box::new(al.inst));
     }
 
     fn bump_call_class(&mut self, class: CallClass) {
         for al in &mut self.loop_stack {
-            if class > al.call_class {
-                al.call_class = class;
+            if class > al.inst.call_class {
+                al.inst.call_class = class;
             }
         }
     }
@@ -488,6 +468,7 @@ impl<'a> Profiler<'a> {
             // this level's runs of equal-length iterations, then one
             // division inside the run.
             let (w_iter, w_iter_start) = al
+                .inst
                 .timeline
                 .iteration_of(w)
                 .expect("the store falls inside this instance");
@@ -495,18 +476,19 @@ impl<'a> Profiler<'a> {
                 self.cactus_filter_hits += 1;
                 continue;
             }
-            al.conflicts.insert(al.cur_iter);
-            al.edges += 1;
+            let inst = &mut al.inst;
+            inst.mem_conflict_iters.insert(al.cur_iter);
+            inst.mem_edges += 1;
             let rel = now.saturating_sub(al.iter_start);
             let w_rel = w - w_iter_start;
             let span = u64::from(al.cur_iter - w_iter);
             self.conflict_dists.record(span);
             let skew = w_rel.saturating_sub(rel) / span;
-            if skew > al.max_skew {
-                al.max_skew = skew;
+            if skew > inst.mem_max_skew {
+                inst.mem_max_skew = skew;
             }
-            al.max_producer_rel = al.max_producer_rel.max(w_rel);
-            al.min_consumer_rel = al.min_consumer_rel.min(rel);
+            inst.mem_max_producer_rel = inst.mem_max_producer_rel.max(w_rel);
+            inst.mem_min_consumer_rel = inst.mem_min_consumer_rel.min(rel);
         }
     }
 
@@ -615,7 +597,7 @@ impl EventSink for Profiler<'_> {
             if top.frame_depth != self.call_depth || top.func != func.0 {
                 break;
             }
-            if self.loop_blocks[top.meta][block.index()] {
+            if self.loop_blocks[top.inst.meta][block.index()] {
                 break;
             }
             self.close_top_loop(stamp);
@@ -634,39 +616,34 @@ impl EventSink for Profiler<'_> {
                 let t = self.loop_stack.last_mut().expect("checked above");
                 t.cur_iter += 1;
                 t.iter_start = stamp;
-                t.timeline.push(stamp);
+                t.inst.timeline.push(stamp);
             } else {
                 let meta = self.meta_of[func.index()][lid as usize] as usize;
                 let n_lcds = self.loop_meta[meta].traced_phis.len();
-                let region = self.push_region(RegionKind::Loop(Box::new(LoopInstance {
-                    meta,
-                    timeline: IterTimeline::default(),
-                    mem_conflict_iters: IterSet::default(),
-                    mem_max_skew: 0,
-                    mem_max_producer_rel: 0,
-                    mem_min_consumer_rel: u64::MAX,
-                    mem_edges: 0,
-                    lcds: Vec::new(),
-                    call_class: CallClass::NoCalls,
-                })));
+                // The instance stays in its `ActiveLoop` until the loop
+                // closes; until then its region carries the enclosing
+                // function as a stand-in kind.
+                let region = self.push_region(RegionKind::Call { func });
                 self.regions[region.index()].start = stamp;
                 self.loop_stack.push(ActiveLoop {
                     region,
                     func: func.0,
                     loop_id: lid,
-                    meta,
                     frame_depth: self.call_depth,
                     cur_iter: 0,
                     start: stamp,
                     iter_start: stamp,
-                    timeline: std::iter::once(stamp).collect(),
-                    conflicts: IterSet::default(),
-                    max_skew: 0,
-                    max_producer_rel: 0,
-                    min_consumer_rel: u64::MAX,
-                    edges: 0,
-                    lcds: vec![LcdInstance::default(); n_lcds],
-                    call_class: CallClass::NoCalls,
+                    inst: LoopInstance {
+                        meta,
+                        timeline: std::iter::once(stamp).collect(),
+                        mem_conflict_iters: IterSet::default(),
+                        mem_max_skew: 0,
+                        mem_max_producer_rel: 0,
+                        mem_min_consumer_rel: u64::MAX,
+                        mem_edges: 0,
+                        lcds: vec![LcdInstance::default(); n_lcds],
+                        call_class: CallClass::NoCalls,
+                    },
                 });
                 if let Some(wit) = self.witness.as_deref_mut() {
                     if wit.is_target(func.0, lid) {
@@ -701,7 +678,7 @@ impl EventSink for Profiler<'_> {
         {
             let pred = &mut self.predictors[slot as usize];
             let hit = pred.observe(value.fingerprint());
-            let lcd = &mut al.lcds[idx as usize];
+            let lcd = &mut al.inst.lcds[idx as usize];
             lcd.observed += 1;
             if hit {
                 lcd.predicted += 1;
@@ -790,7 +767,7 @@ impl EventSink for Profiler<'_> {
                 .find(|a| a.func == func.0 && a.loop_id == lid)
             {
                 let rel = now.saturating_sub(al.iter_start);
-                let lcd = &mut al.lcds[idx as usize];
+                let lcd = &mut al.inst.lcds[idx as usize];
                 if rel > lcd.max_def_rel {
                     lcd.max_def_rel = rel;
                 }

@@ -57,48 +57,6 @@ where
     phis
 }
 
-/// Builds a `while cond` loop over carried values. `cond` runs in the
-/// header (after the phis) and must produce an `i1`; `body` returns the
-/// updates. Returns the carried phis with the builder in the exit block.
-///
-/// # Panics
-/// Panics if `body` returns the wrong number of updates.
-pub fn while_loop<C, F>(
-    fb: &mut FunctionBuilder,
-    carried: &[(Type, ValueId)],
-    cond: C,
-    body: F,
-) -> Vec<ValueId>
-where
-    C: FnOnce(&mut FunctionBuilder, &[ValueId]) -> ValueId,
-    F: FnOnce(&mut FunctionBuilder, &[ValueId]) -> Vec<ValueId>,
-{
-    let pre = fb.current_block();
-    let header = fb.fresh_block("while_header");
-    let body_blk = fb.fresh_block("while_body");
-    let exit = fb.fresh_block("while_exit");
-    fb.br(header);
-    fb.switch_to(header);
-    let phis: Vec<ValueId> = carried.iter().map(|&(ty, _)| fb.phi(ty)).collect();
-    let c = cond(fb, &phis);
-    fb.cond_br(c, body_blk, exit);
-    fb.switch_to(body_blk);
-    let updates = body(fb, &phis);
-    assert_eq!(
-        updates.len(),
-        carried.len(),
-        "body must return one update per carried value"
-    );
-    let latch = fb.current_block();
-    for ((phi, &(_, init)), update) in phis.iter().zip(carried).zip(&updates) {
-        fb.add_phi_incoming(*phi, pre, init);
-        fb.add_phi_incoming(*phi, latch, *update);
-    }
-    fb.br(header);
-    fb.switch_to(exit);
-    phis
-}
-
 /// Emits an `if cond { then } else { else_ }` diamond that merges one
 /// value. Returns the merged value; the builder ends in the join block.
 pub fn if_else<T, E>(
@@ -263,28 +221,6 @@ mod tests {
         m.add_function(fb.finish().unwrap());
         lp_ir::verify_module(&m).unwrap();
         assert_eq!(run(&m), Value::I(12));
-    }
-
-    #[test]
-    fn while_loop_counts_down() {
-        let mut m = Module::new("t");
-        let mut fb = FunctionBuilder::new("main", &[], Type::I64);
-        let start = fb.const_i64(5);
-        let zero = fb.const_i64(0);
-        let one = fb.const_i64(1);
-        let phis = while_loop(
-            &mut fb,
-            &[(Type::I64, start), (Type::I64, zero)],
-            |fb, phis| fb.icmp(IcmpPred::Sgt, phis[0], zero),
-            |fb, phis| {
-                let next = fb.sub(phis[0], one);
-                let count = fb.add(phis[1], one);
-                vec![next, count]
-            },
-        );
-        fb.ret(Some(phis[1]));
-        m.add_function(fb.finish().unwrap());
-        assert_eq!(run(&m), Value::I(5));
     }
 
     #[test]

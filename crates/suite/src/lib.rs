@@ -62,12 +62,6 @@ impl SuiteId {
         ]
     }
 
-    /// `true` for the non-numeric (integer) suites.
-    #[must_use]
-    pub fn is_numeric(self) -> bool {
-        !matches!(self, SuiteId::Cint2000 | SuiteId::Cint2006)
-    }
-
     /// Display label matching the paper's figures.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -347,8 +341,6 @@ mod tests {
     #[test]
     fn suite_labels() {
         assert_eq!(SuiteId::Cint2000.label(), "cint2000");
-        assert!(!SuiteId::Cint2006.is_numeric());
-        assert!(SuiteId::Eembc.is_numeric());
         assert_eq!(SuiteId::all().len(), 5);
     }
 }

@@ -9,8 +9,8 @@ use lp_ir::{Global, Module, Type, ValueId};
 use lp_predict::{HybridPredictor, LastValue, Predictor, Stride};
 use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost};
 use lp_runtime::{
-    evaluate, evaluate_explained, evaluate_explained_with, evaluate_with, profile_module, sweep,
-    Config, EvalOptions, ExecModel, Jobs, RegionKind, SweepUnit,
+    evaluate, evaluate_explained, evaluate_explained_with, evaluate_with, profile_module,
+    sweep_points, Config, EvalOptions, ExecModel, Jobs, RegionKind, SweepPoint, SweepUnit,
 };
 use lp_suite::kernels::counted_loop;
 use proptest::prelude::*;
@@ -232,33 +232,35 @@ proptest! {
     fn shared_arc_profile_evaluates_identically_to_fresh_profile(
         specs in prop::collection::vec(loop_spec(), 1..5)
     ) {
-        // The sweep engine's profile-once/evaluate-many caching must be
-        // invisible: evaluating on a shared `Arc<Profile>` (as parallel
-        // sweep workers do) must equal evaluating on a profile taken by
-        // an independent fresh run, for every model and configuration.
+        // Profile once, evaluate many must be invisible: evaluating one
+        // profile from several `sweep_points` workers must equal
+        // evaluating on a profile taken by an independent fresh run, for
+        // every model and configuration.
         let module = build_program(&specs);
         let analysis = lp_analysis::analyze_module(&module);
         let (cached, _) =
             profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
         let (fresh, _) =
             profile_module(&module, &analysis, &[], lp_interp::MachineConfig::default()).unwrap();
-        let units = [SweepUnit::new("prop", std::sync::Arc::new(cached))];
-        let models = ExecModel::all();
-        let configs = Config::all();
-        let swept = sweep(&units, &models, &configs, Jobs::new(2), EvalOptions::default());
-        let mut idx = 0;
-        for &model in &models {
-            for &config in &configs {
-                let reference = evaluate(&fresh, model, config);
-                prop_assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{:?}", swept[idx]),
-                    "{} {}",
-                    model,
-                    config
-                );
-                idx += 1;
-            }
+        let units = [SweepUnit::from_profile(cached)];
+        let points: Vec<SweepPoint> = ExecModel::all()
+            .into_iter()
+            .flat_map(|model| {
+                Config::all()
+                    .into_iter()
+                    .map(move |config| SweepPoint { unit: 0, model, config })
+            })
+            .collect();
+        let swept = sweep_points(&units, &points, Jobs::new(2), EvalOptions::default());
+        for (p, report) in points.iter().zip(&swept) {
+            let reference = evaluate(&fresh, p.model, p.config);
+            prop_assert_eq!(
+                format!("{reference:?}"),
+                format!("{report:?}"),
+                "{} {}",
+                p.model,
+                p.config
+            );
         }
     }
 
@@ -346,7 +348,7 @@ proptest! {
             .collect();
         let max = *lens.iter().max().unwrap();
         let sum: u64 = lens.iter().sum();
-        if let Some(cost) = pdoall_cost(&lens, &conflicts, false) {
+        if let Some(cost) = pdoall_cost(&lens, &conflicts, false, None) {
             prop_assert!(cost >= max, "cost {cost} < max {max}");
             prop_assert!(cost <= sum, "cost {cost} > serial {sum}");
         } else {
@@ -354,7 +356,7 @@ proptest! {
             prop_assert!(conflicts.len() as f64 > 0.8 * n as f64);
         }
         // No conflicts => identical to DOALL.
-        prop_assert_eq!(pdoall_cost(&lens, &[], false), doall_cost(&lens, false, false));
+        prop_assert_eq!(pdoall_cost(&lens, &[], false, None), doall_cost(&lens, false, false, None));
     }
 
     #[test]
@@ -363,9 +365,9 @@ proptest! {
         delta in 0u64..500
     ) {
         let max = *lens.iter().max().unwrap();
-        let cost = helix_cost(&lens, delta, false).unwrap();
+        let cost = helix_cost(&lens, delta, false, None).unwrap();
         prop_assert_eq!(cost, max + delta * lens.len() as u64);
-        prop_assert!(helix_cost(&lens, delta, true).is_none());
+        prop_assert!(helix_cost(&lens, delta, true, None).is_none());
     }
 
     #[test]
@@ -376,10 +378,10 @@ proptest! {
         let n = lens.len() as u32;
         let some: Vec<u32> = (1..n).step_by(k + 1).collect();
         let all: Vec<u32> = (1..n).collect();
-        let c_none = pdoall_cost(&lens, &[], false).unwrap();
-        if let Some(c_some) = pdoall_cost(&lens, &some, false) {
+        let c_none = pdoall_cost(&lens, &[], false, None).unwrap();
+        if let Some(c_some) = pdoall_cost(&lens, &some, false, None) {
             prop_assert!(c_some >= c_none);
-            if let Some(c_all) = pdoall_cost(&lens, &all, false) {
+            if let Some(c_all) = pdoall_cost(&lens, &all, false, None) {
                 prop_assert!(c_all >= c_some);
             }
         }

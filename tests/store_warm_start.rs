@@ -1,16 +1,16 @@
 //! Warm-start differential for the persistent profile store: a sweep
 //! whose profiles came out of `results/.lp-cache`-style storage must
-//! export **byte-identical** CSV and JSON to a cold, freshly-profiled
-//! sweep — at 1, 2, and 8 workers — while actually hitting the store
-//! (`store.hits` counters advance). This is the end-to-end contract of
-//! `--profile-cache`: the cache can change wall-clock time, never a
-//! figure.
+//! export a **byte-identical** CSV (the `sweep` binary's writer) to a
+//! cold, freshly-profiled sweep — at 1, 2, and 8 workers — while
+//! actually hitting the store (`store.hits` counters advance). This is
+//! the end-to-end contract of `--profile-cache`: the cache can change
+//! wall-clock time, never a figure.
 
 use loopapalooza::prelude::*;
-use loopapalooza::Study;
+use lp_analysis::analyze_module;
 use lp_interp::MachineConfig;
-use lp_runtime::export::reports_to_csv;
-use lp_runtime::{sweep, EvalOptions, Export, SweepExport};
+use lp_runtime::export::{report_header, report_row};
+use lp_runtime::{profile_module_cached, sweep_points, EvalOptions, ProfilerOptions, SweepPoint};
 use lp_suite::Scale;
 
 const BENCHES: [&str; 3] = ["eembc.matrix01", "eembc.rspeed01", "181.mcf"];
@@ -25,9 +25,16 @@ fn units_with(store: Option<&ProfileStore>) -> Vec<SweepUnit> {
         .map(|name| {
             let bench = lp_suite::find(name).expect("registered benchmark");
             let module = bench.build(Scale::Test);
-            Study::with_store(&module, MachineConfig::default(), store)
-                .expect("benchmark runs")
-                .sweep_unit()
+            let analysis = analyze_module(&module);
+            let (profile, _) = profile_module_cached(
+                &module,
+                &analysis,
+                MachineConfig::default(),
+                ProfilerOptions::default(),
+                store,
+            )
+            .expect("benchmark runs");
+            SweepUnit::from_profile(profile)
         })
         .collect()
 }
@@ -41,19 +48,28 @@ fn warm_start_sweep_is_byte_identical_to_cold_at_any_job_count() {
 
     // Cold reference: no store at all.
     let cold_units = units_with(None);
-    let models = ExecModel::all();
-    let configs = Config::all();
+    let mut points = Vec::new();
+    for unit in 0..BENCHES.len() {
+        for model in ExecModel::all() {
+            for config in Config::all() {
+                points.push(SweepPoint {
+                    unit,
+                    model,
+                    config,
+                });
+            }
+        }
+    }
     let run = |units: &[SweepUnit], jobs: usize| {
-        let reports = sweep(
-            units,
-            &models,
-            &configs,
-            Jobs::new(jobs),
-            EvalOptions::default(),
-        );
-        (reports_to_csv(&reports), SweepExport(&reports).to_json())
+        let mut csv = report_header();
+        csv.push('\n');
+        for r in sweep_points(units, &points, Jobs::new(jobs), EvalOptions::default()) {
+            csv.push_str(&report_row(&r));
+            csv.push('\n');
+        }
+        csv
     };
-    let (cold_csv, cold_json) = run(&cold_units, 1);
+    let cold_csv = run(&cold_units, 1);
 
     // First pass against the empty store: misses, then persists.
     let misses_before = counters.get(lp_obs::Counter::StoreMisses);
@@ -62,9 +78,8 @@ fn warm_start_sweep_is_byte_identical_to_cold_at_any_job_count() {
         counters.get(lp_obs::Counter::StoreMisses) >= misses_before + BENCHES.len() as u64,
         "first pass must miss once per benchmark"
     );
-    let (first_csv, first_json) = run(&first_units, 1);
+    let first_csv = run(&first_units, 1);
     assert_eq!(cold_csv, first_csv, "populating pass diverged from cold");
-    assert_eq!(cold_json, first_json, "populating pass diverged from cold");
 
     // Warm passes: profiles come from disk, output must not move a byte.
     for jobs in [1usize, 2, 8] {
@@ -74,9 +89,8 @@ fn warm_start_sweep_is_byte_identical_to_cold_at_any_job_count() {
             counters.get(lp_obs::Counter::StoreHits) >= hits_before + BENCHES.len() as u64,
             "warm pass must hit once per benchmark (jobs={jobs})"
         );
-        let (warm_csv, warm_json) = run(&warm_units, jobs);
+        let warm_csv = run(&warm_units, jobs);
         assert_eq!(cold_csv, warm_csv, "CSV diverged warm at jobs={jobs}");
-        assert_eq!(cold_json, warm_json, "JSON diverged warm at jobs={jobs}");
     }
     assert_eq!(
         counters.get(lp_obs::Counter::StoreCorruptDiscarded),
