@@ -63,7 +63,6 @@ fn usage() -> ! {
     eprintln!("  --engine tree|bc   interpreter engine (default bc; tree is the reference");
     eprintln!("                     walk, and the output is identical for either)");
     eprintln!("  --profile-cache DIR persist profiles under DIR and warm-start from them");
-    eprintln!("                     (LP_PROFILE_CACHE=off|ro|rw selects the mode)");
     eprintln!("  --trace-out FILE   write a Chrome trace_event JSON of the run");
     eprintln!("  --explain-out FILE write limiter-attribution JSON (+ .collapsed stacks)");
     eprintln!("  --flight-out FILE  dump the flight-recorder journal (also on panic)");

@@ -17,8 +17,8 @@
 //! `default`), a `--jobs N` worker count for the per-kernel fold
 //! (default: `LP_JOBS` or the machine's available parallelism; output is
 //! byte-identical for any value), a `--profile-cache DIR` persistent
-//! profile store (see `lp_runtime::store`; `LP_PROFILE_CACHE=off|ro|rw`
-//! selects the mode), plus the shared observability flags
+//! profile store (see `lp_runtime::store`; without the flag no store is
+//! used), plus the shared observability flags
 //! `--trace-out FILE` (Chrome `trace_event` JSON), `--explain-out FILE`
 //! (limiter-attribution JSON, where supported), `--snapshot-out FILE`
 //! (cross-run registry snapshot, diffable with `lpstudy diff`), and
@@ -298,36 +298,15 @@ impl Cli {
         Jobs::resolve(self.jobs)
     }
 
-    /// The persistent profile store requested on this command line, if
-    /// any: `LP_PROFILE_CACHE=off|ro|rw` selects the mode (default
-    /// [`StoreMode::ReadWrite`] when `--profile-cache DIR` was given,
-    /// else off — no binary touches the filesystem unless asked);
-    /// `--profile-cache DIR` overrides the default directory
-    /// (`results/.lp-cache`). A store that cannot be opened degrades to
-    /// `None` with a warning — never an error exit.
-    ///
-    /// # Panics
-    /// Exits the process with a usage error (2) when `LP_PROFILE_CACHE`
-    /// holds an unrecognized value.
+    /// The persistent profile store requested on this command line: a
+    /// read-write store in `DIR` when `--profile-cache DIR` was given,
+    /// else none — no binary touches the filesystem unless asked. A
+    /// store that cannot be opened degrades to `None` with a warning —
+    /// never an error exit.
     #[must_use]
     pub fn store(&self) -> Option<ProfileStore> {
-        let mode = match StoreMode::from_env() {
-            Ok(Some(mode)) => mode,
-            Ok(None) if self.profile_cache.is_some() => StoreMode::ReadWrite,
-            Ok(None) => return None,
-            Err(bad) => {
-                eprintln!("LP_PROFILE_CACHE={bad:?} is not a store mode (expected off|ro|rw)");
-                std::process::exit(2);
-            }
-        };
-        if mode == StoreMode::Off {
-            return None;
-        }
-        let dir = self
-            .profile_cache
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(ProfileStore::DEFAULT_DIR));
-        match ProfileStore::open(&dir, mode) {
+        let dir = self.profile_cache.as_ref()?;
+        match ProfileStore::open(dir, StoreMode::ReadWrite) {
             Ok(store) => {
                 // Bound the cache on every open so it cannot grow without
                 // limit across runs. Under budget this is one metadata
@@ -710,24 +689,18 @@ mod tests {
 
     #[test]
     fn store_is_off_unless_requested() {
-        // Neither the flag nor LP_PROFILE_CACHE (the test harness does
-        // not set it): no store, no filesystem side effects.
+        // Without the flag: no store, no filesystem side effects.
         let cli = Cli::parse_from(std::iter::empty());
         lp_obs::log::set_level(lp_obs::Level::Off);
-        if std::env::var("LP_PROFILE_CACHE").is_err() {
-            assert!(cli.store().is_none());
-        }
-        // With the flag: a read-write store rooted at the given path.
+        assert!(cli.store().is_none());
+        // With the flag: a store rooted at the given path.
         let dir = std::env::temp_dir().join(format!("lp-bench-store-{}", std::process::id()));
         let cli = Cli::parse_from(["--profile-cache".to_string(), dir.display().to_string()]);
         lp_obs::log::set_level(lp_obs::Level::Off);
-        if std::env::var("LP_PROFILE_CACHE").is_err() {
-            let store = cli.store().expect("flag enables the store");
-            assert_eq!(store.mode(), StoreMode::ReadWrite);
-            assert_eq!(store.dir(), dir.as_path());
-            assert!(dir.is_dir(), "rw open creates the directory");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let store = cli.store().expect("flag enables the store");
+        assert_eq!(store.dir(), dir.as_path());
+        assert!(dir.is_dir(), "opening the store creates the directory");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

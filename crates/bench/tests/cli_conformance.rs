@@ -31,7 +31,6 @@ fn run(binary: &str, args: &[&str]) -> Output {
     Command::new(exe(binary))
         .args(args)
         .env("LP_LOG", "off")
-        .env_remove("LP_PROFILE_CACHE")
         .output()
         .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"))
 }
@@ -289,7 +288,6 @@ fn quiet_silences_stderr_byte_exactly_across_every_binary() {
         let out = Command::new(exe(binary))
             .args(args)
             .env_remove("LP_LOG")
-            .env_remove("LP_PROFILE_CACHE")
             .output()
             .unwrap_or_else(|e| panic!("cannot spawn {binary}: {e}"));
         assert!(
@@ -349,21 +347,6 @@ fn cactus_off_ablations_snapshot_passes_the_audit() {
 }
 
 #[test]
-fn invalid_profile_cache_mode_exits_2() {
-    let out = Command::new(exe("table1"))
-        .args(["test", "--profile-cache", "/tmp/unused"])
-        .env("LP_LOG", "off")
-        .env("LP_PROFILE_CACHE", "frobnicate")
-        .output()
-        .expect("spawn table1");
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        stderr_of(&out),
-        "LP_PROFILE_CACHE=\"frobnicate\" is not a store mode (expected off|ro|rw)\n"
-    );
-}
-
-#[test]
 fn sweep_into_a_closed_pipe_ends_quietly_and_still_finishes() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
@@ -371,7 +354,6 @@ fn sweep_into_a_closed_pipe_ends_quietly_and_still_finishes() {
     let mut child = Command::new(exe("sweep"))
         .args(["test", "--quiet", "--trace-out", trace.to_str().unwrap()])
         .env("LP_LOG", "off")
-        .env_remove("LP_PROFILE_CACHE")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

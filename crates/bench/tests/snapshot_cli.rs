@@ -12,7 +12,6 @@ fn lpstudy(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lpstudy"))
         .args(args)
         .env("LP_LOG", "off")
-        .env_remove("LP_PROFILE_CACHE")
         .output()
         .expect("spawn lpstudy")
 }

@@ -48,10 +48,10 @@
 //! version 2 changed only the checksum and, through the shared hasher,
 //! every key.
 //!
-//! Behaviour is controlled by `LP_PROFILE_CACHE=off|ro|rw` (see
-//! [`StoreMode`]) and the binaries' `--profile-cache DIR` flag; the
-//! `store_hits` / `store_misses` / `store_corrupt_discarded` counters and
-//! the `store-io` span make cache effectiveness visible in traces.
+//! The binaries use a store exactly when given `--profile-cache DIR`;
+//! the `store_hits` / `store_misses` / `store_corrupt_discarded`
+//! counters and the `store-io` span make cache effectiveness visible in
+//! traces.
 
 use crate::iters::{IterSet, IterTimeline};
 use crate::profile::{
@@ -64,7 +64,6 @@ use lp_ir::{BinOp, BlockId, FuncId, Module, ValueId};
 use lp_obs::{lp_info, span, Counter};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
 /// Version stamp of the on-disk entry format *and* of the profile
 /// semantics. Bump whenever the codec layout, the checksum, the profiler's
@@ -866,53 +865,13 @@ pub fn decode_entry(bytes: &[u8]) -> DecodeResult<(Profile, RunResult)> {
 // Store
 // --------------------------------------------------------------------
 
-/// How the persistent cache participates in a run.
+/// How the persistent cache participates in a run: it serves hits and
+/// persists new profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreMode {
-    /// Cache disabled: no reads, no writes.
-    Off,
-    /// Serve hits but never write (shared read-only cache directories).
-    ReadOnly,
-    /// Serve hits and persist new profiles (the default when a cache is
-    /// requested).
+    /// Serve hits and persist new profiles.
     #[default]
     ReadWrite,
-}
-
-impl StoreMode {
-    /// Reads `LP_PROFILE_CACHE` from the environment.
-    ///
-    /// # Errors
-    /// Returns the offending value when it is not one of `off|ro|rw`.
-    pub fn from_env() -> Result<Option<StoreMode>, String> {
-        match std::env::var("LP_PROFILE_CACHE") {
-            Ok(v) => v.parse().map(Some).map_err(|()| v),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
-impl FromStr for StoreMode {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<StoreMode, ()> {
-        match s {
-            "off" => Ok(StoreMode::Off),
-            "ro" => Ok(StoreMode::ReadOnly),
-            "rw" => Ok(StoreMode::ReadWrite),
-            _ => Err(()),
-        }
-    }
-}
-
-impl fmt::Display for StoreMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StoreMode::Off => "off",
-            StoreMode::ReadOnly => "ro",
-            StoreMode::ReadWrite => "rw",
-        })
-    }
 }
 
 /// The persistent profile store: one directory, one file per
@@ -925,25 +884,19 @@ impl fmt::Display for StoreMode {
 #[derive(Debug, Clone)]
 pub struct ProfileStore {
     dir: PathBuf,
-    mode: StoreMode,
 }
 
 impl ProfileStore {
-    /// Default cache location, relative to the working directory.
-    pub const DEFAULT_DIR: &'static str = "results/.lp-cache";
-
-    /// Opens (and for [`StoreMode::ReadWrite`], creates) the cache
-    /// directory.
+    /// Opens, creating it if need be, the cache directory.
     ///
     /// # Errors
     /// Propagates directory-creation failures; callers are expected to
     /// degrade to running without a store.
     pub fn open(dir: impl Into<PathBuf>, mode: StoreMode) -> std::io::Result<ProfileStore> {
+        let StoreMode::ReadWrite = mode;
         let dir = dir.into();
-        if mode == StoreMode::ReadWrite {
-            std::fs::create_dir_all(&dir)?;
-        }
-        Ok(ProfileStore { dir, mode })
+        std::fs::create_dir_all(&dir)?;
+        Ok(ProfileStore { dir })
     }
 
     /// The cache directory.
@@ -952,25 +905,16 @@ impl ProfileStore {
         &self.dir
     }
 
-    /// The store's access mode.
-    #[must_use]
-    pub fn mode(&self) -> StoreMode {
-        self.mode
-    }
-
     fn path_of(&self, key: ProfileKey) -> PathBuf {
         self.dir.join(format!("{key}.{ENTRY_EXT}"))
     }
 
     /// Looks `key` up, returning the cached profile and run result on a
     /// hit. Counts `store_hits` / `store_misses` /
-    /// `store_corrupt_discarded`; a corrupt entry is deleted (in `rw`
-    /// mode), warned about on stderr, and reported as a miss.
+    /// `store_corrupt_discarded`; a corrupt entry is deleted, warned
+    /// about on stderr, and reported as a miss.
     #[must_use]
     pub fn get(&self, key: ProfileKey) -> Option<(Profile, RunResult)> {
-        if self.mode == StoreMode::Off {
-            return None;
-        }
         let _io = span!("store-io");
         let c = lp_obs::counters();
         let path = self.path_of(key);
@@ -994,21 +938,15 @@ impl ProfileStore {
                     "warning: profile store: discarding {} ({err}); re-profiling",
                     path.display()
                 );
-                if self.mode == StoreMode::ReadWrite {
-                    let _ = std::fs::remove_file(&path);
-                }
+                let _ = std::fs::remove_file(&path);
                 None
             }
         }
     }
 
     /// Persists an entry under `key` via write-to-temp + atomic rename.
-    /// Best-effort: a no-op in `off`/`ro` modes, and I/O failures warn
-    /// instead of propagating.
+    /// Best-effort: I/O failures warn instead of propagating.
     pub fn put(&self, key: ProfileKey, profile: &Profile, run: &RunResult) {
-        if self.mode != StoreMode::ReadWrite {
-            return;
-        }
         let _io = span!("store-io");
         let bytes = encode_entry(profile, run);
         let path = self.path_of(key);
@@ -1040,9 +978,6 @@ impl ProfileStore {
     /// Propagates directory-listing failures; individual file errors are
     /// skipped (another process may be collecting concurrently).
     pub fn gc(&self, max_bytes: u64) -> std::io::Result<u64> {
-        if self.mode != StoreMode::ReadWrite {
-            return Ok(0);
-        }
         let _io = span!("store-io");
         let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
@@ -1435,15 +1370,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn store_mode_parses() {
-        assert_eq!("off".parse(), Ok(StoreMode::Off));
-        assert_eq!("ro".parse(), Ok(StoreMode::ReadOnly));
-        assert_eq!("rw".parse(), Ok(StoreMode::ReadWrite));
-        assert_eq!("RW".parse::<StoreMode>(), Err(()));
-        assert_eq!(StoreMode::ReadWrite.to_string(), "rw");
-    }
-
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "lp-store-{tag}-{}-{:?}",
@@ -1473,28 +1399,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.get(key).is_none());
         assert!(!path.exists(), "corrupt entry should be deleted");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn read_only_store_never_writes() {
-        let dir = scratch_dir("readonly");
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = ProfileStore::open(&dir, StoreMode::ReadOnly).unwrap();
-        let key = ProfileKey(1);
-        store.put(key, &sample_profile(), &sample_run());
-        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn off_store_never_reads() {
-        let dir = scratch_dir("off");
-        let rw = ProfileStore::open(&dir, StoreMode::ReadWrite).unwrap();
-        let key = ProfileKey(2);
-        rw.put(key, &sample_profile(), &sample_run());
-        let off = ProfileStore::open(&dir, StoreMode::Off).unwrap();
-        assert!(off.get(key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
