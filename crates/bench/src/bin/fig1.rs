@@ -25,11 +25,11 @@ fn draw(label: &str, starts: &[u64], total: u64) {
 fn main() {
     let cli = Cli::parse();
     cli.enforce("fig1");
-    let lens = [ITER_LEN; N];
+    let segments = [(ITER_LEN, 1u32); N];
     println!("Figure 1 — parallel execution models (toy loop, {N} iterations, LCD at iter 2)\n");
 
     // (a) DOALL: no conflicts assumed — all iterations start together.
-    let cost = doall_cost(&lens, false, false, None).unwrap();
+    let cost = doall_cost(segments, false, false, None).unwrap();
     draw(
         "(a) DOALL (conflict-free case): all iterations start at once",
         &[0; N],
@@ -38,19 +38,20 @@ fn main() {
 
     // (b) Partial-DOALL: the conflict at iteration 2 restarts the phase.
     let conflicts = [2u32];
-    let cost = pdoall_cost(&lens, &conflicts, false, None).unwrap();
+    let ranges: Vec<_> = conflicts.iter().map(|&k| k..k + 1).collect();
+    let cost = pdoall_cost(segments, &ranges, false, None).unwrap();
     let mut starts = [0u64; N];
     let mut phase_start = 0;
     let mut ci = 0;
     let mut phase_longest = 0;
-    for k in 0..N {
+    for (k, start) in starts.iter_mut().enumerate() {
         if ci < conflicts.len() && conflicts[ci] as usize == k {
             ci += 1;
             phase_start += phase_longest;
             phase_longest = 0;
         }
-        starts[k] = phase_start;
-        phase_longest = phase_longest.max(lens[k]);
+        *start = phase_start;
+        phase_longest = phase_longest.max(ITER_LEN);
     }
     draw(
         "(b) Partial-DOALL: LCD detected at iter 2 delays the younger iterations",
@@ -60,7 +61,7 @@ fn main() {
 
     // (c) HELIX: synchronization skews every iteration by delta.
     let delta = 3u64;
-    let cost = helix_cost(&lens, delta, false, None).unwrap();
+    let cost = helix_cost(segments, delta, false, None).unwrap();
     let starts: Vec<u64> = (0..N as u64).map(|k| k * delta).collect();
     draw(
         "(c) DOACROSS / HELIX: per-iteration synchronization (delta = 3)",
@@ -70,9 +71,9 @@ fn main() {
 
     println!(
         "costs: DOALL {}, PDOALL {}, HELIX {}, serial {}",
-        doall_cost(&lens, false, false, None).unwrap(),
-        pdoall_cost(&lens, &conflicts, false, None).unwrap(),
-        helix_cost(&lens, delta, false, None).unwrap(),
+        doall_cost(segments, false, false, None).unwrap(),
+        pdoall_cost(segments, &ranges, false, None).unwrap(),
+        helix_cost(segments, delta, false, None).unwrap(),
         ITER_LEN * N as u64,
     );
     cli.finish("fig1");

@@ -1,11 +1,34 @@
 //! Parallel-execution cost models (paper §III-B, Fig. 1).
 //!
-//! All three models consume the per-iteration (inner-savings-adjusted)
-//! lengths of one loop instance and return the modelled parallel cost, or
-//! `None` when the model marks the loop sequential. The caller compares
-//! against the loop's sequential cost and keeps the minimum — loops where
-//! parallel execution would not help are "marked as serial" exactly as in
-//! the paper.
+//! All three models read the (inner-savings-adjusted) iteration lengths
+//! of one loop instance as [`Segment`]s, `count` consecutive iterations
+//! of the same length, in iteration order, and return the modelled
+//! parallel cost, or `None` when the model marks the loop sequential.
+//! The caller compares against the loop's sequential cost and keeps the
+//! minimum — loops where parallel execution would not help are "marked
+//! as serial" exactly as in the paper.
+//!
+//! Every formula is a function of the lengths alone, so a segment is
+//! worth `count` copies of one iteration and the cost is exact whatever
+//! way the lengths are cut into segments:
+//!
+//! - unbounded cores: DOALL is the largest length, HELIX the largest
+//!   length plus `delta × n`, and Partial-DOALL the sum over phases of
+//!   each phase's largest length, walking segments and conflict ranges
+//!   together;
+//! - bounded cores: waves of `cores` iterations fill across segment
+//!   boundaries (a segment fills the open wave, then closes whole waves
+//!   in one step), and the HELIX simulation steps through the iterations
+//!   of each segment, keeping the last `min(cores, n)` finish times.
+//!
+//! A caller holding one length per iteration passes one-iteration
+//! segments.
+
+use std::collections::VecDeque;
+use std::ops::Range;
+
+/// `count` consecutive iterations of length `len`, as `(len, count)`.
+pub type Segment = (u64, u32);
 
 /// Fraction of conflicting iterations above which Partial-DOALL marks the
 /// loop sequential (paper §III-B: 80 %).
@@ -21,15 +44,19 @@ pub const PDOALL_CONFLICT_LIMIT: f64 = 0.8;
 /// calls; `has_conflicts` covers memory RAW conflicts.
 #[must_use]
 pub fn doall_cost(
-    iter_lens: &[u64],
+    segments: impl IntoIterator<Item = Segment>,
     has_conflicts: bool,
     forced_serial: bool,
     cores: Option<u32>,
 ) -> Option<u64> {
-    if forced_serial || has_conflicts || iter_lens.is_empty() {
+    if forced_serial || has_conflicts {
         return None;
     }
-    Some(wave_cost(iter_lens, cores))
+    let mut waves = Waves::new(cores);
+    for (len, count) in segments {
+        waves.push(len, count.into());
+    }
+    (waves.iterations > 0).then(|| waves.close())
 }
 
 /// Partial-DOALL: a conflict at iteration `k` delays the start of `k` (and
@@ -37,35 +64,52 @@ pub fn doall_cost(
 /// tracking then restarts. Wave scheduling over `cores` applies within
 /// each phase (`None`: unbounded, a phase costs its slowest iteration).
 ///
-/// `conflicts` must be sorted ascending and free of duplicates
-/// (iteration indices, as `ConflictSet::iters` yields them). Returns
-/// `None` (sequential) when conflicting iterations exceed
-/// [`PDOALL_CONFLICT_LIMIT`] of the total.
+/// `conflicts` are the conflicting iterations as ascending, disjoint
+/// ranges (they may touch); members at or past the last iteration start
+/// no phase but still count. Returns `None` (sequential) when the
+/// conflicting iterations exceed [`PDOALL_CONFLICT_LIMIT`] of the total.
 #[must_use]
 pub fn pdoall_cost(
-    iter_lens: &[u64],
-    conflicts: &[u32],
+    segments: impl IntoIterator<Item = Segment>,
+    conflicts: &[Range<u32>],
     forced_serial: bool,
     cores: Option<u32>,
 ) -> Option<u64> {
-    if forced_serial || iter_lens.is_empty() {
+    if forced_serial {
         return None;
     }
-    let n = iter_lens.len();
-    if conflicts.len() as f64 > PDOALL_CONFLICT_LIMIT * n as f64 {
-        return None;
-    }
-    // Each phase is the run of iterations from one conflict up to the next.
+    let members: u64 = conflicts.iter().map(|c| u64::from(c.end - c.start)).sum();
     let mut cost = 0u64;
-    let mut phase_start = 0usize;
-    for &k in conflicts {
-        let k = k as usize;
-        if k > phase_start && k < n {
-            cost += wave_cost(&iter_lens[phase_start..k], cores);
-            phase_start = k;
+    let mut phase = Waves::new(cores);
+    let mut ahead = conflicts.iter().peekable();
+    // The first iteration not yet placed in a phase.
+    let mut k = 0u64;
+    for (len, count) in segments {
+        let end = k + u64::from(count);
+        while k < end {
+            while ahead.next_if(|c| u64::from(c.end) <= k).is_some() {}
+            match ahead.peek() {
+                // Iteration `k` conflicts, and so do the ones after it up
+                // to the range's end: each closes the phase before it, so
+                // all but the last make a phase of their own.
+                Some(c) if u64::from(c.start) <= k => {
+                    let stop = end.min(u64::from(c.end));
+                    cost += phase.close() + (stop - k - 1) * len;
+                    phase.push(len, 1);
+                    k = stop;
+                }
+                next => {
+                    let stop = next.map_or(end, |c| end.min(u64::from(c.start)));
+                    phase.push(len, stop - k);
+                    k = stop;
+                }
+            }
         }
     }
-    Some(cost + wave_cost(&iter_lens[phase_start..], cores))
+    if k == 0 || members as f64 > PDOALL_CONFLICT_LIMIT * k as f64 {
+        return None;
+    }
+    Some(cost + phase.close())
 }
 
 /// HELIX-style generalized DOACROSS. Unbounded (`cores = None`), the
@@ -79,46 +123,103 @@ pub fn pdoall_cost(
 /// memory under `dep1`).
 #[must_use]
 pub fn helix_cost(
-    iter_lens: &[u64],
+    segments: impl IntoIterator<Item = Segment>,
     delta_largest: u64,
     forced_serial: bool,
     cores: Option<u32>,
 ) -> Option<u64> {
-    if forced_serial || iter_lens.is_empty() {
+    if forced_serial {
         return None;
     }
+    let mut n = 0u64;
     let Some(p) = cores else {
-        let slowest = iter_lens.iter().copied().max().unwrap_or(0);
-        return Some(slowest + delta_largest * iter_lens.len() as u64);
+        let mut slowest = 0u64;
+        for (len, count) in segments.into_iter().filter(|&(_, count)| count > 0) {
+            slowest = slowest.max(len);
+            n += u64::from(count);
+        }
+        return (n > 0).then(|| slowest + delta_largest * n);
     };
     let p = p.max(1) as usize;
-    let mut finish: Vec<u64> = Vec::with_capacity(iter_lens.len());
+    // The finish times of the last `min(p, n)` iterations, oldest first.
+    let mut finish: VecDeque<u64> = VecDeque::new();
     let mut latest = 0u64;
-    for (i, &len) in iter_lens.iter().enumerate() {
-        let sync_ready = i as u64 * delta_largest;
-        let core_ready = if i >= p { finish[i - p] } else { 0 };
-        let start = sync_ready.max(core_ready);
-        let f = start + len;
-        finish.push(f);
-        latest = latest.max(f);
+    for (len, count) in segments {
+        for _ in 0..count {
+            let core_ready = if finish.len() == p {
+                finish.pop_front().unwrap_or(0)
+            } else {
+                0
+            };
+            let f = (n * delta_largest).max(core_ready) + len;
+            finish.push_back(f);
+            latest = latest.max(f);
+            n += 1;
+        }
     }
-    Some(latest)
+    (n > 0).then_some(latest)
 }
 
-/// Dispatches `lens` in order over waves of `cores` (unbounded when
-/// `None`): the cost of a conflict-free parallel region.
-fn wave_cost(lens: &[u64], cores: Option<u32>) -> u64 {
-    if lens.is_empty() {
-        return 0;
-    }
-    match cores {
-        None => lens.iter().copied().max().unwrap_or(0),
-        Some(p) => {
-            let p = p.max(1) as usize;
-            lens.chunks(p)
-                .map(|wave| wave.iter().copied().max().unwrap_or(0))
-                .sum()
+/// In-order waves of `cores` iterations (unbounded: one wave), filled
+/// segment by segment: the cost of a conflict-free parallel region.
+struct Waves {
+    /// Iterations per wave.
+    cores: u64,
+    /// Iterations in the open wave, fewer than `cores`.
+    filled: u64,
+    /// Longest iteration in the open wave.
+    slowest: u64,
+    /// Cost of the closed waves.
+    closed: u64,
+    /// Iterations pushed in all.
+    iterations: u64,
+}
+
+impl Waves {
+    fn new(cores: Option<u32>) -> Waves {
+        Waves {
+            cores: cores.map_or(u64::MAX, |p| u64::from(p.max(1))),
+            filled: 0,
+            slowest: 0,
+            closed: 0,
+            iterations: 0,
         }
+    }
+
+    /// Dispatches `count` more iterations of length `len`.
+    fn push(&mut self, len: u64, count: u64) {
+        let mut left = count;
+        if left == 0 {
+            return;
+        }
+        self.iterations += left;
+        if self.filled > 0 {
+            let take = left.min(self.cores - self.filled);
+            self.slowest = self.slowest.max(len);
+            self.filled += take;
+            left -= take;
+            if self.filled < self.cores {
+                return;
+            }
+            self.closed += self.slowest;
+            self.filled = 0;
+        }
+        // The open wave is empty: whole waves of `len`, then the rest.
+        if left >= self.cores {
+            self.closed += left / self.cores * len;
+            left %= self.cores;
+        }
+        self.filled = left;
+        self.slowest = len;
+    }
+
+    /// The cost of every wave so far, the open one included; starts over
+    /// with no wave.
+    fn close(&mut self) -> u64 {
+        let cost = self.closed + if self.filled > 0 { self.slowest } else { 0 };
+        self.closed = 0;
+        self.filled = 0;
+        cost
     }
 }
 
@@ -126,20 +227,30 @@ fn wave_cost(lens: &[u64], cores: Option<u32>) -> u64 {
 mod tests {
     use super::*;
 
+    /// One segment per length.
+    fn each(lens: &[u64]) -> impl Iterator<Item = Segment> + '_ {
+        lens.iter().map(|&len| (len, 1))
+    }
+
+    /// One range per conflicting iteration.
+    fn at(iters: &[u32]) -> Vec<Range<u32>> {
+        iters.iter().map(|&k| k..k + 1).collect()
+    }
+
     #[test]
     fn doall_takes_slowest_iteration() {
-        assert_eq!(doall_cost(&[5, 9, 3], false, false, None), Some(9));
-        assert_eq!(doall_cost(&[5, 9, 3], true, false, None), None);
-        assert_eq!(doall_cost(&[5, 9, 3], false, true, None), None);
-        assert_eq!(doall_cost(&[], false, false, None), None);
+        assert_eq!(doall_cost(each(&[5, 9, 3]), false, false, None), Some(9));
+        assert_eq!(doall_cost(each(&[5, 9, 3]), true, false, None), None);
+        assert_eq!(doall_cost(each(&[5, 9, 3]), false, true, None), None);
+        assert_eq!(doall_cost(each(&[]), false, false, None), None);
     }
 
     #[test]
     fn pdoall_no_conflicts_equals_doall() {
         let lens = [4u64, 7, 2, 6];
         assert_eq!(
-            pdoall_cost(&lens, &[], false, None),
-            doall_cost(&lens, false, false, None)
+            pdoall_cost(each(&lens), &[], false, None),
+            doall_cost(each(&lens), false, false, None)
         );
     }
 
@@ -148,7 +259,12 @@ mod tests {
         // Iterations of length 10 each; conflicts at iterations 2 and 4 of
         // 6 total: phases {0,1}, {2,3}, {4,5} -> 3 phases x 10.
         let lens = [10u64; 6];
-        assert_eq!(pdoall_cost(&lens, &[2, 4], false, None), Some(30));
+        assert_eq!(
+            pdoall_cost(each(&lens), &at(&[2, 4]), false, None),
+            Some(30)
+        );
+        // The same six iterations as one segment.
+        assert_eq!(pdoall_cost([(10, 6)], &at(&[2, 4]), false, None), Some(30));
     }
 
     #[test]
@@ -156,16 +272,18 @@ mod tests {
         // A conflict at iteration 0 cannot happen (nothing older), but at
         // iteration 1 the first phase is just iteration 0.
         let lens = [5u64, 5, 5];
-        assert_eq!(pdoall_cost(&lens, &[1], false, None), Some(10));
+        assert_eq!(pdoall_cost(each(&lens), &at(&[1]), false, None), Some(10));
     }
 
     #[test]
     fn pdoall_eighty_percent_rule() {
         let lens = [1u64; 10];
         let conflicts: Vec<u32> = (1..=8).collect(); // exactly 80%: allowed
-        assert!(pdoall_cost(&lens, &conflicts, false, None).is_some());
+        assert!(pdoall_cost(each(&lens), &at(&conflicts), false, None).is_some());
         let conflicts: Vec<u32> = (1..=9).collect(); // 90%: sequential
-        assert_eq!(pdoall_cost(&lens, &conflicts, false, None), None);
+        assert_eq!(pdoall_cost(each(&lens), &at(&conflicts), false, None), None);
+        // The same members as one range.
+        assert_eq!(pdoall_cost(each(&lens), &[1..5, 5..10], false, None), None);
     }
 
     #[test]
@@ -174,30 +292,38 @@ mod tests {
         // cost equals the serial sum (before the 80% rule would even fire
         // for small n). For n=3, 2 conflicts of 3 iterations = 66% < 80%.
         let lens = [7u64, 7, 7];
-        assert_eq!(pdoall_cost(&lens, &[1, 2], false, None), Some(21));
+        assert_eq!(
+            pdoall_cost(each(&lens), &at(&[1, 2]), false, None),
+            Some(21)
+        );
     }
 
     #[test]
     fn helix_formula() {
         // slowest 9, delta 2, 4 iterations -> 9 + 8 = 17.
-        assert_eq!(helix_cost(&[5, 9, 3, 7], 2, false, None), Some(17));
-        assert_eq!(helix_cost(&[5, 9, 3, 7], 0, false, None), Some(9));
-        assert_eq!(helix_cost(&[5, 9], 1, true, None), None);
+        assert_eq!(helix_cost(each(&[5, 9, 3, 7]), 2, false, None), Some(17));
+        assert_eq!(helix_cost(each(&[5, 9, 3, 7]), 0, false, None), Some(9));
+        assert_eq!(helix_cost(each(&[5, 9]), 1, true, None), None);
     }
 
     #[test]
     fn bounded_doall_waves() {
         let lens = [3u64, 5, 2, 4, 1];
         // Unbounded: slowest iteration.
-        assert_eq!(doall_cost(&lens, false, false, None), Some(5));
+        assert_eq!(doall_cost(each(&lens), false, false, None), Some(5));
         // 2 cores: waves {3,5},{2,4},{1} -> 5 + 4 + 1.
-        assert_eq!(doall_cost(&lens, false, false, Some(2)), Some(10));
+        assert_eq!(doall_cost(each(&lens), false, false, Some(2)), Some(10));
         // 1 core: serial sum.
-        assert_eq!(doall_cost(&lens, false, false, Some(1)), Some(15));
+        assert_eq!(doall_cost(each(&lens), false, false, Some(1)), Some(15));
         // Enough cores == unbounded.
         assert_eq!(
-            doall_cost(&lens, false, false, Some(8)),
-            doall_cost(&lens, false, false, None)
+            doall_cost(each(&lens), false, false, Some(8)),
+            doall_cost(each(&lens), false, false, None)
+        );
+        // A wave fills across segments: {3,3,3},{3,9,9},{9} -> 3 + 9 + 9.
+        assert_eq!(
+            doall_cost([(3, 4), (9, 3)], false, false, Some(3)),
+            Some(21)
         );
     }
 
@@ -206,26 +332,29 @@ mod tests {
         let lens = [10u64; 6];
         // conflict at 3: phases {0,1,2},{3,4,5}; with 2 cores each phase
         // is 2 waves of 10 -> 20; total 40.
-        assert_eq!(pdoall_cost(&lens, &[3], false, Some(2)), Some(40));
-        assert_eq!(pdoall_cost(&lens, &[3], false, None), Some(20));
+        assert_eq!(
+            pdoall_cost(each(&lens), &at(&[3]), false, Some(2)),
+            Some(40)
+        );
+        assert_eq!(pdoall_cost(each(&lens), &at(&[3]), false, None), Some(20));
     }
 
     #[test]
     fn bounded_helix_respects_sync_and_core_reuse() {
         let lens = [10u64; 8];
         // Unbounded: 10 + 2*8 = 26.
-        assert_eq!(helix_cost(&lens, 2, false, None), Some(26));
+        assert_eq!(helix_cost(each(&lens), 2, false, None), Some(26));
         // With delta 2 and 2 cores: core reuse dominates.
-        let two = helix_cost(&lens, 2, false, Some(2)).unwrap();
+        let two = helix_cost(each(&lens), 2, false, Some(2)).unwrap();
         assert!(two > 26, "2 cores must be slower: {two}");
         // With huge delta, cores don't matter (sync dominates); the exact
         // simulation is slightly tighter than the paper's closed formula
         // (`delta × n` vs `delta × (n−1) + last`), so bound, not equality.
-        let sim = helix_cost(&lens, 100, false, Some(2)).unwrap();
-        let formula = helix_cost(&lens, 100, false, None).unwrap();
+        let sim = helix_cost(each(&lens), 100, false, Some(2)).unwrap();
+        let formula = helix_cost(each(&lens), 100, false, None).unwrap();
         assert!(sim <= formula && sim >= formula - 100);
         // Monotone in cores.
-        let p4 = helix_cost(&lens, 2, false, Some(4)).unwrap();
+        let p4 = helix_cost(each(&lens), 2, false, Some(4)).unwrap();
         assert!(p4 <= two);
     }
 
@@ -234,7 +363,7 @@ mod tests {
         // The caller is responsible for comparing with serial; verify the
         // raw number grows past the serial sum.
         let lens = [10u64; 4];
-        let cost = helix_cost(&lens, 20, false, None).unwrap();
+        let cost = helix_cost(each(&lens), 20, false, None).unwrap();
         assert!(cost > lens.iter().sum::<u64>());
     }
 }

@@ -378,9 +378,10 @@ mod tests {
         let RegionKind::Loop(inst) = &r.kind else {
             unreachable!()
         };
-        let lens: Vec<u64> = inst.timeline.lengths(r.end).collect();
-        assert_eq!(lens, vec![10, 15, 15]);
-        assert_eq!(lens.iter().sum::<u64>(), r.serial_cost());
+        let segments: Vec<_> = inst.timeline.segments(r.end).collect();
+        assert_eq!(segments, vec![(10, 1), (15, 1), (15, 1)]);
+        let sum: u64 = segments.iter().map(|&(len, n)| len * u64::from(n)).sum();
+        assert_eq!(sum, r.serial_cost());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The reference evaluator for differential tests: the naive bottom-up
-//! fold that `lp_runtime::eval` replaced with its plan-based walk.
+//! fold that `lp_runtime::eval` replaced with its walk over iteration
+//! segments.
 //!
 //! For every `(model, config)` point it walks every region, rebuilds
-//! every loop instance's iteration lengths, and merges every conflict set
-//! afresh. It is slow and simple on purpose; the real evaluator must
-//! agree with it bit for bit (compared through `Debug`).
+//! every loop instance's iteration lengths one by one, and merges every
+//! conflict set afresh, member by member; its cost functions read one
+//! length per iteration. It is slow and simple on purpose; the real
+//! evaluator must agree with it bit for bit (compared through `Debug`).
 
 use lp_analysis::LcdClass;
 use lp_runtime::explain::AttrCollector;
@@ -411,8 +413,9 @@ impl Evaluator<'_> {
     }
 }
 
-/// Partial-DOALL over explicitly collected phases.
-fn pdoall_cost(
+/// Partial-DOALL over explicitly collected phases; `conflicts` are
+/// sorted, distinct iteration numbers.
+pub fn pdoall_cost(
     iter_lens: &[u64],
     conflicts: &[u32],
     forced_serial: bool,
@@ -440,7 +443,7 @@ fn pdoall_cost(
 
 /// HELIX: the closed formula when unbounded, else a simulation with
 /// core reuse.
-fn helix_cost(
+pub fn helix_cost(
     iter_lens: &[u64],
     delta: u64,
     forced_serial: bool,
@@ -465,7 +468,7 @@ fn helix_cost(
 }
 
 /// In-order waves of `cores` (unbounded when `None`).
-fn wave_cost(lens: &[u64], cores: Option<u32>) -> u64 {
+pub fn wave_cost(lens: &[u64], cores: Option<u32>) -> u64 {
     match cores {
         None => lens.iter().copied().max().unwrap_or(0),
         Some(p) => lens

@@ -7,13 +7,15 @@ use lp_interp::{Exec, ExecUnit};
 use lp_ir::builder::FunctionBuilder;
 use lp_ir::{Global, Module, Type, ValueId};
 use lp_predict::{HybridPredictor, LastValue, Predictor, Stride};
-use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost};
+use lp_runtime::model::{doall_cost, helix_cost, pdoall_cost, Segment};
 use lp_runtime::{
     evaluate, evaluate_explained, evaluate_explained_with, evaluate_with, profile_module,
-    sweep_points, Config, EvalOptions, ExecModel, Jobs, RegionKind, SweepPoint, SweepUnit,
+    sweep_points, Config, EvalOptions, ExecModel, IterSet, Jobs, RegionKind, SweepPoint, SweepUnit,
 };
 use lp_suite::kernels::counted_loop;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 #[path = "../crates/runtime/tests/oracle/mod.rs"]
 mod oracle;
@@ -51,6 +53,16 @@ enum LoopSpec {
     Cell { n: i64 },
     /// Nested: outer DOALL over inner reduction.
     Nested { outer: i64, inner: i64 },
+}
+
+/// One segment per length.
+fn each(lens: &[u64]) -> impl Iterator<Item = Segment> + '_ {
+    lens.iter().map(|&len| (len, 1))
+}
+
+/// One range per member.
+fn ranges(members: &[u32]) -> Vec<Range<u32>> {
+    members.iter().map(|&k| k..k + 1).collect()
 }
 
 fn loop_spec() -> impl Strategy<Value = LoopSpec> {
@@ -348,7 +360,7 @@ proptest! {
             .collect();
         let max = *lens.iter().max().unwrap();
         let sum: u64 = lens.iter().sum();
-        if let Some(cost) = pdoall_cost(&lens, &conflicts, false, None) {
+        if let Some(cost) = pdoall_cost(each(&lens), &ranges(&conflicts), false, None) {
             prop_assert!(cost >= max, "cost {cost} < max {max}");
             prop_assert!(cost <= sum, "cost {cost} > serial {sum}");
         } else {
@@ -356,7 +368,7 @@ proptest! {
             prop_assert!(conflicts.len() as f64 > 0.8 * n as f64);
         }
         // No conflicts => identical to DOALL.
-        prop_assert_eq!(pdoall_cost(&lens, &[], false, None), doall_cost(&lens, false, false, None));
+        prop_assert_eq!(pdoall_cost(each(&lens), &[], false, None), doall_cost(each(&lens), false, false, None));
     }
 
     #[test]
@@ -365,9 +377,9 @@ proptest! {
         delta in 0u64..500
     ) {
         let max = *lens.iter().max().unwrap();
-        let cost = helix_cost(&lens, delta, false, None).unwrap();
+        let cost = helix_cost(each(&lens), delta, false, None).unwrap();
         prop_assert_eq!(cost, max + delta * lens.len() as u64);
-        prop_assert!(helix_cost(&lens, delta, true, None).is_none());
+        prop_assert!(helix_cost(each(&lens), delta, true, None).is_none());
     }
 
     #[test]
@@ -378,10 +390,10 @@ proptest! {
         let n = lens.len() as u32;
         let some: Vec<u32> = (1..n).step_by(k + 1).collect();
         let all: Vec<u32> = (1..n).collect();
-        let c_none = pdoall_cost(&lens, &[], false, None).unwrap();
-        if let Some(c_some) = pdoall_cost(&lens, &some, false, None) {
+        let c_none = pdoall_cost(each(&lens), &[], false, None).unwrap();
+        if let Some(c_some) = pdoall_cost(each(&lens), &ranges(&some), false, None) {
             prop_assert!(c_some >= c_none);
-            if let Some(c_all) = pdoall_cost(&lens, &all, false, None) {
+            if let Some(c_all) = pdoall_cost(each(&lens), &ranges(&all), false, None) {
                 prop_assert!(c_all >= c_some);
             }
         }
@@ -488,5 +500,77 @@ proptest! {
         for (addr, value) in shadow {
             prop_assert_eq!(mem.read(addr).unwrap(), value);
         }
+    }
+}
+
+proptest! {
+    // Cheap cases, and the edges are rare: more of them than above.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn segment_costs_match_the_per_iteration_oracle(
+        segments in prop::collection::vec(
+            (prop_oneof![Just(0u64), 0u64..40], prop_oneof![0u32..4, 1u32..3000]),
+            0..8
+        ),
+        runs in prop::collection::vec((0u64..1000, 1u32..20), 0..12),
+        edge in 0u8..6,
+        core_pick in 0u8..5,
+        delta in prop_oneof![Just(0u64), 0u64..1_000_000]
+    ) {
+        let lens: Vec<u64> = segments
+            .iter()
+            .flat_map(|&(len, count)| std::iter::repeat_n(len, count as usize))
+            .collect();
+        let n = lens.len() as u32;
+        // Conflicting iterations in streaks spread over 0 ..= n + 3, then
+        // an edge: iteration 0, iterations at and past n, exactly the 80%
+        // limit or one past it, or the first and last iterations.
+        let mut members: BTreeSet<u32> = runs
+            .iter()
+            .flat_map(|&(at, len)| {
+                let lo = (at * u64::from(n + 4) / 1000) as u32;
+                lo..lo + len
+            })
+            .collect();
+        let limit = (f64::from(n) * lp_runtime::model::PDOALL_CONFLICT_LIMIT) as usize;
+        match edge {
+            1 => {
+                members.insert(0);
+            }
+            2 => members.extend(n..n + 3),
+            3 | 4 => {
+                let want = limit + usize::from(edge == 4);
+                members = members.into_iter().take(want).collect();
+                let mut fill = 0u32..;
+                while members.len() < want {
+                    members.extend(fill.next());
+                }
+            }
+            5 => members.extend([0, n.saturating_sub(1)]),
+            _ => {}
+        }
+        let conflicts: Vec<u32> = members.into_iter().collect();
+        let set: IterSet = conflicts.iter().copied().collect();
+        let conflict_ranges: Vec<Range<u32>> = set.ranges().collect();
+        let cores = match core_pick {
+            0 => None,
+            1..=3 => Some(u32::from(core_pick)),
+            _ => Some(n + 1),
+        };
+
+        let doall = (n > 0).then(|| oracle::wave_cost(&lens, cores));
+        prop_assert_eq!(doall_cost(segments.iter().copied(), false, false, cores), doall);
+        prop_assert_eq!(doall_cost(segments.iter().copied(), true, false, cores), None);
+        prop_assert_eq!(
+            pdoall_cost(segments.iter().copied(), &conflict_ranges, false, cores),
+            oracle::pdoall_cost(&lens, &conflicts, false, cores),
+            "{} conflicts of {} iterations", conflicts.len(), n
+        );
+        prop_assert_eq!(
+            helix_cost(segments.iter().copied(), delta, false, cores),
+            oracle::helix_cost(&lens, delta, false, cores)
+        );
+        prop_assert_eq!(helix_cost(segments.iter().copied(), delta, true, cores), None);
     }
 }
