@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Pass-through hasher for the FCM table: its keys are already-mixed
@@ -48,6 +48,51 @@ impl Hasher for Prehashed {
 }
 
 type PrehashedMap = HashMap<u64, u64, BuildHasherDefault<Prehashed>>;
+
+/// Number of maps a [`CtxTable`] splits its contexts over.
+const CTX_SHARDS: usize = 16;
+
+/// The FCM context table, split into [`CTX_SHARDS`] maps by bits 32..36
+/// of the context key. The map takes its bucket index from the key's low
+/// bits and its tag from the top seven, so the shard bits bias neither.
+/// The split bounds the memory of a resize: growing one map rebuilds a
+/// sixteenth of the table, instead of holding the old and the new copy
+/// of all of it at once.
+#[derive(Debug, Clone, Default)]
+struct CtxTable {
+    shards: [PrehashedMap; CTX_SHARDS],
+}
+
+impl CtxTable {
+    #[inline]
+    fn shard(ctx: u64) -> usize {
+        (ctx >> 32) as usize % CTX_SHARDS
+    }
+
+    #[inline]
+    fn get(&self, ctx: u64) -> Option<u64> {
+        self.shards[Self::shard(ctx)].get(&ctx).copied()
+    }
+
+    /// Maps `ctx` to `next`, returning the value it mapped to before.
+    /// Unlike `HashMap::insert`, which reserves room before it probes,
+    /// this grows a map only for a context it does not hold yet.
+    #[inline]
+    fn insert(&mut self, ctx: u64, next: u64) -> Option<u64> {
+        match self.shards[Self::shard(ctx)].entry(ctx) {
+            Entry::Occupied(mut e) => Some(std::mem::replace(e.get_mut(), next)),
+            Entry::Vacant(e) => {
+                e.insert(next);
+                None
+            }
+        }
+    }
+
+    /// Contexts held, summed over the maps (read once per profile).
+    fn len(&self) -> usize {
+        self.shards.iter().map(HashMap::len).sum()
+    }
+}
 
 /// A single-stream value predictor.
 ///
@@ -181,7 +226,7 @@ pub struct Fcm {
     /// hash needs the outgoing term, never the raw value.
     history: Vec<u64>,
     head: usize,
-    table: PrehashedMap,
+    table: CtxTable,
     warm: usize,
     /// Rolling polynomial hash of `history`, slid in O(1) per observation
     /// so `predict` + `update` share one computation and the hash cost is
@@ -229,7 +274,7 @@ impl Fcm {
             order,
             history: Vec::with_capacity(order),
             head: 0,
-            table: PrehashedMap::default(),
+            table: CtxTable::default(),
             warm: 0,
             ctx: 0,
             drop_pow: FCM_BASE.wrapping_pow(order as u32 - 1),
@@ -264,15 +309,7 @@ impl Fcm {
     /// instead of twice. Exactly equivalent to `predict()` + `update()`.
     fn observe_value(&mut self, actual: u64) -> Option<u64> {
         let predicted = if self.warm >= self.order {
-            match self.table.entry(self.ctx) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Some(std::mem::replace(e.get_mut(), actual))
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(actual);
-                    None
-                }
-            }
+            self.table.insert(self.ctx, actual)
         } else {
             None
         };
@@ -292,7 +329,7 @@ impl Predictor for Fcm {
         if self.warm < self.order {
             return None;
         }
-        self.table.get(&self.ctx).copied()
+        self.table.get(self.ctx)
     }
 
     fn update(&mut self, actual: u64) {
@@ -545,6 +582,274 @@ mod tests {
     #[test]
     fn stats_accuracy_empty_is_zero() {
         assert_eq!(PredictorStats::default().accuracy(), 0.0);
+    }
+
+    /// The reference FCM: the context is hashed from scratch over a window
+    /// of the last `order` values, and one map holds the whole table.
+    struct RefFcm {
+        order: usize,
+        window: std::collections::VecDeque<u64>,
+        table: PrehashedMap,
+    }
+
+    impl RefFcm {
+        fn new(order: usize) -> RefFcm {
+            RefFcm {
+                order,
+                window: std::collections::VecDeque::new(),
+                table: PrehashedMap::default(),
+            }
+        }
+
+        fn ctx(&self) -> Option<u64> {
+            (self.window.len() == self.order).then(|| {
+                self.window.iter().fold(0, |c: u64, &v| {
+                    c.wrapping_mul(FCM_BASE).wrapping_add(mix(v))
+                })
+            })
+        }
+    }
+
+    impl Predictor for RefFcm {
+        fn predict(&self) -> Option<u64> {
+            self.table.get(&self.ctx()?).copied()
+        }
+
+        fn update(&mut self, actual: u64) {
+            if let Some(ctx) = self.ctx() {
+                self.table.insert(ctx, actual);
+                self.window.pop_front();
+            }
+            self.window.push_back(actual);
+        }
+
+        fn name(&self) -> &'static str {
+            "reference-fcm"
+        }
+    }
+
+    /// The reference hybrid: every component predicts, then every
+    /// component is trained, with the FCM on [`RefFcm`].
+    struct RefHybrid {
+        components: (LastValue, Stride, TwoDeltaStride, RefFcm),
+        correct: [u64; 4],
+        stats: PredictorStats,
+    }
+
+    impl RefHybrid {
+        fn new() -> RefHybrid {
+            RefHybrid {
+                components: (
+                    LastValue::new(),
+                    Stride::new(),
+                    TwoDeltaStride::new(),
+                    RefFcm::new(DEFAULT_FCM_ORDER),
+                ),
+                correct: [0; 4],
+                stats: PredictorStats::default(),
+            }
+        }
+
+        fn observe(&mut self, actual: u64) -> bool {
+            let (lv, st, td, fcm) = &mut self.components;
+            let predictions = [lv.predict(), st.predict(), td.predict(), fcm.predict()];
+            let hits = predictions.map(|p| p == Some(actual));
+            for (correct, hit) in self.correct.iter_mut().zip(hits) {
+                *correct += u64::from(hit);
+            }
+            lv.update(actual);
+            st.update(actual);
+            td.update(actual);
+            fcm.update(actual);
+            let any = hits.contains(&true);
+            self.stats.observed += 1;
+            self.stats.correct += u64::from(any);
+            any
+        }
+    }
+
+    /// Drives the fused path (`HybridPredictor::observe`, and
+    /// `Fcm::observe_value` at orders 1 and 3) and the `predict` +
+    /// `update` path against the references, observation by observation.
+    /// Returns the hybrid's FCM statistics.
+    fn assert_exact(label: &str, seq: &[u64]) -> PredictorStats {
+        let mut hybrid = HybridPredictor::new();
+        let mut reference = RefHybrid::new();
+        for (i, &v) in seq.iter().enumerate() {
+            assert_eq!(
+                hybrid.observe(v),
+                reference.observe(v),
+                "{label}: hybrid hit at {i}"
+            );
+        }
+        assert_eq!(hybrid.stats(), reference.stats, "{label}: hybrid stats");
+        let ref_components = reference.correct.map(|correct| PredictorStats {
+            observed: reference.stats.observed,
+            correct,
+        });
+        assert_eq!(
+            hybrid.component_stats(),
+            ref_components,
+            "{label}: components"
+        );
+        assert_eq!(
+            hybrid.fcm_entries(),
+            reference.components.3.table.len(),
+            "{label}: hybrid fcm_entries"
+        );
+
+        for order in [1, DEFAULT_FCM_ORDER] {
+            let mut fused = Fcm::with_order(order);
+            let mut plain = Fcm::with_order(order);
+            let mut reference = RefFcm::new(order);
+            for (i, &v) in seq.iter().enumerate() {
+                let want = reference.predict();
+                assert_eq!(
+                    plain.predict(),
+                    want,
+                    "{label}: order {order} predict at {i}"
+                );
+                assert_eq!(
+                    fused.observe_value(v),
+                    want,
+                    "{label}: order {order} fused at {i}"
+                );
+                plain.update(v);
+                reference.update(v);
+            }
+            assert_eq!(
+                plain.table.len(),
+                reference.table.len(),
+                "{label}: plain entries"
+            );
+            assert_eq!(
+                fused.table.len(),
+                reference.table.len(),
+                "{label}: fused entries"
+            );
+        }
+        hybrid.component_stats()[3]
+    }
+
+    /// Inverse of `x ^= x >> shift`.
+    fn unshift(y: u64, shift: u32) -> u64 {
+        let mut x = y;
+        for _ in 0..64 / shift {
+            x = y ^ (x >> shift);
+        }
+        x
+    }
+
+    /// Multiplicative inverse of an odd `c` modulo 2^64 (Newton's method).
+    fn inverse(c: u64) -> u64 {
+        let mut x = c;
+        for _ in 0..5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)));
+        }
+        x
+    }
+
+    /// The value whose [`mix`] is `key`, so that an order-1 FCM that has
+    /// just seen it looks up exactly `key`.
+    fn unmix(key: u64) -> u64 {
+        let z = unshift(key, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30).wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// Context keys that stress the split: the key 0, keys that share
+    /// bits 32..36 (one shard), and keys that share every other bit and
+    /// differ only there (one per shard).
+    fn adversarial_keys() -> Vec<u64> {
+        let mut keys = vec![0];
+        let shard_bits = 0xF << 32;
+        keys.extend((1..2000u64).map(|i| i.wrapping_mul(FCM_BASE) & !shard_bits | (5 << 32)));
+        keys.extend((0..CTX_SHARDS as u64).map(|s| 0xABCD_0000_1234_5678 | (s << 32)));
+        keys
+    }
+
+    #[test]
+    fn ctx_table_matches_one_map_on_adversarial_keys() {
+        let keys = adversarial_keys();
+        let mut table = CtxTable::default();
+        let mut reference = PrehashedMap::default();
+        for round in 0..2u64 {
+            for (i, &k) in keys.iter().enumerate() {
+                let next = round * 10_000 + i as u64;
+                assert_eq!(table.get(k), reference.get(&k).copied(), "get {k:#x}");
+                assert_eq!(
+                    table.insert(k, next),
+                    reference.insert(k, next),
+                    "insert {k:#x}"
+                );
+            }
+            assert_eq!(table.len(), reference.len());
+        }
+        assert!(
+            table.shards.iter().all(|m| !m.is_empty()),
+            "the keys span every shard"
+        );
+        assert_eq!(
+            table.shards[5].len(),
+            2000,
+            "keys sharing bits 32..36 share a shard"
+        );
+    }
+
+    #[test]
+    fn unmix_inverts_mix() {
+        for k in adversarial_keys() {
+            assert_eq!(mix(unmix(k)), k);
+        }
+    }
+
+    #[test]
+    fn split_table_is_exact_on_chaotic_streams() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let random: Vec<u64> = (0..100_000).map(|_| rng.gen()).collect();
+        assert_eq!(assert_exact("random", &random).correct, 0);
+        // A logistic map read to a few hundred levels: chaotic, but
+        // contexts recur, so the FCM both hits and misses.
+        let mut x = 0.3141_f64;
+        let logistic: Vec<u64> = (0..60_000)
+            .map(|_| {
+                x = 3.99 * x * (1.0 - x);
+                (x * 300.0) as u64
+            })
+            .collect();
+        let fcm = assert_exact("logistic", &logistic);
+        assert!(0 < fcm.correct && fcm.correct < fcm.observed, "{fcm:?}");
+    }
+
+    #[test]
+    fn split_table_is_exact_on_periodic_streams() {
+        for period in [1usize, 2, 7, 64, 1000, 4099] {
+            let seq: Vec<u64> = (0..20_000)
+                .map(|i| ((i % period) as u64).wrapping_mul(0x1234_5678_9ABC))
+                .collect();
+            assert_exact(&format!("period {period}"), &seq);
+        }
+        let affine: Vec<u64> = (0..5000).map(|i| 17 + 3 * i).collect();
+        assert_exact("affine", &affine);
+    }
+
+    #[test]
+    fn split_table_is_exact_on_adversarial_keys() {
+        // At order 1 the key after value v is mix(v): twice over the keys,
+        // so the second pass hits what the first inserted.
+        let values: Vec<u64> = adversarial_keys().into_iter().map(unmix).collect();
+        let twice: Vec<u64> = values.iter().chain(&values).copied().collect();
+        assert_exact("adversarial, order 1", &twice);
+        // At order 3, a window (z, z, v) with mix(z) = 0 has the key
+        // mix(v), and (z, z, z) has the key 0.
+        let z = unmix(0);
+        let order3: Vec<u64> = [z, z, z]
+            .into_iter()
+            .chain(values.iter().flat_map(|&v| [z, z, v]))
+            .collect();
+        let twice: Vec<u64> = order3.iter().chain(&order3).copied().collect();
+        assert_exact("adversarial, order 3", &twice);
     }
 
     #[test]
