@@ -20,12 +20,15 @@
 //! always-on journaling overhead (`journal_overhead` in `totals`, the
 //! median over per-rep aggregates) exceeds 3% beyond its own MAD-based
 //! noise allowance. The process counters (event tallies, shadow and
-//! witness pages, predictor hits) ride along in the `counters` object.
+//! witness pages, predictor hits) ride along in the `counters` object,
+//! and `--check` compares the deterministic ones among them
+//! ([`EXACT_COUNTERS`]) exactly against the baseline's, refusing a
+//! baseline taken with a different `--reps`.
 
 use lp_analysis::analyze_module;
 use lp_bench::{fold_benchmarks, Cli};
 use lp_interp::{Engine, Exec, ExecUnit, MachineConfig};
-use lp_obs::{lp_info, JsonValue, JsonWriter};
+use lp_obs::{lp_info, Counter, JsonValue, JsonWriter, PredictorKind};
 use lp_suite::{Benchmark, Scale, SuiteId};
 use std::path::PathBuf;
 
@@ -35,6 +38,48 @@ const CHECK_TOLERANCE: f64 = 0.30;
 /// Allowed always-on flight-recorder overhead (profiler run with the
 /// journal enabled vs disabled) before `--check` fails.
 const JOURNAL_TOLERANCE: f64 = 0.03;
+
+/// The work counts `--check` compares exactly with the baseline's
+/// `counters` (an absent counter reads 0): events by kind, the conflicts
+/// and loop instances the tracker found, the tables it grew, and the
+/// predictor misses. Each repeats exactly for the same benchmarks, scale
+/// and `--reps`, so any difference is a change in the work done.
+const EXACT_COUNTERS: [Counter; 15] = [
+    Counter::EventsConsumed,
+    Counter::BlocksEntered,
+    Counter::Loads,
+    Counter::Stores,
+    Counter::PhisResolved,
+    Counter::FuncsEntered,
+    Counter::BuiltinCalls,
+    Counter::ValueDefs,
+    Counter::RawConflicts,
+    Counter::LoopInstances,
+    Counter::ShadowPages,
+    Counter::FcmEntries,
+    Counter::FcmEntriesMax,
+    Counter::PredictorMiss(PredictorKind::Fcm),
+    Counter::PredictorMiss(PredictorKind::Hybrid),
+];
+
+/// One `counter: baseline → now` line per [`EXACT_COUNTERS`] entry whose
+/// value differs between the two `(name, value)` lists.
+fn counter_mismatches(baseline: &[(String, u64)], now: &[(String, u64)]) -> Vec<String> {
+    let value = |counters: &[(String, u64)], name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    EXACT_COUNTERS
+        .iter()
+        .map(|c| c.name())
+        .filter_map(|name| {
+            let (was, is) = (value(baseline, name), value(now, name));
+            (was != is).then(|| format!("{name}: {was} → {is}"))
+        })
+        .collect()
+}
 
 /// Per-benchmark measurement: dynamic instructions, the best wall-clock
 /// time of each pipeline stage, and every per-rep sample behind it (the
@@ -98,10 +143,14 @@ struct Baseline {
     slowdown: f64,
     /// `(name, profile_mips)` per benchmark present in the baseline.
     per_bench: Vec<(String, f64)>,
+    /// The `--reps` the baseline was taken with.
+    reps: Option<u64>,
+    /// The baseline's process counters, `(name, value)`.
+    counters: Vec<(String, u64)>,
 }
 
 /// Parses a previous lpbench report; `None` unless it is JSON with the
-/// three totals the gates read.
+/// three totals the gates read. `counters` is empty when absent.
 fn parse_baseline(text: &str) -> Option<Baseline> {
     let doc = JsonValue::parse(text).ok()?;
     let totals = doc.get("totals")?;
@@ -116,11 +165,20 @@ fn parse_baseline(text: &str) -> Option<Baseline> {
             Some((name.to_string(), b.get("profile_mips")?.as_f64()?))
         })
         .collect();
+    let counters = doc
+        .get("counters")
+        .and_then(JsonValue::entries)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
+        .collect();
     Some(Baseline {
         interp_mips: total("interp_mips")?,
         profile_mips: total("profile_mips")?,
         slowdown: total("slowdown")?,
         per_bench,
+        reps: doc.get("reps").and_then(JsonValue::as_u64),
+        counters,
     })
 }
 
@@ -373,11 +431,13 @@ fn main() {
     w.key("wall_ns");
     w.uint(sweep_ns);
     w.end_object();
+    // Taken before `--check` profiles again for its engine comparison.
+    let counters = lp_obs::counters().snapshot();
     w.key("counters");
     w.begin_object();
-    for (name, value) in lp_obs::counters().snapshot() {
-        w.key(&name);
-        w.uint(value);
+    for (name, value) in &counters {
+        w.key(name);
+        w.uint(*value);
     }
     w.end_object();
     if let Some(path) = &baseline_path {
@@ -437,6 +497,37 @@ fn main() {
     }
 
     if let Some(path) = &check_path {
+        let Some(base) = read_baseline(path) else {
+            eprintln!("cannot read lpbench baseline {}", path.display());
+            std::process::exit(2);
+        };
+        // Work-count gate: the counters accumulate over every rep, so
+        // they compare only with a baseline taken at the same `--reps`.
+        if base.reps != Some(u64::from(reps)) {
+            eprintln!(
+                "lpbench check refused: baseline {} was taken with --reps {}, this run with \
+                 --reps {reps}",
+                path.display(),
+                base.reps.map_or("(unknown)".to_string(), |r| r.to_string())
+            );
+            std::process::exit(2);
+        }
+        let mismatches = counter_mismatches(&base.counters, &counters);
+        if !mismatches.is_empty() {
+            eprintln!(
+                "lpbench check FAILED: {} work count(s) differ from baseline {}:",
+                mismatches.len(),
+                path.display()
+            );
+            for line in &mismatches {
+                eprintln!("  {line}");
+            }
+            std::process::exit(1);
+        }
+        lp_info!(
+            "work-count check passed: {} counters match the baseline exactly",
+            EXACT_COUNTERS.len()
+        );
         // Engine equivalence gate: profile every picked benchmark under
         // both engines and byte-compare the serialized profile cache
         // entries (profile + run result). Any divergence — result, cost,
@@ -465,10 +556,6 @@ fn main() {
             "engine check passed: {} benchmark(s) profile byte-identically under tree and bc",
             picked.len()
         );
-        let Some(base) = read_baseline(path) else {
-            eprintln!("cannot read lpbench baseline {}", path.display());
-            std::process::exit(2);
-        };
         // The slowdown ratio (profiler time per instruction over plain
         // interpreter time per instruction) cancels out the machine's
         // absolute speed, so a checked-in baseline transfers across CI
@@ -529,29 +616,57 @@ mod tests {
 
     #[test]
     fn committed_baselines_parse_to_their_totals() {
-        let tree = parse_baseline(include_str!("../../../../results/BENCH_ci_baseline.json"));
+        let tree = parse_baseline(include_str!("../../../../results/BENCH_ci_baseline.json"))
+            .expect("the tree baseline parses");
         assert_eq!(
-            tree,
-            Some(Baseline {
-                interp_mips: 56.863,
-                profile_mips: 41.617,
-                slowdown: 1.366,
-                per_bench: vec![("eembc.matrix01".to_string(), 41.617)],
-            })
+            (tree.interp_mips, tree.profile_mips, tree.slowdown),
+            (56.863, 41.617, 1.366)
         );
+        assert_eq!(tree.per_bench, vec![("eembc.matrix01".to_string(), 41.617)]);
         let bc = parse_baseline(include_str!(
             "../../../../results/BENCH_ci_baseline_bc.json"
-        ));
+        ))
+        .expect("the bc baseline parses");
         assert_eq!(
-            bc,
-            Some(Baseline {
-                interp_mips: 108.720,
-                profile_mips: 56.447,
-                slowdown: 1.926,
-                per_bench: vec![("eembc.matrix01".to_string(), 56.447)],
-            })
+            (bc.interp_mips, bc.profile_mips, bc.slowdown),
+            (108.720, 56.447, 1.926)
         );
+        assert_eq!(bc.per_bench, vec![("eembc.matrix01".to_string(), 56.447)]);
+        // The CI steps run the tree baseline at --reps 5 and the bc one
+        // at --reps 20, and each baseline holds every exact counter the
+        // gate reads on matrix01 (which calls no builtin).
+        assert_eq!((tree.reps, bc.reps), (Some(5), Some(20)));
+        for base in [&tree, &bc] {
+            let names: Vec<&str> = base.counters.iter().map(|(n, _)| n.as_str()).collect();
+            for c in EXACT_COUNTERS {
+                assert!(
+                    names.contains(&c.name()) || c == Counter::BuiltinCalls,
+                    "baseline lacks {}",
+                    c.name()
+                );
+            }
+        }
         assert_eq!(parse_baseline("{\"totals\":{\"slowdown\":1}}"), None);
         assert_eq!(parse_baseline("not json"), None);
+    }
+
+    #[test]
+    fn counter_mismatches_name_each_differing_exact_counter() {
+        let counters = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+            pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        let base = counters(&[("loads", 10), ("fcm_entries", 7), ("profiles_taken", 3)]);
+        assert!(counter_mismatches(&base, &base).is_empty());
+        // Counters outside the list never trip; an absent counter is 0.
+        let now = counters(&[
+            ("loads", 10),
+            ("fcm_entries", 6),
+            ("profiles_taken", 4),
+            ("builtin_calls", 2),
+        ]);
+        assert_eq!(
+            counter_mismatches(&base, &now),
+            ["builtin_calls: 0 → 2", "fcm_entries: 7 → 6"]
+        );
     }
 }
