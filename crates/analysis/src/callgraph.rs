@@ -121,6 +121,12 @@ impl CallGraph {
         &self.callees[f.index()]
     }
 
+    /// Returns `true` if some call site in the module targets `f`.
+    #[must_use]
+    pub fn has_callers(&self, f: FuncId) -> bool {
+        self.callees.iter().any(|targets| targets.contains(&f))
+    }
+
     /// Builtins referenced directly by `f`.
     #[must_use]
     pub fn builtins(&self, f: FuncId) -> &[Builtin] {
@@ -202,6 +208,8 @@ mod tests {
         assert!(cg.calls_non_thread_safe(caller));
         assert!(!cg.calls_non_thread_safe(caller2));
         assert_eq!(cg.callees(caller), &[printer]);
+        assert!(cg.has_callers(printer) && cg.has_callers(writer));
+        assert!(!cg.has_callers(caller) && !cg.has_callers(caller2));
         assert_eq!(cg.builtins(printer), &[lp_ir::Builtin::PrintI64]);
     }
 

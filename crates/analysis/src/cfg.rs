@@ -92,6 +92,23 @@ impl Cfg {
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_index(b).is_some()
     }
+
+    /// Returns `true` if a path of zero or more edges leads from one of
+    /// the blocks in `from` to `target`.
+    #[must_use]
+    pub fn reaches(&self, from: &[BlockId], target: BlockId) -> bool {
+        let mut seen = vec![false; self.succs.len()];
+        let mut stack = from.to_vec();
+        while let Some(b) = stack.pop() {
+            if b == target {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[b.index()], true) {
+                stack.extend_from_slice(self.succs(b));
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +152,18 @@ mod tests {
         assert_eq!(cfg.succs(BlockId::ENTRY), &[BlockId(1), BlockId(2)]);
         assert_eq!(cfg.preds(BlockId(3)), &[BlockId(1), BlockId(2)]);
         assert!(cfg.preds(BlockId::ENTRY).is_empty());
+    }
+
+    #[test]
+    fn reaches_follows_edges_forward_only() {
+        let f = diamond();
+        let cfg = Cfg::new(&f);
+        let (a, b, j) = (BlockId(1), BlockId(2), BlockId(3));
+        assert!(cfg.reaches(&[BlockId::ENTRY], j));
+        assert!(cfg.reaches(&[a], a), "a block reaches itself");
+        assert!(!cfg.reaches(&[a], b));
+        assert!(!cfg.reaches(&[j], BlockId::ENTRY));
+        assert!(!cfg.reaches(&[], j));
     }
 
     #[test]

@@ -44,7 +44,7 @@ const JOURNAL_TOLERANCE: f64 = 0.03;
 /// and loop instances the tracker found, the tables it grew, and the
 /// predictor misses. Each repeats exactly for the same benchmarks, scale
 /// and `--reps`, so any difference is a change in the work done.
-const EXACT_COUNTERS: [Counter; 15] = [
+const EXACT_COUNTERS: [Counter; 16] = [
     Counter::EventsConsumed,
     Counter::BlocksEntered,
     Counter::Loads,
@@ -58,13 +58,17 @@ const EXACT_COUNTERS: [Counter; 15] = [
     Counter::ShadowPages,
     Counter::FcmEntries,
     Counter::FcmEntriesMax,
+    Counter::FcmEntriesRetired,
     Counter::PredictorMiss(PredictorKind::Fcm),
     Counter::PredictorMiss(PredictorKind::Hybrid),
 ];
 
-/// One `counter: baseline → now` line per [`EXACT_COUNTERS`] entry whose
-/// value differs between the two `(name, value)` lists.
-fn counter_mismatches(baseline: &[(String, u64)], now: &[(String, u64)]) -> Vec<String> {
+/// `(name, baseline, now)` per [`EXACT_COUNTERS`] entry, read from the
+/// two `(name, value)` lists.
+fn exact_counts(
+    baseline: &[(String, u64)],
+    now: &[(String, u64)],
+) -> Vec<(&'static str, u64, u64)> {
     let value = |counters: &[(String, u64)], name: &str| {
         counters
             .iter()
@@ -73,12 +77,25 @@ fn counter_mismatches(baseline: &[(String, u64)], now: &[(String, u64)]) -> Vec<
     };
     EXACT_COUNTERS
         .iter()
-        .map(|c| c.name())
-        .filter_map(|name| {
-            let (was, is) = (value(baseline, name), value(now, name));
-            (was != is).then(|| format!("{name}: {was} → {is}"))
-        })
+        .map(|c| (c.name(), value(baseline, c.name()), value(now, c.name())))
         .collect()
+}
+
+/// One `counter: baseline → now` line per [`EXACT_COUNTERS`] entry whose
+/// value differs between the two `(name, value)` lists.
+fn counter_mismatches(baseline: &[(String, u64)], now: &[(String, u64)]) -> Vec<String> {
+    exact_counts(baseline, now)
+        .into_iter()
+        .filter(|(_, was, is)| was != is)
+        .map(|(name, was, is)| format!("{name}: {was} → {is}"))
+        .collect()
+}
+
+/// The line `--check` prints on stdout for each gate it evaluates:
+/// `gate <name> <measured> <bound> <pass|fail>`.
+fn gate_line(name: &str, measured: &str, bound: &str, pass: bool) -> String {
+    let verdict = if pass { "pass" } else { "fail" };
+    format!("gate {name} {measured} {bound} {verdict}")
 }
 
 /// Per-benchmark measurement: dynamic instructions, the best wall-clock
@@ -496,6 +513,7 @@ fn main() {
         None => print!("{json}"),
     }
 
+    let mut check_failed = false;
     if let Some(path) = &check_path {
         let Some(base) = read_baseline(path) else {
             eprintln!("cannot read lpbench baseline {}", path.display());
@@ -512,8 +530,29 @@ fn main() {
             );
             std::process::exit(2);
         }
+        // Every gate is evaluated and printed, so one run's lines say
+        // which gates tripped and by how much; the run fails after the
+        // registry snapshot and flight dump are written.
+        let mut passed = true;
+        let mut gate = |name: &str, measured: &str, bound: &str, pass: bool| {
+            println!("{}", gate_line(name, measured, bound, pass));
+            passed &= pass;
+        };
+        for (name, was, is) in exact_counts(&base.counters, &counters) {
+            gate(
+                &format!("counter.{name}"),
+                &is.to_string(),
+                &was.to_string(),
+                was == is,
+            );
+        }
         let mismatches = counter_mismatches(&base.counters, &counters);
-        if !mismatches.is_empty() {
+        if mismatches.is_empty() {
+            lp_info!(
+                "work-count check passed: {} counters match the baseline exactly",
+                EXACT_COUNTERS.len()
+            );
+        } else {
             eprintln!(
                 "lpbench check FAILED: {} work count(s) differ from baseline {}:",
                 mismatches.len(),
@@ -522,45 +561,55 @@ fn main() {
             for line in &mismatches {
                 eprintln!("  {line}");
             }
-            std::process::exit(1);
         }
-        lp_info!(
-            "work-count check passed: {} counters match the baseline exactly",
-            EXACT_COUNTERS.len()
-        );
         // Engine equivalence gate: profile every picked benchmark under
         // both engines and byte-compare the serialized profile cache
         // entries (profile + run result). Any divergence — result, cost,
         // region tree, conflict census, LCD classes — flips a byte.
-        for b in &picked {
-            let module = b.build(cli.scale);
-            let analysis = analyze_module(&module);
-            let encoded = |engine: Engine| {
-                let config = MachineConfig {
-                    engine,
-                    ..MachineConfig::default()
+        let diverging: Vec<&str> = picked
+            .iter()
+            .filter(|b| {
+                let module = b.build(cli.scale);
+                let analysis = analyze_module(&module);
+                let encoded = |engine: Engine| {
+                    let config = MachineConfig {
+                        engine,
+                        ..MachineConfig::default()
+                    };
+                    let (p, r) = lp_runtime::profile_module(&module, &analysis, &[], config)
+                        .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
+                    lp_runtime::encode_entry(&p, &r)
                 };
-                let (p, r) = lp_runtime::profile_module(&module, &analysis, &[], config)
-                    .unwrap_or_else(|e| panic!("benchmark {} failed: {e}", b.name));
-                lp_runtime::encode_entry(&p, &r)
-            };
-            if encoded(Engine::Tree) != encoded(Engine::Bc) {
-                eprintln!(
-                    "lpbench check FAILED: {} profiles diverge between --engine tree and bc",
-                    b.name
-                );
-                std::process::exit(1);
-            }
-        }
-        lp_info!(
-            "engine check passed: {} benchmark(s) profile byte-identically under tree and bc",
-            picked.len()
+                encoded(Engine::Tree) != encoded(Engine::Bc)
+            })
+            .map(|b| b.name)
+            .collect();
+        gate(
+            "engine_identity",
+            &diverging.len().to_string(),
+            "0",
+            diverging.is_empty(),
         );
+        for name in &diverging {
+            eprintln!("lpbench check FAILED: {name} profiles diverge between --engine tree and bc");
+        }
+        if diverging.is_empty() {
+            lp_info!(
+                "engine check passed: {} benchmark(s) profile byte-identically under tree and bc",
+                picked.len()
+            );
+        }
         // The slowdown ratio (profiler time per instruction over plain
         // interpreter time per instruction) cancels out the machine's
         // absolute speed, so a checked-in baseline transfers across CI
         // runners; raw insts/sec would not.
         let limit = base.slowdown * (1.0 + CHECK_TOLERANCE);
+        gate(
+            "slowdown",
+            &format!("{cur_slowdown:.3}"),
+            &format!("{limit:.3}"),
+            cur_slowdown <= limit,
+        );
         if cur_slowdown > limit {
             eprintln!(
                 "lpbench check FAILED: profiler slowdown {cur_slowdown:.3}x exceeds baseline \
@@ -568,12 +617,17 @@ fn main() {
                 base.slowdown,
                 CHECK_TOLERANCE * 100.0
             );
-            std::process::exit(1);
         }
         // Median-of-reps overhead, discounted by its own scaled MAD: the
         // gate only fires when even the measurement's noise band cannot
         // explain the excess, so a single slow rep no longer flakes CI.
         let overhead_floor = journal_overhead - 1.4826 * journal_overhead_mad;
+        gate(
+            "journal_overhead",
+            &format!("{overhead_floor:.4}"),
+            &format!("{JOURNAL_TOLERANCE:.4}"),
+            overhead_floor <= JOURNAL_TOLERANCE,
+        );
         if overhead_floor > JOURNAL_TOLERANCE {
             eprintln!(
                 "lpbench check FAILED: always-on journaling overhead {:.1}% (median of {nreps} \
@@ -582,19 +636,24 @@ fn main() {
                 journal_overhead_mad * 100.0,
                 JOURNAL_TOLERANCE * 100.0
             );
-            std::process::exit(1);
         }
-        lp_info!(
-            "lpbench check passed: slowdown {:.3}x vs baseline {:.3}x (limit {:.3}x), \
-             journal overhead {:.2}% (MAD {:.2}%)",
-            cur_slowdown,
-            base.slowdown,
-            limit,
-            journal_overhead * 100.0,
-            journal_overhead_mad * 100.0
-        );
+        if passed {
+            lp_info!(
+                "lpbench check passed: slowdown {:.3}x vs baseline {:.3}x (limit {:.3}x), \
+                 journal overhead {:.2}% (MAD {:.2}%)",
+                cur_slowdown,
+                base.slowdown,
+                limit,
+                journal_overhead * 100.0,
+                journal_overhead_mad * 100.0
+            );
+        }
+        check_failed = !passed;
     }
     cli.finish("lpbench");
+    if check_failed {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -667,6 +726,23 @@ mod tests {
         assert_eq!(
             counter_mismatches(&base, &now),
             ["builtin_calls: 0 → 2", "fcm_entries: 7 → 6"]
+        );
+        let fcm = exact_counts(&base, &now)
+            .into_iter()
+            .find(|&(name, _, _)| name == "fcm_entries")
+            .unwrap();
+        assert_eq!(fcm, ("fcm_entries", 7, 6));
+    }
+
+    #[test]
+    fn gate_lines_name_the_gate_its_numbers_and_the_verdict() {
+        assert_eq!(
+            gate_line("counter.fcm_entries", "6", "7", false),
+            "gate counter.fcm_entries 6 7 fail"
+        );
+        assert_eq!(
+            gate_line("slowdown", "1.262", "1.776", true),
+            "gate slowdown 1.262 1.776 pass"
         );
     }
 }

@@ -118,6 +118,10 @@ pub enum Counter {
     /// Entries of the largest single value predictor's FCM table when its
     /// profile finished, over every profile (a maximum, not a sum).
     FcmEntriesMax,
+    /// Context entries of the FCM tables the profiler freed when an
+    /// instance of a final loop closed (counted in [`Counter::FcmEntries`]
+    /// too).
+    FcmEntriesRetired,
     /// Runs of equal-length iterations the finished profiles' timelines
     /// hold (at most one per iteration).
     TimelineRuns,
@@ -129,7 +133,7 @@ impl Counter {
     /// index here. Slots never leave the process (snapshots, the Chrome
     /// trace and `lpstudy diff` all go by name), so a counter may be
     /// added or removed anywhere in the list.
-    pub const ALL: [(Counter, &'static str); 38] = [
+    pub const ALL: [(Counter, &'static str); 39] = [
         (Counter::EventsConsumed, "events_consumed"),
         (Counter::BlocksEntered, "blocks_entered"),
         (Counter::Loads, "loads"),
@@ -157,6 +161,7 @@ impl Counter {
         (Counter::WitnessPages, "witness_pages"),
         (Counter::FcmEntries, "fcm_entries"),
         (Counter::FcmEntriesMax, "fcm_entries_max"),
+        (Counter::FcmEntriesRetired, "fcm_entries_retired"),
         (Counter::TimelineRuns, "timeline_runs"),
         (
             Counter::PredictorHit(PredictorKind::LastValue),

@@ -92,6 +92,12 @@ impl CtxTable {
     fn len(&self) -> usize {
         self.shards.iter().map(HashMap::len).sum()
     }
+
+    /// Buckets allocated, summed over the maps (0 once freed).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.shards.iter().map(HashMap::capacity).sum()
+    }
 }
 
 /// A single-stream value predictor.
@@ -392,6 +398,9 @@ pub struct HybridPredictor {
     /// materialized on demand instead of incremented four extra times
     /// per observation on the hot path.
     component_correct: [u64; 4],
+    /// Contexts the FCM table held when [`HybridPredictor::retire`] freed
+    /// it.
+    retired_entries: usize,
 }
 
 impl HybridPredictor {
@@ -405,6 +414,7 @@ impl HybridPredictor {
             fcm: Fcm::new(),
             stats: PredictorStats::default(),
             component_correct: [0; 4],
+            retired_entries: 0,
         }
     }
 
@@ -441,10 +451,26 @@ impl HybridPredictor {
     }
 
     /// Context entries in the FCM component's table (at most one per
-    /// observation).
+    /// observation), counting those a [`HybridPredictor::retire`] freed.
     #[must_use]
     pub fn fcm_entries(&self) -> usize {
-        self.fcm.table.len()
+        self.fcm.table.len() + self.retired_entries
+    }
+
+    /// Context entries whose table [`HybridPredictor::retire`] freed.
+    #[must_use]
+    pub fn fcm_entries_retired(&self) -> usize {
+        self.retired_entries
+    }
+
+    /// Frees the FCM component's table, for a stream that will never be
+    /// observed again. Statistics and [`HybridPredictor::fcm_entries`]
+    /// stay as they were; a later [`HybridPredictor::observe`] would
+    /// predict from an empty table, so the caller must know the stream
+    /// has ended.
+    pub fn retire(&mut self) {
+        self.retired_entries += self.fcm.table.len();
+        self.fcm.table = CtxTable::default();
     }
 
     /// Per-component statistics in `[last-value, stride, 2-delta, fcm]`
@@ -850,6 +876,28 @@ mod tests {
             .collect();
         let twice: Vec<u64> = order3.iter().chain(&order3).copied().collect();
         assert_exact("adversarial, order 3", &twice);
+    }
+
+    #[test]
+    fn retire_frees_the_table_and_keeps_the_counts() {
+        let pattern = [3u64, 1, 4, 1, 5, 9, 2, 6];
+        let mut hybrid = HybridPredictor::new();
+        for i in 0..400 {
+            hybrid.observe(pattern[i % pattern.len()] * (i as u64 / 50));
+        }
+        let (stats, components, entries) = (
+            hybrid.stats(),
+            hybrid.component_stats(),
+            hybrid.fcm_entries(),
+        );
+        assert!(entries > 0 && hybrid.fcm.table.capacity() > 0);
+        assert_eq!(hybrid.fcm_entries_retired(), 0);
+        hybrid.retire();
+        assert_eq!(hybrid.fcm.table.capacity(), 0, "the table is freed");
+        assert_eq!(hybrid.stats(), stats);
+        assert_eq!(hybrid.component_stats(), components);
+        assert_eq!(hybrid.fcm_entries(), entries);
+        assert_eq!(hybrid.fcm_entries_retired(), entries);
     }
 
     #[test]

@@ -169,6 +169,14 @@ pub fn audit_snapshot(snap: &RunSnapshot) -> Vec<Check> {
         fcm_max == 0 && fcm == 0,
         format!("fcm_entries_max={fcm_max} fcm_entries={fcm}"),
     ));
+    // A freed table's entries stay counted in `fcm_entries`.
+    let retired = c("fcm_entries_retired");
+    checks.push(check(
+        "fcm_entries_retired_within_fcm_entries",
+        retired <= fcm,
+        retired == 0 && fcm == 0,
+        format!("fcm_entries_retired={retired} fcm_entries={fcm}"),
+    ));
     // Every run of a timeline covers at least one iteration.
     let runs = c("timeline_runs");
     let iterations = snap.hist("loop_iterations").map_or(0, |h| h.sum);
@@ -263,6 +271,7 @@ mod tests {
         reg.record_hist(Hist::ConflictDistance, 4);
         c.add(Counter::FcmEntries, 7);
         c.max(Counter::FcmEntriesMax, 4);
+        c.add(Counter::FcmEntriesRetired, 5);
         c.add(Counter::TimelineRuns, 12);
         c.add(Counter::ShadowPages, 3);
         c.add(Counter::StackPushPages, 1);
@@ -351,6 +360,16 @@ mod tests {
         reg.counters().max(Counter::FcmEntriesMax, 12);
         assert_eq!(
             verdict(&reg, "fcm_entries_max_within_fcm_entries"),
+            Verdict::Fail
+        );
+        // Freed tables held 5 of the 11 entries; 12 can't have been freed.
+        assert_eq!(
+            verdict(&reg, "fcm_entries_retired_within_fcm_entries"),
+            Verdict::Pass
+        );
+        reg.counters().add(Counter::FcmEntriesRetired, 7);
+        assert_eq!(
+            verdict(&reg, "fcm_entries_retired_within_fcm_entries"),
             Verdict::Fail
         );
         // 30 iterations can't fill 31 runs.

@@ -48,6 +48,7 @@ use lp_interp::{
 use lp_ir::{BlockId, Builtin, FuncId, Inst, Module, ValueId, ValueKind};
 use lp_obs::{span, Counter, Hist, Histogram, PredictorKind};
 use lp_predict::HybridPredictor;
+use std::ops::Range;
 
 /// Sentinel for "no entry" in the dense interning tables.
 const NONE: u32 = u32::MAX;
@@ -123,6 +124,10 @@ pub struct Profiler<'a> {
     meta_of: Vec<Vec<u32>>,
     /// Per meta index, per block: loop membership bitmap.
     loop_blocks: Vec<Vec<bool>>,
+    /// Per meta index: the `predictors` slots whose FCM tables an
+    /// instance's close frees, because the loop is final
+    /// ([`ModuleAnalysis::loop_is_final`]); empty for every other loop.
+    retire_on_close: Vec<Range<usize>>,
     loop_meta: Vec<LoopMeta>,
     // Dynamic state.
     now: u64,
@@ -161,6 +166,8 @@ pub struct Profiler<'a> {
 
 impl<'a> Profiler<'a> {
     /// Prepares the profiler for `module` using its compile-time analysis.
+    /// A profiler observes one run: it frees the predictor tables of a
+    /// loop that the run can never enter again.
     #[must_use]
     pub fn new(module: &Module, analysis: &'a ModuleAnalysis) -> Profiler<'a> {
         Profiler::with_options(module, analysis, ProfilerOptions::default())
@@ -181,6 +188,7 @@ impl<'a> Profiler<'a> {
         let mut traced_slots: Vec<(u32, u32)> = Vec::new();
         let mut watch_lists: Vec<Vec<(u32, u32)>> = Vec::new();
         let mut loop_blocks: Vec<Vec<bool>> = Vec::new();
+        let mut retire_on_close: Vec<Range<usize>> = Vec::new();
         let mut loop_meta = Vec::new();
 
         for (fid, func) in module.iter_functions() {
@@ -208,6 +216,7 @@ impl<'a> Profiler<'a> {
                     membership[b.index()] = true;
                 }
                 loop_blocks.push(membership);
+                let first_slot = traced_slots.len();
                 // Register traced phis and their latch producers.
                 if lp.latches.len() == 1 {
                     let latch = lp.latches[0];
@@ -242,6 +251,11 @@ impl<'a> Profiler<'a> {
                         }
                     }
                 }
+                retire_on_close.push(if analysis.loop_is_final(module, fid, lid) {
+                    first_slot..traced_slots.len()
+                } else {
+                    0..0
+                });
                 loop_meta.push(LoopMeta {
                     func: fid,
                     loop_id: lid,
@@ -273,6 +287,7 @@ impl<'a> Profiler<'a> {
             watch_lists,
             meta_of,
             loop_blocks,
+            retire_on_close,
             loop_meta,
             now: 0,
             regions: Vec::new(),
@@ -340,6 +355,11 @@ impl<'a> Profiler<'a> {
             .pop()
             .expect("loop region on region stack");
         debug_assert_eq!(rid, al.region, "region stack out of sync");
+        // No phi of a final loop resolves again, so nothing will read
+        // its FCM tables.
+        for pred in &mut self.predictors[self.retire_on_close[al.inst.meta].clone()] {
+            pred.retire();
+        }
         let region = &mut self.regions[rid.index()];
         region.end = stamp;
         region.kind = RegionKind::Loop(Box::new(al.inst));
@@ -496,8 +516,9 @@ impl<'a> Profiler<'a> {
     /// counter bank: regions/loops built, RAW conflict edges, cactus-stack
     /// filter hits, per-iteration-count histogram samples, per-kind
     /// value-predictor hit/miss totals, and the footprint of the growing
-    /// tables (shadow, stack-push and witness pages, FCM entries in all
-    /// and in the largest table, timeline runs).
+    /// tables (shadow, stack-push and witness pages, FCM entries in all,
+    /// in the largest table and in the tables final loops freed,
+    /// timeline runs).
     fn flush_counters(&self) {
         let c = lp_obs::counters();
         c.add(Counter::RegionsCreated, self.regions.len() as u64);
@@ -531,6 +552,10 @@ impl<'a> Profiler<'a> {
         for pred in &self.predictors {
             c.add(Counter::FcmEntries, pred.fcm_entries() as u64);
             c.max(Counter::FcmEntriesMax, pred.fcm_entries() as u64);
+            c.add(
+                Counter::FcmEntriesRetired,
+                pred.fcm_entries_retired() as u64,
+            );
             let s = pred.stats();
             c.add(Counter::PredictorHit(PredictorKind::Hybrid), s.correct);
             c.add(
@@ -1279,5 +1304,120 @@ mod tests {
             "stale shadow stamps leaked into the re-entered instance: {:?}",
             second_inst.mem_conflict_iters
         );
+    }
+
+    /// Forwards every event to a profiler and, when the run first enters
+    /// `header`, records the FCM entries the predictor in `slot` has freed
+    /// by then.
+    struct RetireProbe<'p, 'a> {
+        profiler: &'p mut Profiler<'a>,
+        header: BlockId,
+        slot: usize,
+        retired_at_header: Option<usize>,
+    }
+
+    impl EventSink for RetireProbe<'_, '_> {
+        fn block_entered(&mut self, func: FuncId, block: BlockId, cost: u64, now: u64) {
+            self.profiler.block_entered(func, block, cost, now);
+            if block == self.header && self.retired_at_header.is_none() {
+                let pred = &self.profiler.predictors[self.slot];
+                self.retired_at_header = Some(pred.fcm_entries_retired());
+            }
+        }
+        fn phi_resolved(&mut self, func: FuncId, block: BlockId, phi: ValueId, v: Value, now: u64) {
+            self.profiler.phi_resolved(func, block, phi, v, now);
+        }
+        fn load(&mut self, addr: u64, now: u64) {
+            self.profiler.load(addr, now);
+        }
+        fn store(&mut self, addr: u64, now: u64) {
+            self.profiler.store(addr, now);
+        }
+        fn func_entered(&mut self, func: FuncId, frame_base: u64, now: u64) {
+            self.profiler.func_entered(func, frame_base, now);
+        }
+        fn func_exited(&mut self, func: FuncId, now: u64) {
+            self.profiler.func_exited(func, now);
+        }
+        fn builtin_called(&mut self, caller: FuncId, builtin: Builtin, now: u64) {
+            self.profiler.builtin_called(caller, builtin, now);
+        }
+        fn value_defined(&mut self, func: FuncId, value: ValueId, val: Value, now: u64) {
+            self.profiler.value_defined(func, value, val, now);
+        }
+    }
+
+    /// Two sequential loops in an uncalled `main`, each stepping an LCG
+    /// twelve times: both are final, so the first loop's FCM table is
+    /// freed when its instance closes, before the second loop starts, and
+    /// the profile and every predictor count stay as they are when no
+    /// table is freed.
+    #[test]
+    fn a_final_loop_frees_its_tables_at_its_close() {
+        use lp_suite::kernels::{counted_loop, lcg_step};
+        let mut m = Module::new("two_final_loops");
+        let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+        let twelve = fb.const_i64(12);
+        let mut results = Vec::new();
+        for seed in [0x5EED, 0xF00D] {
+            let seed = fb.const_i64(seed);
+            let x = counted_loop(&mut fb, twelve, &[(Type::I64, seed)], |fb, _, phis| {
+                vec![lcg_step(fb, phis[0])]
+            });
+            results.push(x[0]);
+        }
+        let r = fb.xor(results[0], results[1]);
+        fb.ret(Some(r));
+        m.add_function(fb.finish().unwrap());
+        let analysis = analyze_module(&m);
+        let main = m.entry().unwrap();
+        let run = |frees: bool| {
+            let mut profiler = Profiler::new(&m, &analysis);
+            assert_eq!(profiler.predictors.len(), 2, "one traced phi per loop");
+            if !frees {
+                profiler.retire_on_close.iter_mut().for_each(|r| *r = 0..0);
+            }
+            // Loops are met in block order: the first loop's header was
+            // created first.
+            let mut metas: Vec<usize> = (0..profiler.loop_meta.len()).collect();
+            metas.sort_by_key(|&i| profiler.loop_meta[i].header);
+            let [first, second] = metas[..] else {
+                panic!("two loops")
+            };
+            assert!(analysis.loop_is_final(&m, main, profiler.loop_meta[first].loop_id));
+            let slot = profiler.retire_on_close[first].start;
+            let header = profiler.loop_meta[second].header;
+            let config = MachineConfig {
+                watched_values: profiler.watched_values(),
+                ..MachineConfig::default()
+            };
+            let mut probe = RetireProbe {
+                profiler: &mut profiler,
+                header,
+                slot,
+                retired_at_header: None,
+            };
+            let unit = ExecUnit::new(&m);
+            Exec::new(&unit)
+                .sink(&mut probe)
+                .config(config)
+                .run(&[])
+                .unwrap();
+            let retired_at_header = probe.retired_at_header.expect("the second loop ran");
+            let counts: Vec<_> = profiler
+                .predictors
+                .iter()
+                .map(|p| (p.stats(), p.component_stats(), p.fcm_entries()))
+                .collect();
+            let first_entries = profiler.predictors[slot].fcm_entries();
+            (retired_at_header, first_entries, counts, profiler.finish())
+        };
+        let (retired, entries, counts, profile) = run(true);
+        let (kept, _, control_counts, control) = run(false);
+        assert!(entries > 0);
+        assert_eq!(retired, entries, "freed before the second loop began");
+        assert_eq!(kept, 0);
+        assert_eq!(counts, control_counts);
+        assert_eq!(format!("{profile:?}"), format!("{control:?}"));
     }
 }

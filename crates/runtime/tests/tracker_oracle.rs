@@ -6,17 +6,20 @@
 //! tables of either side. Two small kernels add what the suite lacks: a
 //! loop active in several frames of a recursion, and stack words reread
 //! across iterations after their frame was released. The generated
-//! programs of `tests/props.rs` are compared the same way there. A
-//! cross-law ties the profiler to the independence witness as well.
+//! programs of `tests/props.rs` are compared the same way there. Four
+//! more kernels hold a loop that runs again after one of its instances
+//! closes, so a profiler that freed its predictor tables too early would
+//! predict less than the reference. A cross-law ties the profiler to the
+//! independence witness as well.
 
 #[path = "oracle/tracker.rs"]
 mod ref_tracker;
 
 use lp_interp::{Engine, MachineConfig};
 use lp_ir::builder::FunctionBuilder;
-use lp_ir::{FuncId, Global, IcmpPred, Module, Type};
+use lp_ir::{BlockId, FuncId, Global, IcmpPred, Module, Type, ValueId};
 use lp_runtime::{profile_module_with, profile_module_witnessed, ProfilerOptions};
-use lp_suite::kernels::counted_loop;
+use lp_suite::kernels::{counted_loop, lcg_step};
 use lp_suite::Scale;
 
 fn matches_the_reference(module: &Module, options: ProfilerOptions) {
@@ -118,6 +121,171 @@ fn released_frames() -> Module {
     fb.ret(Some(r));
     m.add_function(fb.finish().unwrap());
     m
+}
+
+/// Twelve LCG steps from one seed: every instance of the loop gives its
+/// traced phi the same sequence, which only the FCM predicts, and only
+/// from the contexts an earlier instance taught it.
+fn chaotic_loop(fb: &mut FunctionBuilder) -> ValueId {
+    let twelve = fb.const_i64(12);
+    let seed = fb.const_i64(0x5EED);
+    counted_loop(fb, twelve, &[(Type::I64, seed)], |fb, _, phis| {
+        vec![lcg_step(fb, phis[0])]
+    })[0]
+}
+
+/// The chaotic loop nested in a three-iteration loop of `main`.
+fn nested_chaos() -> Module {
+    let mut m = Module::new("nested_chaos");
+    let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+    let three = fb.const_i64(3);
+    let zero = fb.const_i64(0);
+    let acc = counted_loop(&mut fb, three, &[(Type::I64, zero)], |fb, _, phis| {
+        let x = chaotic_loop(fb);
+        vec![fb.xor(phis[0], x)]
+    });
+    fb.ret(Some(acc[0]));
+    m.add_function(fb.finish().unwrap());
+    m
+}
+
+/// The chaotic loop in `chaos`, which `main` calls from two sites and
+/// then from inside a loop.
+fn called_chaos() -> Module {
+    let mut m = Module::new("called_chaos");
+    let mut fb = FunctionBuilder::new("chaos", &[], Type::I64);
+    let x = chaotic_loop(&mut fb);
+    fb.ret(Some(x));
+    let chaos = m.add_function(fb.finish().unwrap());
+    let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+    let a = fb.call(chaos, Type::I64, &[]);
+    let b = fb.call(chaos, Type::I64, &[]);
+    let three = fb.const_i64(3);
+    let acc = counted_loop(&mut fb, three, &[(Type::I64, a)], |fb, _, phis| {
+        let x = fb.call(chaos, Type::I64, &[]);
+        vec![fb.xor(phis[0], x)]
+    });
+    let r = fb.xor(acc[0], b);
+    fb.ret(Some(r));
+    m.add_function(fb.finish().unwrap());
+    m
+}
+
+/// A `main` that runs the chaotic loop, then calls itself until a
+/// global counter reaches 3: one static loop in three activations.
+fn recursive_main() -> Module {
+    let mut m = Module::new("recursive_main");
+    let depth = m.add_global(Global::zeroed("depth", 1));
+    let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+    let p = fb.global_addr(depth);
+    let one = fb.const_i64(1);
+    let two = fb.const_i64(2);
+    let d = fb.load(Type::I64, p);
+    let d1 = fb.add(d, one);
+    fb.store(d1, p);
+    let x = chaotic_loop(&mut fb);
+    let rec = fb.fresh_block("rec");
+    let done = fb.fresh_block("done");
+    let deeper = fb.icmp(IcmpPred::Slt, d, two);
+    fb.cond_br(deeper, rec, done);
+    fb.switch_to(rec);
+    // Self-recursion: main is FuncId(0), the module's only function.
+    fb.call(FuncId(0), Type::I64, &[]);
+    fb.br(done);
+    fb.switch_to(done);
+    fb.ret(Some(x));
+    m.add_function(fb.finish().unwrap());
+    m
+}
+
+/// The chaotic loop as a one-block loop in `main` whose exit returns to
+/// its header through `again` three times. `main`'s entry branches both
+/// to the header and to `again`, so neither dominates the other, and the
+/// cycle through the exit is irreducible: no natural loop encloses it.
+fn irreducible_chaos() -> Module {
+    let mut m = Module::new("irreducible_chaos");
+    let count = m.add_global(Global::zeroed("count", 1));
+    let mut fb = FunctionBuilder::new("main", &[], Type::I64);
+    let p = fb.global_addr(count);
+    let zero = fb.const_i64(0);
+    let one = fb.const_i64(1);
+    let three = fb.const_i64(3);
+    let twelve = fb.const_i64(12);
+    let seed = fb.const_i64(0x5EED);
+    let header = fb.fresh_block("header");
+    let exit = fb.fresh_block("exit");
+    let again = fb.fresh_block("again");
+    let done = fb.fresh_block("done");
+    let c = fb.load(Type::I64, p);
+    let skip = fb.icmp(IcmpPred::Sgt, c, twelve);
+    fb.cond_br(skip, again, header);
+    fb.switch_to(header);
+    let i = fb.phi(Type::I64);
+    let x = fb.phi(Type::I64);
+    let x2 = lcg_step(&mut fb, x);
+    let i2 = fb.add(i, one);
+    let more = fb.icmp(IcmpPred::Slt, i2, twelve);
+    fb.cond_br(more, header, exit);
+    fb.switch_to(exit);
+    let n = fb.load(Type::I64, p);
+    let n2 = fb.add(n, one);
+    fb.store(n2, p);
+    let repeat = fb.icmp(IcmpPred::Slt, n2, three);
+    fb.cond_br(repeat, again, done);
+    fb.switch_to(again);
+    fb.br(header);
+    fb.switch_to(done);
+    fb.ret(Some(x2));
+    for (phi, init, update) in [(i, zero, i2), (x, seed, x2)] {
+        fb.add_phi_incoming(phi, BlockId::ENTRY, init);
+        fb.add_phi_incoming(phi, header, update);
+        fb.add_phi_incoming(phi, again, init);
+    }
+    m.add_function(fb.finish().unwrap());
+    m
+}
+
+/// The kernel's chaotic loop runs at least three instances, and every
+/// instance after the first predicts some of its values: the hits the
+/// reference comparison pins come from contexts learned earlier.
+fn assert_later_instances_predict(module: &Module) {
+    let analysis = lp_analysis::analyze_module(module);
+    let (profile, _) = profile_module_with(
+        module,
+        &analysis,
+        &[],
+        MachineConfig::default(),
+        ProfilerOptions::default(),
+    )
+    .unwrap();
+    let mut instances: Vec<Vec<u64>> = vec![Vec::new(); profile.loop_meta.len()];
+    for (_, _, inst) in profile.loop_instances() {
+        instances[inst.meta].push(inst.lcds.iter().map(|l| l.predicted).sum());
+    }
+    let repeated = instances
+        .iter()
+        .filter(|hits| hits.len() >= 3 && hits[1..].iter().all(|&h| h > 0))
+        .count();
+    assert!(
+        repeated > 0,
+        "{}: no loop predicts in every later instance: {instances:?}",
+        module.name
+    );
+}
+
+#[test]
+fn loops_that_run_again_match_the_reference() {
+    for module in [
+        nested_chaos(),
+        called_chaos(),
+        recursive_main(),
+        irreducible_chaos(),
+    ] {
+        assert_later_instances_predict(&module);
+        for cactus_stack in [true, false] {
+            matches_the_reference(&module, ProfilerOptions { cactus_stack });
+        }
+    }
 }
 
 #[test]
